@@ -38,6 +38,7 @@ from .objectives import (
     make_fig1_problem,
     make_random_strongly_convex,
     solve_reference,
+    suboptimality,
 )
 from .oracles import (
     SuboptimalityStats,
@@ -120,6 +121,7 @@ __all__ = [
     "sps_bias_variance",
     "standardize",
     "stream",
+    "suboptimality",
     "variation_of_constants",
     "write_trace",
 ]

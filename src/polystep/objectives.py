@@ -5,7 +5,8 @@ closed-form batch minima where available and full-batch reference solving.
 All objectives expose the same surface:
 
 * ``n``, ``d``, ``kind``
-* ``batch_value(S, x)`` / ``batch_grad(S, x)`` -- mean over the members of S
+* ``batch_value(S, x)`` / ``batch_grad(S, x)`` -- mean over the members of S;
+  S is an index array, or a slice for a copy-free full-batch pass
 * ``lower_bound(S, policy)`` -- a certified lower bound on inf_x f_S(x)
 * ``batch_min_value(S)`` -- exact f_S* where closed-form (else raises)
 
@@ -15,6 +16,7 @@ The batch loss is f_S(x) = (1/|S|) sum_{i in S} f_i(x).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -59,6 +61,14 @@ class ReferenceSolution:
     tol: float
 
 
+def _store_c_order(obj, *names: str) -> None:
+    """Keep the named component arrays C-contiguous. A full-batch pass reads
+    them through a basic-slice view, and a view with the layout of the copy
+    an index gather makes gives bit-identical sums."""
+    for name in names:
+        object.__setattr__(obj, name, np.ascontiguousarray(getattr(obj, name)))
+
+
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     out = np.empty_like(t)
     pos = t >= 0
@@ -85,6 +95,7 @@ class LogisticObjective:
     kind = "logistic"
 
     def __post_init__(self):
+        _store_c_order(self, "features", "labels")
         if self.label_sign not in ("standard", "as_printed"):
             raise ValueError(f"unknown label_sign {self.label_sign!r}")
         if not np.isin(self.labels, (-1.0, 1.0)).all():
@@ -114,7 +125,7 @@ class LogisticObjective:
         s = self._margin_sign()
         z = s * self.labels[S] * (A @ x)
         w = s * self.labels[S] * _sigmoid(z)
-        return A.T @ w / len(S) + self.lam * x
+        return A.T @ w / A.shape[0] + self.lam * x
 
     def batch_min_value(self, S: MiniBatch) -> float:
         # Closed form only for a single unregularized datapoint: the loss
@@ -151,6 +162,9 @@ class QuadraticObjective:
 
     kind = "quadratic"
 
+    def __post_init__(self):
+        _store_c_order(self, "curvatures", "offsets", "floors")
+
     @property
     def n(self) -> int:
         return self.curvatures.shape[0]
@@ -166,7 +180,7 @@ class QuadraticObjective:
 
     def batch_grad(self, S: MiniBatch, x: Vector) -> Vector:
         diff = x - self.offsets[S]
-        return np.einsum("bij,bj->i", self.curvatures[S], diff) / len(S)
+        return np.einsum("bij,bj->i", self.curvatures[S], diff) / diff.shape[0]
 
     def batch_optimum(self, S: MiniBatch) -> tuple[Vector, float]:
         """Exact minimizer and minimum of f_S: solves (sum H_i) x = sum H_i o_i."""
@@ -213,6 +227,9 @@ class ShiftedAbsoluteObjective:
     kind = "absolute"
     d = 1
 
+    def __post_init__(self):
+        _store_c_order(self, "shifts")
+
     @property
     def n(self) -> int:
         return self.shifts.shape[0]
@@ -242,8 +259,10 @@ class ShiftedAbsoluteObjective:
 FiniteSumObjective = LogisticObjective | QuadraticObjective | ShiftedAbsoluteObjective
 
 
-def full_batch(obj) -> MiniBatch:
-    return np.arange(obj.n)
+def full_batch(obj) -> slice:
+    """All n components as a basic slice: indexing with it gives views of the
+    component arrays, not the copies an ``np.arange(n)`` gather makes."""
+    return slice(None)
 
 
 def full_value(obj, x: Vector) -> float:
@@ -279,12 +298,14 @@ def solve_reference(obj, tol: float = 1e-10, max_iter: int = 1_000_000) -> Refer
     L = float(np.linalg.eigvalsh(gram)[-1]) / 4.0 + obj.lam
     x = np.zeros(obj.d)
     step = 1.0 / L
-    gn = float(np.linalg.norm(obj.batch_grad(S, x)))
+    g = obj.batch_grad(S, x)
+    gn = float(np.linalg.norm(g))
     for _ in range(max_iter):
         if gn <= tol:
             break
-        x = x - step * obj.batch_grad(S, x)
-        gn = float(np.linalg.norm(obj.batch_grad(S, x)))
+        x = x - step * g
+        g = obj.batch_grad(S, x)
+        gn = float(np.linalg.norm(g))
     if gn > tol:
         raise SolverFailure(
             f"reference solver: grad norm {gn:.3e} > tol {tol:.3e} "
@@ -292,6 +313,29 @@ def solve_reference(obj, tol: float = 1e-10, max_iter: int = 1_000_000) -> Refer
             gn,
         )
     return ReferenceSolution(x, obj.batch_value(S, x), gn, tol)
+
+
+def suboptimality(obj, reference: ReferenceSolution) -> Callable[[Vector], float]:
+    """The map x -> f(x) - f* of one run, set up once.
+
+    A quadratic is its own second-order Taylor expansion around x*, so with
+    e = x - x*, Hbar = mean_i H_i and g* = grad f(x*),
+    f(x) - f* = e^T (Hbar e / 2 + g*) exactly. That costs O(d^2) instead of
+    a full O(n d^2) pass, and near x* it is the small number itself rather
+    than the difference of two O(1) values. Other kinds evaluate
+    full_value(obj, x) - f*.
+    """
+    x_star, f_star = reference.x_star, reference.f_star
+    if obj.kind == "quadratic":
+        half_hessian = 0.5 * obj.curvatures.mean(axis=0)
+        g_star = full_grad(obj, x_star)
+
+        def centred(x: Vector) -> float:
+            e = x - x_star
+            return float(e @ (half_hessian @ e + g_star))
+
+        return centred
+    return lambda x: full_value(obj, x) - f_star
 
 
 def make_counterexample_1d() -> QuadraticObjective:

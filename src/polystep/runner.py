@@ -130,6 +130,10 @@ def iterate_run(obj, method, cfg, x0, K, B, rng, max_resample=None):
 
 def _check_config(cfg: RunConfig, obj) -> None:
     validate(cfg.stepper, cfg.optimizer)
+    if cfg.K < 1:
+        raise ConfigurationError(f"iteration count K must be >= 1, got {cfg.K}")
+    if cfg.record_every < 1:
+        raise ConfigurationError(f"record_every must be >= 1, got {cfg.record_every}")
     if cfg.B > obj.n:
         raise ConfigurationError(f"batch size {cfg.B} exceeds n={obj.n}")
     # fail early on exact-minimum policies the objective cannot serve
@@ -151,6 +155,7 @@ def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
     if reference is None:
         reference = objectives.solve_reference(obj, cfg.reference_tol)
     x_star, f_star = reference.x_star, reference.f_star
+    f_sub = objectives.suboptimality(obj, reference)
 
     records: list[IterationRecord] = []
     diagnostics = []
@@ -164,13 +169,13 @@ def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
             ):
                 xbar_sum += x
                 if k % cfg.record_every == 0 or k == cfg.K - 1:
-                    xbar = xbar_sum / (k + 1)
+                    dx = x - x_star
                     records.append(IterationRecord(
                         seed=seed,
                         k=k,
-                        f_sub=objectives.full_value(obj, x) - f_star,
-                        f_sub_avg_iterate=objectives.full_value(obj, xbar) - f_star,
-                        dist_sq=float(np.dot(x - x_star, x - x_star)),
+                        f_sub=f_sub(x),
+                        f_sub_avg_iterate=f_sub(xbar_sum / (k + 1)),
+                        dist_sq=float(np.dot(dx, dx)),
                         gamma=gamma,
                     ))
         except ResampleExhausted as e:
@@ -254,6 +259,8 @@ def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
         if c.problem != first.problem:
             raise ConfigurationError("compare_grid: all configs must share the problem")
     obj = build_problem(first.problem)
+    for c in cfgs:
+        _check_config(c, obj)
     reference = objectives.solve_reference(obj, first.reference_tol)
     table = []
     for c in cfgs:

@@ -26,7 +26,7 @@ point, not just up to roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -64,11 +64,13 @@ class StepperConfig:
 class StepperState:
     k: int = 0
     gamma_prev: float = 0.0
-    c_prev: float = 0.0
     scaled_prev: float = 0.0  # c_{k-1} * gamma_{k-1}, carried exactly
     accum: float = 0.0  # adagrad_norm b_k^2
     v: np.ndarray | None = field(default=None, repr=False)
     vhat: np.ndarray | None = field(default=None, repr=False)
+    # Init-only and discarded: scaled_prev carries c_{k-1} gamma_{k-1}.
+    # benchmarks/roadmap_check.py still passes c_prev when it times replace().
+    c_prev: InitVar[float] = 0.0
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,6 @@ def init_state(cfg: StepperConfig, method: str, d: int) -> StepperState:
     state = StepperState(
         k=0,
         gamma_prev=cfg.gamma_b,
-        c_prev=cfg.c0,
         scaled_prev=cfg.c0 * cfg.gamma_b,
         accum=cfg.b0**2,
     )
@@ -163,9 +164,7 @@ def decsps_step(cfg, state, obj, S, x) -> StepResult:
     ck = c_value(cfg, state.k)
     scaled = min(ratio, state.scaled_prev)
     gamma = scaled / ck
-    next_state = replace(
-        state, k=state.k + 1, gamma_prev=gamma, c_prev=ck, scaled_prev=scaled
-    )
+    next_state = replace(state, k=state.k + 1, gamma_prev=gamma, scaled_prev=scaled)
     return StepResult(x - gamma * g, gamma, next_state)
 
 
@@ -179,9 +178,7 @@ def decsps_ns_step(cfg, state, obj, S, x) -> StepResult:
     ck = c_value(cfg, state.k)
     scaled = min(max(cfg.c0 * cfg.gamma_ell, ratio), state.scaled_prev)
     gamma = scaled / ck
-    next_state = replace(
-        state, k=state.k + 1, gamma_prev=gamma, c_prev=ck, scaled_prev=scaled
-    )
+    next_state = replace(state, k=state.k + 1, gamma_prev=gamma, scaled_prev=scaled)
     return StepResult(x - gamma * g, gamma, next_state)
 
 

@@ -61,6 +61,14 @@ class TestRun:
         assert rc == 2
         assert "exact batch minimum" in capsys.readouterr().err
 
+    def test_record_every_zero_exits_2(self, tmp_path, capsys):
+        rc = run_cli("run", "--problem", "counterexample", "--iters", "5",
+                     "--record-every", "0", "--out", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "record_every" in err
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_c0_sweep(self, tmp_path, capsys):
@@ -72,6 +80,15 @@ class TestSweep:
         assert "final f_sub_avg" in out
         assert (tmp_path / "sweep_summary.csv").exists()
         assert len(out.strip().splitlines()) == 4  # header + 3 rows
+
+    def test_zero_iterations_exits_2(self, tmp_path, capsys):
+        rc = run_cli("sweep", "--problem", "counterexample", "--iters", "0",
+                     "--sweep-param", "c0", "--sweep-values", "0.5,1", "--out", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "K must be >= 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sweep_summary.csv").exists()
 
 
 class TestReference:

@@ -15,6 +15,7 @@ from polystep.objectives import (
     make_fig1_problem,
     make_random_strongly_convex,
     solve_reference,
+    suboptimality,
 )
 
 
@@ -162,10 +163,98 @@ class TestSolveReference:
             solve_reference(obj, tol=1e-14, max_iter=3)
         assert exc.value.grad_norm > 1e-14
 
+    def test_logistic_one_gradient_per_iterate(self, monkeypatch):
+        obj = small_logistic(lam=0.05)
+        # reference sequence: plain gradient descent with step 1/L
+        L = float(np.linalg.eigvalsh(obj.features.T @ obj.features / obj.n)[-1]) / 4.0 + obj.lam
+        step = 1.0 / L
+        x, iters = np.zeros(obj.d), 0
+        while np.linalg.norm(full_grad(obj, x)) > 1e-10:
+            x = x - step * full_grad(obj, x)
+            iters += 1
+        calls = []
+        batch_grad = LogisticObjective.batch_grad
+
+        def counted(self, S, z):
+            calls.append(1)
+            return batch_grad(self, S, z)
+
+        monkeypatch.setattr(LogisticObjective, "batch_grad", counted)
+        ref = solve_reference(obj, tol=1e-10)
+        np.testing.assert_array_equal(ref.x_star, x)
+        assert len(calls) == iters + 1
+
     def test_quadratic_direct(self):
         obj = make_random_strongly_convex(stream(14), 5, 7)
         ref = solve_reference(obj)
         np.testing.assert_allclose(full_grad(obj, ref.x_star), 0.0, atol=1e-9)
+
+
+def full_batch_cases():
+    rng = stream(30)
+    return [
+        small_logistic(seed=31, n=50, d=6, lam=1e-3),
+        # a Fortran-order input is stored C-order, so its view matches the gather
+        LogisticObjective(np.asfortranarray(rng.standard_normal((40, 5))),
+                          rng.choice([-1.0, 1.0], size=40), 0.0),
+        make_counterexample_1d(),
+        make_fig1_problem(stream(32), d=6, n=15),
+        make_random_strongly_convex(stream(33), 4, 9),
+        ShiftedAbsoluteObjective(rng.standard_normal(11)),
+    ]
+
+
+class TestFullBatch:
+    @pytest.mark.parametrize("obj", full_batch_cases(), ids=lambda o: o.kind)
+    def test_bit_identical_to_index_gather(self, obj):
+        rng = stream(34)
+        S = np.arange(obj.n)
+        for _ in range(5):
+            x = rng.standard_normal(obj.d)
+            assert full_value(obj, x) == obj.batch_value(S, x)
+            np.testing.assert_array_equal(full_grad(obj, x), obj.batch_grad(S, x))
+
+
+class TestSuboptimality:
+    @pytest.mark.parametrize("obj", [
+        make_fig1_problem(stream(40), d=20, n=100),
+        make_random_strongly_convex(stream(41), 5, 12),
+    ], ids=["fig1", "strongly_convex"])
+    def test_quadratic_matches_full_value(self, obj):
+        ref = solve_reference(obj)
+        f_sub = suboptimality(obj, ref)
+        tol = 1e-12 * max(1.0, abs(ref.f_star))
+        rng = stream(42)
+        for scale in (1e-3, 1.0, 3.0):
+            for _ in range(5):
+                x = ref.x_star + scale * rng.standard_normal(obj.d)
+                assert abs(f_sub(x) - (full_value(obj, x) - ref.f_star)) <= tol
+
+    def test_quadratic_exact_near_minimiser(self):
+        obj = make_fig1_problem(stream(43), d=20, n=100)
+        ref = solve_reference(obj)
+        f_sub = suboptimality(obj, ref)
+        H_bar = obj.curvatures.mean(axis=0)
+        rng = stream(44)
+        t = 1e-7
+        for _ in range(5):
+            v = rng.standard_normal(obj.d)
+            got = f_sub(ref.x_star + t * v)
+            want = 0.5 * t**2 * float(v @ H_bar @ v)
+            assert got >= 0.0
+            assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("obj", [
+        small_logistic(seed=45, n=30, d=4, lam=0.05),
+        ShiftedAbsoluteObjective(np.array([-1.0, 0.2, 0.7, 2.0, 3.5])),
+    ], ids=["logistic", "absolute"])
+    def test_other_kinds_are_full_value_minus_f_star(self, obj):
+        ref = solve_reference(obj)
+        f_sub = suboptimality(obj, ref)
+        rng = stream(46)
+        for _ in range(5):
+            x = rng.standard_normal(obj.d)
+            assert f_sub(x) == full_value(obj, x) - ref.f_star
 
 
 class TestGenerators:

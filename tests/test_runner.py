@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from polystep import objectives
 from polystep.core import stream
 from polystep.data_io import read_trace
 from polystep.objectives import ShiftedAbsoluteObjective, make_counterexample_1d
@@ -118,6 +119,12 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError):
             run_experiment(counterexample_cfg(tmp_path, B=3))
 
+    @pytest.mark.parametrize("field", ["K", "record_every"])
+    def test_nonpositive_counts_rejected(self, tmp_path, field):
+        with pytest.raises(ConfigurationError, match=field):
+            run_experiment(counterexample_cfg(tmp_path, **{field: 0}))
+        assert not list(tmp_path.iterdir())
+
     def test_exact_policy_on_logistic_batches_rejected(self, tmp_path):
         cfg = RunConfig(
             problem=ProblemSpec(name="synthetic", n=20, d=3),
@@ -174,6 +181,15 @@ class TestCompareGrid:
         means = [row["final_f_sub_avg_mean"] for row in table]
         assert means == sorted(means)
         assert (tmp_path / "sweep_summary.csv").exists()
+
+    def test_validates_before_reference_solve(self, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("reference solved before validation")
+
+        monkeypatch.setattr(objectives, "solve_reference", no_solve)
+        cfgs = [counterexample_cfg(tmp_path, K=0, label=str(i)) for i in range(2)]
+        with pytest.raises(ConfigurationError, match="K must be >= 1"):
+            compare_grid(cfgs)
 
     def test_mismatched_grids_rejected(self, tmp_path):
         a = counterexample_cfg(tmp_path, K=10)
