@@ -4,10 +4,10 @@ The package splits into six modules:
 
 * :mod:`polystep.core`       vectors, seeded random streams, batch sampling
 * :mod:`polystep.objectives` finite-sum objectives and reference solutions
-* :mod:`polystep.steppers`   per-iteration stepsize rules
+* :mod:`polystep.steppers`   per-iteration stepsize rules over arrays of rows
 * :mod:`polystep.oracles`    closed forms and independent simulators
 * :mod:`polystep.data_io`    dataset loading and trace serialization
-* :mod:`polystep.runner`     experiment orchestration and aggregation
+* :mod:`polystep.runner`     the seed-lockstep engine, orchestration, aggregation
 """
 
 from .core import finite_diff_grad, sample_batch, stream
@@ -15,6 +15,7 @@ from .data_io import (
     Dataset,
     IterationRecord,
     LoadError,
+    Trace,
     load_delimited,
     load_libsvm,
     make_synthetic,
@@ -55,9 +56,11 @@ from .runner import (
     ProblemSpec,
     ResampleExhausted,
     RunConfig,
+    SeedBatches,
     build_problem,
     compare_grid,
     iterate_run,
+    lockstep,
     run_experiment,
 )
 from .steppers import (
@@ -85,6 +88,7 @@ __all__ = [
     "ResampleExhausted",
     "RunConfig",
     "STEPPERS",
+    "SeedBatches",
     "ShiftedAbsoluteObjective",
     "SingularSystem",
     "SolverFailure",
@@ -92,6 +96,7 @@ __all__ = [
     "StepperConfig",
     "StepperState",
     "SuboptimalityStats",
+    "Trace",
     "UnavailableExactMinimum",
     "UnsoundLowerBound",
     "ZeroGradient",
@@ -107,6 +112,7 @@ __all__ = [
     "gamma_moment_identity",
     "init_state",
     "iterate_run",
+    "lockstep",
     "load_delimited",
     "load_libsvm",
     "make_counterexample_1d",

@@ -6,6 +6,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace as dc_replace
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +33,7 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     seed: int
     k: int
     f_sub: float
@@ -41,7 +42,49 @@ class IterationRecord:
     gamma: float
 
 
-TRACE_HEADER = ("seed", "k", "f_sub", "f_sub_avg_iterate", "dist_sq", "gamma")
+TRACE_HEADER = IterationRecord._fields
+METRICS = TRACE_HEADER[2:]
+TRACE_FORMATS = {"csv": "csv", "json-lines": "jsonl"}  # format -> file extension
+
+
+@dataclass(frozen=True)
+class Trace:
+    """The records of one run in columns, one row per seed.
+
+    Row r belongs to ``seeds[r]`` and holds its records at ``ks[:counts[r]]``;
+    a seed that halts early keeps a shorter prefix. Iterating yields
+    ``IterationRecord`` rows seed by seed, in trace-file order.
+    """
+
+    seeds: tuple[int, ...]
+    ks: np.ndarray  # (n_records,) the record schedule
+    counts: np.ndarray  # (R,) records kept per row
+    f_sub: np.ndarray  # (R, n_records), and likewise the other metrics
+    f_sub_avg_iterate: np.ndarray
+    dist_sq: np.ndarray
+    gamma: np.ndarray
+
+    @classmethod
+    def empty(cls, seeds, ks) -> "Trace":
+        shape = (len(seeds), len(ks))
+        return cls(tuple(seeds), np.asarray(ks), np.zeros(len(seeds), dtype=int),
+                   *(np.full(shape, np.nan) for _ in METRICS))
+
+    def record(self, rows: np.ndarray, j: int, *values: np.ndarray) -> None:
+        """Store record ``j`` (at k = ks[j]) of the given rows, one array per metric."""
+        for name, v in zip(METRICS, values):
+            getattr(self, name)[rows, j] = v
+        self.counts[rows] += 1
+
+    def __len__(self) -> int:
+        return int(self.counts.sum())
+
+    def __iter__(self):
+        ks = self.ks.tolist()
+        columns = [getattr(self, name).tolist() for name in METRICS]
+        for r, (seed, count) in enumerate(zip(self.seeds, self.counts.tolist())):
+            rows = zip(repeat(seed), ks[:count], *(c[r][:count] for c in columns))
+            yield from map(IterationRecord._make, rows)
 
 
 def _remap_labels(raw: np.ndarray) -> np.ndarray:
@@ -154,32 +197,24 @@ def make_synthetic(rng: np.random.Generator, n: int, d: int, name: str = "synthe
     return Dataset(X, y, name=name)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+_CSV_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g\r\n"  # the csv module's line ending
 
 
 def write_trace(records, path: str, fmt: str = "csv") -> None:
-    """Write iteration records with round-trip-exact decimal floats."""
+    """Write iteration records (a ``Trace`` or any iterable of
+    ``IterationRecord``) with round-trip-exact decimal floats."""
+    if fmt == "csv":
+        lines = (_CSV_ROW % r for r in records)
+        header = ",".join(TRACE_HEADER) + "\r\n"
+    elif fmt == "json-lines":
+        lines = (json.dumps(r._asdict()) + "\n" for r in records)
+        header = ""
+    else:
+        raise ValueError(f"unknown trace format {fmt!r}")
     try:
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(TRACE_HEADER)
-                for r in records:
-                    w.writerow(
-                        [r.seed, r.k, _fmt(r.f_sub), _fmt(r.f_sub_avg_iterate),
-                         _fmt(r.dist_sq), _fmt(r.gamma)]
-                    )
-        elif fmt == "json-lines":
-            with open(path, "w") as fh:
-                for r in records:
-                    fh.write(json.dumps({
-                        "seed": r.seed, "k": r.k, "f_sub": r.f_sub,
-                        "f_sub_avg_iterate": r.f_sub_avg_iterate,
-                        "dist_sq": r.dist_sq, "gamma": r.gamma,
-                    }) + "\n")
-        else:
-            raise ValueError(f"unknown trace format {fmt!r}")
+        with open(path, "w", newline="") as fh:
+            fh.write(header)
+            fh.writelines(lines)
     except OSError as e:
         raise OSError(f"writing trace {path}: {e}") from e
 

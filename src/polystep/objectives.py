@@ -7,7 +7,12 @@ All objectives expose the same surface:
 * ``n``, ``d``, ``kind``
 * ``batch_value(S, x)`` / ``batch_grad(S, x)`` -- mean over the members of S;
   S is an index array, or a slice for a copy-free full-batch pass
-* ``lower_bound(S, policy)`` -- a certified lower bound on inf_x f_S(x)
+* ``value_and_grad(S, X)`` -- both at once for R rows: index blocks S of
+  shape (R, B) and iterates X of shape (R, d) give values (R,) and gradients
+  (R, d), each row bit-identical to ``batch_value(S[r], X[r])`` and
+  ``batch_grad(S[r], X[r])``
+* ``lower_bound(S, policy)`` -- a certified lower bound on inf_x f_S(x);
+  the batch-independent ``zero`` and ``constant`` policies do not read S
 * ``batch_min_value(S)`` -- exact f_S* where closed-form (else raises)
 
 The batch loss is f_S(x) = (1/|S|) sum_{i in S} f_i(x).
@@ -127,6 +132,15 @@ class LogisticObjective:
         w = s * self.labels[S] * _sigmoid(z)
         return A.T @ w / A.shape[0] + self.lam * x
 
+    def value_and_grad(self, S: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        A = self.features[S]  # (R, B, d)
+        s = self._margin_sign()
+        z = s * self.labels[S] * (A @ X[:, :, None])[..., 0]
+        values = np.mean(np.logaddexp(0.0, z), axis=1) + 0.5 * self.lam * np.vecdot(X, X)
+        w = s * self.labels[S] * _sigmoid(z)
+        grads = (A.transpose(0, 2, 1) @ w[:, :, None])[..., 0] / A.shape[1] + self.lam * X
+        return values, grads
+
     def batch_min_value(self, S: MiniBatch) -> float:
         # Closed form only for a single unregularized datapoint: the loss
         # decays to 0 along the margin direction.
@@ -181,6 +195,14 @@ class QuadraticObjective:
     def batch_grad(self, S: MiniBatch, x: Vector) -> Vector:
         diff = x - self.offsets[S]
         return np.einsum("bij,bj->i", self.curvatures[S], diff) / diff.shape[0]
+
+    def value_and_grad(self, S: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        H = self.curvatures[S]  # (R, B, d, d)
+        diff = X[:, None, :] - self.offsets[S]
+        q = np.einsum("rbij,rbi,rbj->rb", H, diff, diff)
+        values = np.mean(0.5 * q + self.floors[S], axis=1)
+        grads = np.einsum("rbij,rbj->ri", H, diff) / diff.shape[1]
+        return values, grads
 
     def batch_optimum(self, S: MiniBatch) -> tuple[Vector, float]:
         """Exact minimizer and minimum of f_S: solves (sum H_i) x = sum H_i o_i."""
@@ -240,6 +262,10 @@ class ShiftedAbsoluteObjective:
     def batch_grad(self, S: MiniBatch, x: Vector) -> Vector:
         # subgradient: sign(x - s_i), with 0 at the kink
         return np.array([np.mean(np.sign(x[0] - self.shifts[S]))])
+
+    def value_and_grad(self, S: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        diff = X[:, :1] - self.shifts[S]  # (R, B)
+        return np.mean(np.abs(diff), axis=1), np.mean(np.sign(diff), axis=1)[:, None]
 
     def batch_min_value(self, S: MiniBatch) -> float:
         if len(S) == 1:
@@ -315,27 +341,34 @@ def solve_reference(obj, tol: float = 1e-10, max_iter: int = 1_000_000) -> Refer
     return ReferenceSolution(x, obj.batch_value(S, x), gn, tol)
 
 
-def suboptimality(obj, reference: ReferenceSolution) -> Callable[[Vector], float]:
-    """The map x -> f(x) - f* of one run, set up once.
+def suboptimality(obj, reference: ReferenceSolution) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> f(x) - f* of one run, set up once. It takes iterates
+    stacked along leading axes, (..., d), and returns one value each, (...).
 
     A quadratic is its own second-order Taylor expansion around x*, so with
     e = x - x*, Hbar = mean_i H_i and g* = grad f(x*),
     f(x) - f* = e^T (Hbar e / 2 + g*) exactly. That costs O(d^2) instead of
     a full O(n d^2) pass, and near x* it is the small number itself rather
     than the difference of two O(1) values. Other kinds evaluate
-    full_value(obj, x) - f*.
+    full_value(obj, x) - f* per iterate.
     """
     x_star, f_star = reference.x_star, reference.f_star
     if obj.kind == "quadratic":
         half_hessian = 0.5 * obj.curvatures.mean(axis=0)
         g_star = full_grad(obj, x_star)
 
-        def centred(x: Vector) -> float:
-            e = x - x_star
-            return float(e @ (half_hessian @ e + g_star))
+        def centred(X: np.ndarray) -> np.ndarray:
+            E = X - x_star
+            return np.vecdot(E, (half_hessian @ E[..., None])[..., 0] + g_star)
 
         return centred
-    return lambda x: full_value(obj, x) - f_star
+
+    def full_minus_f_star(X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X)
+        values = [full_value(obj, x) for x in X.reshape(-1, obj.d)]
+        return (np.array(values) - f_star).reshape(X.shape[:-1])
+
+    return full_minus_f_star
 
 
 def make_counterexample_1d() -> QuadraticObjective:

@@ -1,5 +1,12 @@
 """Experiment orchestration: builds problems, runs (optimizer x seed) grids,
-records per-iteration metrics and writes traces, aggregates and a manifest."""
+records per-iteration metrics and writes traces, aggregates and a manifest.
+
+All seeds of a run advance in lockstep (``lockstep``): their iterates form one
+(R, d) array and every step is one pass of array operations over all rows.
+Each row draws from its own seed's stream, one x0 draw and then one batch
+draw per attempted batch, so a seed's trace does not depend on which seeds
+run beside it; ``iterate_run`` is the same engine on one row.
+"""
 
 from __future__ import annotations
 
@@ -11,12 +18,13 @@ import numpy as np
 
 from . import data_io, objectives
 from .core import sample_batch, stream
-from .data_io import IterationRecord
-from .steppers import (
+from .data_io import Trace
+from .steppers import (  # STEPPERS stays importable here for benchmarks/tracer.py
+    RULES,
     STEPPERS,
     ConfigurationError,
     StepperConfig,
-    ZeroGradient,
+    batch_target,
     init_state,
     validate,
 )
@@ -76,7 +84,7 @@ class RunOutput:
     aggregate_path: str
     manifest_path: str
     aggregate: Aggregate
-    records: list[IterationRecord] = field(repr=False, default_factory=list)
+    records: Trace = field(repr=False)
 
 
 def build_problem(spec: ProblemSpec):
@@ -102,30 +110,106 @@ def build_problem(spec: ProblemSpec):
     raise ConfigurationError(f"unknown problem {spec.name!r}")
 
 
+BLOCK = 4096  # most B=1 indices drawn ahead per seed
+
+
+class SeedBatches:
+    """Minibatches for R rows, row r drawing from ``rngs[r]`` alone.
+
+    For B=1, ``rng.integers(0, n, m)`` yields the same indices, and leaves
+    the stream in the same state, as m successive ``sample_batch`` calls, so
+    single indices are drawn ahead in blocks of ``block`` per row, in
+    whatever order the rows ask for them. A B>1 batch is one ``sample_batch``
+    call on its row's stream.
+    """
+
+    def __init__(self, rngs, n: int, B: int, block: int = BLOCK):
+        if not 1 <= B <= n:
+            raise ValueError(f"SeedBatches: need 1 <= B <= n, got B={B}, n={n}")
+        self.rngs, self.n, self.B, self.block = list(rngs), n, B, block
+        self._ahead = np.empty((len(self.rngs), block if B == 1 else 0), dtype=np.int64)
+        self._used = np.full(len(self.rngs), block)  # per row: indices consumed
+
+    def draw(self, rows: np.ndarray) -> np.ndarray:
+        """The next batch of each of ``rows`` (distinct): an (len(rows), B) block."""
+        if self.B > 1:
+            S = np.empty((len(rows), self.B), dtype=np.int64)
+            for i, r in enumerate(rows):
+                S[i] = sample_batch(self.rngs[r], self.n, self.B)
+            return S
+        used = self._used[rows]
+        for r in rows[used == self.block]:
+            self._ahead[r] = self.rngs[r].integers(0, self.n, size=self.block)
+        used %= self.block
+        self._used[rows] = used + 1
+        return self._ahead[rows, used][:, None]
+
+
+def _attempts(obj, max_resample: int | None) -> int:
+    return max_resample if max_resample is not None else obj.n
+
+
+def lockstep(obj, method, cfg, X0, K, B, rngs, max_resample=None):
+    """Advance the R rows of X0 (R, d) together for K steps, row r drawing
+    its batches from ``rngs[r]``.
+
+    Yields ``(k, rows, X, gamma, halted)`` at every step: ``X`` holds the
+    pre-step iterates x_k of the live rows ``rows`` and ``gamma`` their
+    stepsizes gamma_k. A Polyak rule redraws the batch of each row whose
+    gradient is zero, up to ``max_resample`` attempts in all (default: the
+    component count). ``halted`` lists the rows that ran out at step k; they
+    leave ``rows`` from step k on.
+    """
+    rule = RULES[method]
+    state = init_state(cfg, method, obj.d, rows=len(X0))
+    target = batch_target(cfg, method, obj)
+    cap = _attempts(obj, max_resample)
+    if cap < 1:
+        raise ValueError(f"max_resample must be >= 1, got {cap}")
+    batches = SeedBatches(rngs, obj.n, B, block=min(K, BLOCK))
+    rows = np.arange(len(X0))
+    no_halts = rows[:0]
+    X = X0
+    for k in range(K):
+        S = batches.draw(rows)
+        F, G = obj.value_and_grad(S, X)
+        g2 = np.vecdot(G, G)
+        halted, m = no_halts, None
+        if target is not None:
+            zero = g2 == 0.0
+            attempts = 1
+            while zero.any():
+                if attempts == cap:
+                    halted, keep = rows[zero], ~zero
+                    rows, X, S, F, G, g2 = (a[keep] for a in (rows, X, S, F, G, g2))
+                    state = state.take(keep)
+                    break
+                redo = np.flatnonzero(zero)
+                S[redo] = batches.draw(rows[redo])
+                F[redo], G[redo] = obj.value_and_grad(S[redo], X[redo])
+                g2[redo] = np.vecdot(G[redo], G[redo])
+                zero[redo] = g2[redo] == 0.0
+                attempts += 1
+            m = target(S)
+        X_next, gamma, state = rule(cfg, state, X, F, G, g2, m)
+        yield k, rows, X, gamma, halted
+        if not rows.size:
+            return
+        X = X_next
+
+
 def iterate_run(obj, method, cfg, x0, K, B, rng, max_resample=None):
     """Drive one run; yields (k, x_k, gamma_k) with x_k the pre-step iterate.
 
-    A zero-gradient batch is resampled up to ``max_resample`` times (default:
-    the component count); exhaustion raises ResampleExhausted.
+    This is ``lockstep`` on one row. A zero-gradient batch is resampled up
+    to ``max_resample`` times (default: the component count); exhaustion
+    raises ResampleExhausted.
     """
-    step_fn = STEPPERS[method]
-    state = init_state(cfg, method, obj.d)
-    x = x0
-    attempts_cap = max_resample if max_resample is not None else obj.n
-    for k in range(K):
-        res = None
-        for _ in range(attempts_cap):
-            S = sample_batch(rng, obj.n, B)
-            try:
-                res = step_fn(cfg, state, obj, S, x)
-            except ZeroGradient:
-                continue
-            break
-        if res is None:
-            raise ResampleExhausted(k, attempts_cap)
-        yield k, x, res.gamma
-        x = res.x_next
-        state = res.state
+    X0 = np.asarray(x0)[None]
+    for k, _, X, gamma, halted in lockstep(obj, method, cfg, X0, K, B, [rng], max_resample):
+        if halted.size:
+            raise ResampleExhausted(k, _attempts(obj, max_resample))
+        yield k, X[0], float(gamma[0])
 
 
 def _check_config(cfg: RunConfig, obj) -> None:
@@ -134,18 +218,22 @@ def _check_config(cfg: RunConfig, obj) -> None:
         raise ConfigurationError(f"iteration count K must be >= 1, got {cfg.K}")
     if cfg.record_every < 1:
         raise ConfigurationError(f"record_every must be >= 1, got {cfg.record_every}")
-    if cfg.B > obj.n:
-        raise ConfigurationError(f"batch size {cfg.B} exceeds n={obj.n}")
-    # fail early on exact-minimum policies the objective cannot serve
-    needs_exact = (
-        cfg.optimizer == "sps_max" and cfg.stepper.f_star_policy == "exact"
-    ) or cfg.stepper.lower_bound_policy == "exact"
-    if needs_exact:
-        probe = np.arange(cfg.B)
-        try:
-            obj.batch_min_value(probe)
-        except objectives.UnavailableExactMinimum as e:
-            raise ConfigurationError(str(e)) from e
+    if not cfg.seeds:
+        raise ConfigurationError("a run needs at least one seed")
+    if cfg.trace_format not in data_io.TRACE_FORMATS:
+        raise ConfigurationError(
+            f"unknown trace format {cfg.trace_format!r}; "
+            f"expected one of {', '.join(data_io.TRACE_FORMATS)}")
+    if not 1 <= cfg.B <= obj.n:
+        raise ConfigurationError(f"batch size {cfg.B} is not in [1, n={obj.n}]")
+    # certify the Polyak target before any work: a batch-independent lower
+    # bound once, an exact minimum on one probe batch
+    try:
+        target = batch_target(cfg.stepper, cfg.optimizer, obj)
+        if target is not None:
+            target(np.arange(cfg.B)[None])
+    except (objectives.UnavailableExactMinimum, objectives.UnsoundLowerBound) as e:
+        raise ConfigurationError(str(e)) from e
 
 
 def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
@@ -157,33 +245,34 @@ def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
     x_star, f_star = reference.x_star, reference.f_star
     f_sub = objectives.suboptimality(obj, reference)
 
-    records: list[IterationRecord] = []
-    diagnostics = []
-    for run_index, seed in enumerate(cfg.seeds):
-        rng = stream(seed)
-        x0 = cfg.x0_scale * rng.standard_normal(obj.d)
-        xbar_sum = np.zeros(obj.d)
-        try:
-            for k, x, gamma in iterate_run(
-                obj, cfg.optimizer, cfg.stepper, x0, cfg.K, cfg.B, rng
-            ):
-                xbar_sum += x
-                if k % cfg.record_every == 0 or k == cfg.K - 1:
-                    dx = x - x_star
-                    records.append(IterationRecord(
-                        seed=seed,
-                        k=k,
-                        f_sub=f_sub(x),
-                        f_sub_avg_iterate=f_sub(xbar_sum / (k + 1)),
-                        dist_sq=float(np.dot(dx, dx)),
-                        gamma=gamma,
-                    ))
-        except ResampleExhausted as e:
-            diagnostics.append({"seed": seed, "halted_at": e.k, "reason": str(e)})
+    rngs = [stream(seed) for seed in cfg.seeds]
+    X0 = np.array([cfg.x0_scale * rng.standard_normal(obj.d) for rng in rngs])
+    # record every record_every-th step and the last
+    ks = np.union1d(np.arange(0, cfg.K, cfg.record_every), [cfg.K - 1])
+    records = Trace.empty(cfg.seeds, ks)
+    record_at = ks.tolist()
+    xbar_sum = np.zeros_like(X0)
+    halts = []
+    j = 0  # next record
+    for k, rows, X, gamma, halted in lockstep(
+        obj, cfg.optimizer, cfg.stepper, X0, cfg.K, cfg.B, rngs
+    ):
+        if halted.size:
+            halts += [(r, k) for r in halted.tolist()]
+        xbar_sum[rows] += X
+        if k == record_at[j]:
+            E = X - x_star
+            records.record(rows, j, f_sub(X), f_sub(xbar_sum[rows] / (k + 1)),
+                           np.vecdot(E, E), gamma)
+            j += 1
+    diagnostics = [
+        {"seed": cfg.seeds[r], "halted_at": k, "reason": str(ResampleExhausted(k, obj.n))}
+        for r, k in sorted(halts)
+    ]
 
     label = cfg.label or f"{cfg.problem.name}_{cfg.optimizer}"
     os.makedirs(cfg.out_dir, exist_ok=True)
-    ext = "csv" if cfg.trace_format == "csv" else "jsonl"
+    ext = data_io.TRACE_FORMATS[cfg.trace_format]
     trace_path = os.path.join(cfg.out_dir, f"{label}.{ext}")
     data_io.write_trace(records, trace_path, cfg.trace_format)
 
@@ -210,26 +299,26 @@ def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
     return RunOutput(trace_path, agg_path, manifest_path, agg, records)
 
 
-_METRICS = ("f_sub", "f_sub_avg_iterate", "dist_sq", "gamma")
+_METRICS = data_io.METRICS
 
 
-def aggregate_records(records, label: str) -> Aggregate:
-    """Per-k mean and std across seeds; only ks reached by every seed."""
-    by_seed: dict[int, dict[int, IterationRecord]] = {}
-    for r in records:
-        by_seed.setdefault(r.seed, {})[r.k] = r
-    if not by_seed:
+def aggregate_records(records: Trace, label: str) -> Aggregate:
+    """Per-k mean and std across seeds; only ks reached by every seed. A seed
+    without records is left out and a repeated seed counts once."""
+    _, first = np.unique(records.seeds, return_index=True)
+    rows = np.sort(first)
+    rows = rows[records.counts[rows] > 0]
+    if not rows.size:
         return Aggregate(label, np.array([], dtype=int),
                          {m: np.array([]) for m in _METRICS},
                          {m: np.array([]) for m in _METRICS})
-    common = set.intersection(*(set(d) for d in by_seed.values()))
-    ks = np.array(sorted(common), dtype=int)
+    reached = int(records.counts[rows].min())
     mean, std = {}, {}
     for m in _METRICS:
-        table = np.array([[getattr(by_seed[s][k], m) for k in ks] for s in by_seed])
+        table = getattr(records, m)[rows, :reached]
         mean[m] = table.mean(axis=0)
         std[m] = table.std(axis=0)
-    return Aggregate(label, ks, mean, std)
+    return Aggregate(label, records.ks[:reached], mean, std)
 
 
 def write_aggregate(agg: Aggregate, path: str) -> None:
@@ -246,8 +335,9 @@ def write_aggregate(agg: Aggregate, path: str) -> None:
 
 
 def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
-    """Run aligned configs (shared problem, seeds and K) and return a summary
-    table of final suboptimality mean +- 2 std, one row per config."""
+    """Run aligned configs (shared problem, seeds, K and reference tolerance)
+    and return a summary table of final suboptimality mean +- 2 std, one row
+    per config."""
     if not cfgs:
         return []
     first = cfgs[0]
@@ -258,6 +348,8 @@ def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
             raise ConfigurationError("compare_grid: all configs must share seeds")
         if c.problem != first.problem:
             raise ConfigurationError("compare_grid: all configs must share the problem")
+        if c.reference_tol != first.reference_tol:
+            raise ConfigurationError("compare_grid: all configs must share reference_tol")
     obj = build_problem(first.problem)
     for c in cfgs:
         _check_config(c, obj)

@@ -1,8 +1,15 @@
 """Per-iteration stepsize rules.
 
-Each rule is a pure function ``(cfg, state, obj, S, x) -> StepResult``; the
-returned state replaces the old one. Rules never divide by a zero gradient
-norm: they raise ``ZeroGradient`` and the caller resamples the batch.
+Every rule is written once over R rows that advance together: iterates X of
+shape (R, d), batch values F (R,), gradients G (R, d), squared gradient norms
+g2 (R,), and a state whose scalars are (R,) arrays (``k`` is shared). A rule
+``RULES[method](cfg, state, X, F, G, g2, m) -> (X_next, gamma, state)`` gets
+m, the Polyak target of each row's batch, from ``batch_target``. Polyak rules
+never divide by a zero gradient norm: the caller resamples that row's batch.
+
+``STEPPERS[method](cfg, state, obj, S, x) -> StepResult`` is the same rule on
+one row, for one batch S: it evaluates the objective itself and raises
+``ZeroGradient`` instead of stepping on a zero gradient.
 
 Implemented rules:
 
@@ -18,19 +25,20 @@ Implemented rules:
 * ``amsgrad``      running-max second moment, eta / sqrt(k+1), no momentum
 
 For ``decsps``/``decsps_ns`` the clip value c_{k-1} gamma_{k-1} is carried in
-the state as a single number (``scaled_prev``) instead of being recomputed as
-a product, so the sandwich bounds of both rules hold exactly in floating
-point, not just up to roundoff.
+the state as a single number per row (``scaled_prev``) instead of being
+recomputed as a product, and min/max act elementwise, so the sandwich bounds
+of both rules hold exactly in floating point, not just up to roundoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .core import MiniBatch, Vector, norm_sq
+from .core import Vector
 
 
 class ZeroGradient(Exception):
@@ -42,6 +50,8 @@ class ConfigurationError(ValueError):
 
 
 C_SCHEDULES = ("constant", "sqrt", "linear_half")
+F_STAR_POLICIES = ("exact", "lower_bound")
+LOWER_BOUND_POLICIES = ("zero", "exact", "constant")
 
 
 @dataclass(frozen=True)
@@ -62,15 +72,25 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class StepperState:
+    """Per-row stepper state: the scalars are (R,) arrays, ``v``/``vhat``
+    are (R, d) and ``k`` is shared by all rows."""
+
     k: int = 0
-    gamma_prev: float = 0.0
-    scaled_prev: float = 0.0  # c_{k-1} * gamma_{k-1}, carried exactly
-    accum: float = 0.0  # adagrad_norm b_k^2
+    gamma_prev: np.ndarray | float = 0.0
+    scaled_prev: np.ndarray | float = 0.0  # c_{k-1} * gamma_{k-1}, carried exactly
+    accum: np.ndarray | float = 0.0  # adagrad_norm b_k^2
     v: np.ndarray | None = field(default=None, repr=False)
     vhat: np.ndarray | None = field(default=None, repr=False)
     # Init-only and discarded: scaled_prev carries c_{k-1} gamma_{k-1}.
     # benchmarks/roadmap_check.py still passes c_prev when it times replace().
     c_prev: InitVar[float] = 0.0
+
+    def take(self, rows: np.ndarray) -> "StepperState":
+        """The state of the selected rows."""
+        return replace(self, **{
+            name: value[rows] for name, value in vars(self).items()
+            if isinstance(value, np.ndarray)
+        })
 
 
 @dataclass(frozen=True)
@@ -78,6 +98,9 @@ class StepResult:
     x_next: Vector
     gamma: float
     state: StepperState
+
+
+POLYAK = ("sps_max", "decsps", "decsps_ns")
 
 
 def c_value(cfg: StepperConfig, k: int) -> float:
@@ -104,6 +127,10 @@ def validate(cfg: StepperConfig, method: str) -> None:
         raise ConfigurationError("gamma_b must be positive")
     if cfg.c_schedule not in C_SCHEDULES:
         raise ConfigurationError(f"unknown c_schedule {cfg.c_schedule!r}")
+    if cfg.f_star_policy not in F_STAR_POLICIES:
+        raise ConfigurationError(f"unknown f_star_policy {cfg.f_star_policy!r}")
+    if cfg.lower_bound_policy not in LOWER_BOUND_POLICIES:
+        raise ConfigurationError(f"unknown lower-bound policy {cfg.lower_bound_policy!r}")
     if method in ("decsps", "decsps_ns") and cfg.c0 <= 0:
         raise ConfigurationError("c0 must be positive")
     if method == "decsps_ns":
@@ -121,117 +148,129 @@ def validate(cfg: StepperConfig, method: str) -> None:
         raise ConfigurationError("b0 must be positive")
 
 
-def init_state(cfg: StepperConfig, method: str, d: int) -> StepperState:
+def init_state(cfg: StepperConfig, method: str, d: int, rows: int = 1) -> StepperState:
     validate(cfg, method)
     state = StepperState(
         k=0,
-        gamma_prev=cfg.gamma_b,
-        scaled_prev=cfg.c0 * cfg.gamma_b,
-        accum=cfg.b0**2,
+        gamma_prev=np.full(rows, cfg.gamma_b),
+        scaled_prev=np.full(rows, cfg.c0 * cfg.gamma_b),
+        accum=np.full(rows, cfg.b0**2),
     )
     if method in ("adam", "amsgrad"):
-        state = replace(state, v=np.zeros(d), vhat=np.zeros(d))
+        state = replace(state, v=np.zeros((rows, d)), vhat=np.zeros((rows, d)))
     return state
 
 
-def _batch_target(cfg: StepperConfig, obj, S: MiniBatch) -> float:
-    """The value m_S subtracted in the sps_max numerator."""
-    if cfg.f_star_policy == "exact":
-        return obj.batch_min_value(S)
-    if cfg.f_star_policy == "lower_bound":
-        return obj.lower_bound(S, cfg.lower_bound_policy, cfg.lower_bound_value)
-    raise ConfigurationError(f"unknown f_star_policy {cfg.f_star_policy!r}")
+def batch_target(cfg: StepperConfig, method: str, obj):
+    """The map from index blocks S (R, B) to the values m_S that a Polyak
+    rule subtracts in its numerator, or None for the other rules.
+
+    An exact target is each row's batch minimum. A lower bound that does not
+    depend on the batch (``zero``/``constant``) is certified here, once: an
+    uncertified one raises ``UnsoundLowerBound``.
+    """
+    if method not in POLYAK:
+        return None
+    policy = "exact" if method == "sps_max" and cfg.f_star_policy == "exact" \
+        else cfg.lower_bound_policy
+    if policy == "exact":
+        return lambda S: np.array([obj.batch_min_value(s) for s in S])
+    bound = obj.lower_bound(None, policy, cfg.lower_bound_value)
+    return lambda S: bound
 
 
-def sps_max_step(cfg, state, obj, S, x) -> StepResult:
-    g = obj.batch_grad(S, x)
-    g2 = norm_sq(g)
-    if g2 == 0.0:
-        raise ZeroGradient
-    m = _batch_target(cfg, obj, S)
-    c = _sps_scale(cfg, state.k)
-    gamma = min((obj.batch_value(S, x) - m) / (c * g2), cfg.gamma_b)
-    return StepResult(x - gamma * g, gamma, replace(state, k=state.k + 1, gamma_prev=gamma))
+def _smaller(a, b):
+    """Python's min(a, b) elementwise: b where b < a, else a."""
+    return np.where(b < a, b, a)
 
 
-def decsps_step(cfg, state, obj, S, x) -> StepResult:
-    g = obj.batch_grad(S, x)
-    g2 = norm_sq(g)
-    if g2 == 0.0:
-        raise ZeroGradient
-    ell = obj.lower_bound(S, cfg.lower_bound_policy, cfg.lower_bound_value)
-    ratio = (obj.batch_value(S, x) - ell) / g2
-    ck = c_value(cfg, state.k)
-    scaled = min(ratio, state.scaled_prev)
-    gamma = scaled / ck
-    next_state = replace(state, k=state.k + 1, gamma_prev=gamma, scaled_prev=scaled)
-    return StepResult(x - gamma * g, gamma, next_state)
+def _larger(a, b):
+    """Python's max(a, b) elementwise: b where b > a, else a."""
+    return np.where(b > a, b, a)
 
 
-def decsps_ns_step(cfg, state, obj, S, x) -> StepResult:
-    g = obj.batch_grad(S, x)
-    g2 = norm_sq(g)
-    if g2 == 0.0:
-        raise ZeroGradient
-    ell = obj.lower_bound(S, cfg.lower_bound_policy, cfg.lower_bound_value)
-    ratio = (obj.batch_value(S, x) - ell) / g2
-    ck = c_value(cfg, state.k)
-    scaled = min(max(cfg.c0 * cfg.gamma_ell, ratio), state.scaled_prev)
-    gamma = scaled / ck
-    next_state = replace(state, k=state.k + 1, gamma_prev=gamma, scaled_prev=scaled)
-    return StepResult(x - gamma * g, gamma, next_state)
+def _advance(state, gamma, **fields):
+    return replace(state, k=state.k + 1, gamma_prev=gamma, **fields)
 
 
-def sgd_constant_step(cfg, state, obj, S, x) -> StepResult:
-    g = obj.batch_grad(S, x)
-    gamma = cfg.eta
-    return StepResult(x - gamma * g, gamma, replace(state, k=state.k + 1, gamma_prev=gamma))
+def _descend(X, G, gamma, state, **fields):
+    """x - gamma g per row, gamma, and the state after the step."""
+    return X - gamma[:, None] * G, gamma, _advance(state, gamma, **fields)
 
 
-def sgd_decreasing_step(cfg, state, obj, S, x) -> StepResult:
-    g = obj.batch_grad(S, x)
-    gamma = cfg.eta / math.sqrt(state.k + 1)
-    return StepResult(x - gamma * g, gamma, replace(state, k=state.k + 1, gamma_prev=gamma))
+def _sps_max(cfg, state, X, F, G, g2, m):
+    gamma = _smaller((F - m) / (_sps_scale(cfg, state.k) * g2), cfg.gamma_b)
+    return _descend(X, G, gamma, state)
 
 
-def adagrad_norm_step(cfg, state, obj, S, x) -> StepResult:
-    g = obj.batch_grad(S, x)
-    b2 = state.accum + norm_sq(g)
-    gamma = cfg.eta / math.sqrt(b2)
-    next_state = replace(state, k=state.k + 1, gamma_prev=gamma, accum=b2)
-    return StepResult(x - gamma * g, gamma, next_state)
+def _decsps(cfg, state, X, F, G, g2, m, floored=False):
+    ratio = (F - m) / g2
+    if floored:
+        ratio = _larger(cfg.c0 * cfg.gamma_ell, ratio)
+    scaled = _smaller(ratio, state.scaled_prev)
+    return _descend(X, G, scaled / c_value(cfg, state.k), state, scaled_prev=scaled)
 
 
-def adam_step(cfg, state, obj, S, x) -> StepResult:
-    g = obj.batch_grad(S, x)
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+def _sgd_constant(cfg, state, X, F, G, g2, m):
+    return _descend(X, G, np.full(len(X), cfg.eta), state)
+
+
+def _sgd_decreasing(cfg, state, X, F, G, g2, m):
+    return _descend(X, G, np.full(len(X), cfg.eta / math.sqrt(state.k + 1)), state)
+
+
+def _adagrad_norm(cfg, state, X, F, G, g2, m):
+    b2 = state.accum + g2
+    return _descend(X, G, cfg.eta / np.sqrt(b2), state, accum=b2)
+
+
+def _diagonal(cfg, state, X, G, eta, moment, **fields):
+    """x - eta g / (sqrt(moment) + eps); gamma is the mean per-coordinate stepsize."""
+    denom = np.sqrt(moment) + cfg.eps_adam
+    gamma = np.mean(eta / denom, axis=1)
+    return X - eta * G / denom, gamma, _advance(state, gamma, **fields)
+
+
+def _adam(cfg, state, X, F, G, g2, m):
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * G * G
     vhat = v / (1.0 - cfg.beta2 ** (state.k + 1))
-    denom = np.sqrt(vhat) + cfg.eps_adam
-    x_next = x - cfg.eta * g / denom
-    gamma = float(np.mean(cfg.eta / denom))  # mean per-coordinate stepsize
-    next_state = replace(state, k=state.k + 1, gamma_prev=gamma, v=v)
-    return StepResult(x_next, gamma, next_state)
+    return _diagonal(cfg, state, X, G, cfg.eta, vhat, v=v)
 
 
-def amsgrad_step(cfg, state, obj, S, x) -> StepResult:
-    g = obj.batch_grad(S, x)
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+def _amsgrad(cfg, state, X, F, G, g2, m):
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * G * G
     vhat = np.maximum(state.vhat, v)
-    denom = np.sqrt(vhat) + cfg.eps_adam
-    eta_k = cfg.eta / math.sqrt(state.k + 1)
-    x_next = x - eta_k * g / denom
-    gamma = float(np.mean(eta_k / denom))
-    next_state = replace(state, k=state.k + 1, gamma_prev=gamma, v=v, vhat=vhat)
-    return StepResult(x_next, gamma, next_state)
+    return _diagonal(cfg, state, X, G, cfg.eta / math.sqrt(state.k + 1), vhat, v=v, vhat=vhat)
 
 
-STEPPERS = {
-    "sps_max": sps_max_step,
-    "decsps": decsps_step,
-    "decsps_ns": decsps_ns_step,
-    "sgd_constant": sgd_constant_step,
-    "sgd_decreasing": sgd_decreasing_step,
-    "adagrad_norm": adagrad_norm_step,
-    "adam": adam_step,
-    "amsgrad": amsgrad_step,
+RULES = {
+    "sps_max": _sps_max,
+    "decsps": _decsps,
+    "decsps_ns": partial(_decsps, floored=True),
+    "sgd_constant": _sgd_constant,
+    "sgd_decreasing": _sgd_decreasing,
+    "adagrad_norm": _adagrad_norm,
+    "adam": _adam,
+    "amsgrad": _amsgrad,
 }
+
+
+def _one_row(method: str):
+    rule = RULES[method]
+
+    def step(cfg, state, obj, S, x) -> StepResult:
+        S, X = np.asarray(S)[None], x[None]
+        F, G = obj.value_and_grad(S, X)
+        g2 = np.vecdot(G, G)
+        target = batch_target(cfg, method, obj)
+        if target is not None and g2[0] == 0.0:
+            raise ZeroGradient
+        m = None if target is None else target(S)
+        X_next, gamma, state = rule(cfg, state, X, F, G, g2, m)
+        return StepResult(X_next[0], float(gamma[0]), state)
+
+    step.__name__ = step.__qualname__ = f"{method}_step"
+    return step
+
+
+STEPPERS = {method: _one_row(method) for method in RULES}

@@ -29,7 +29,7 @@ from polystep.oracles import (
     variation_of_constants,
 )
 from polystep.data_io import make_synthetic
-from polystep.runner import iterate_run
+from polystep.runner import iterate_run, lockstep
 from polystep.steppers import StepperConfig, c_value
 
 
@@ -47,6 +47,12 @@ def _random_logistic(seed: int, n: int, d: int, lam: float) -> LogisticObjective
     return LogisticObjective(ds.features, ds.labels, lam)
 
 
+def _seed_rows(obj, seeds, run_index):
+    """Each seed's stream, with its x0 drawn, and the x0 rows stacked."""
+    rngs = [stream(seed, run_index=run_index) for seed in seeds]
+    return rngs, np.array([rng.standard_normal(obj.d) for rng in rngs])
+
+
 def test_criterion_01_decsps_stepsize_sandwich():
     problems = [make_random_strongly_convex(stream(100 + i), 3, 8) for i in range(10)]
     problems.append(_random_logistic(200, 60, 10, lam=0.05))
@@ -56,17 +62,18 @@ def test_criterion_01_decsps_stepsize_sandwich():
     monotone = True
     for p_idx, obj in enumerate(problems):
         L_max = obj.curvature().L_max
-        for seed in range(n_seeds):
-            rng = stream(seed, run_index=p_idx + 1)
-            x0 = rng.standard_normal(obj.d)
-            gamma_prev = math.inf
-            for k, _, gamma in iterate_run(obj, "decsps", cfg, x0, K, 1, rng):
-                ck = c_value(cfg, k)
-                upper = cfg.c0 * cfg.gamma_b / ck
-                lower = min(1.0 / (2.0 * ck * L_max), upper)
-                worst_slack = min(worst_slack, gamma - lower, upper - gamma)
-                monotone = monotone and gamma <= gamma_prev
-                gamma_prev = gamma
+        # all seeds of a problem in lockstep: gammas[k, r] is seed r's gamma_k
+        rngs, X0 = _seed_rows(obj, range(n_seeds), p_idx + 1)
+        gammas = []
+        for k, _, _, gamma, halted in lockstep(obj, "decsps", cfg, X0, K, 1, rngs):
+            assert not halted.size
+            ck = c_value(cfg, k)
+            upper = cfg.c0 * cfg.gamma_b / ck
+            lower = min(1.0 / (2.0 * ck * L_max), upper)
+            worst_slack = min(worst_slack, float(np.min(gamma - lower)),
+                              float(np.min(upper - gamma)))
+            gammas.append(gamma)
+        monotone = monotone and bool(np.all(np.diff(gammas, axis=0) <= 0.0))
     ok = worst_slack >= -1e-12 and monotone
     _verdict(1, "decsps stepsize sandwich", ok,
              f"worst slack {worst_slack:.2e}, monotone={monotone}")
@@ -204,16 +211,15 @@ def test_criterion_09_neighborhood_ordering():
     K, n_seeds, record_every = 10_000, 10, 200
 
     def plateau(cfg):
-        vals = []
-        for seed in range(n_seeds):
-            rng = stream(seed, run_index=9)
-            x0 = rng.standard_normal(obj.d)
-            tail = []
-            for k, x, _ in iterate_run(obj, "sps_max", cfg, x0, K, 1, rng):
-                if k % record_every == 0 and k >= 0.9 * K:
+        # tails[r] holds seed r's recorded f(x_k) - f*, all seeds in lockstep
+        rngs, X0 = _seed_rows(obj, range(n_seeds), 9)
+        tails = [[] for _ in range(n_seeds)]
+        for k, _, X, _, halted in lockstep(obj, "sps_max", cfg, X0, K, 1, rngs):
+            assert not halted.size
+            if k % record_every == 0 and k >= 0.9 * K:
+                for tail, x in zip(tails, X):
                     tail.append(full_value(obj, x) - ref.f_star)
-            vals.append(np.mean(tail))
-        return float(np.mean(vals))
+        return float(np.mean([np.mean(tail) for tail in tails]))
 
     exact = plateau(StepperConfig(c_schedule="constant", c_sps=1.0, gamma_b=2.0,
                                   f_star_policy="exact"))
@@ -232,16 +238,14 @@ def test_criterion_10_decsps_sublinear_rate():
     K = int(checkpoints[-1])
     logK, logF = [], []
     curves = {k: [] for k in checkpoints}
-    for seed in range(5):
-        rng = stream(seed, run_index=10)
-        x0 = rng.standard_normal(obj.d)
-        xbar_sum = np.zeros(obj.d)
-        for k, x, _ in iterate_run(obj, "decsps", cfg, x0, K, 20, rng):
-            xbar_sum += x
-            if k + 1 in curves:
-                curves[k + 1].append(
-                    full_value(obj, xbar_sum / (k + 1)) - ref.f_star
-                )
+    rngs, X0 = _seed_rows(obj, range(5), 10)
+    xbar_sum = np.zeros_like(X0)
+    for k, _, X, _, halted in lockstep(obj, "decsps", cfg, X0, K, 20, rngs):
+        assert not halted.size
+        xbar_sum += X
+        if k + 1 in curves:
+            curves[k + 1] += [full_value(obj, xbar) - ref.f_star
+                              for xbar in xbar_sum / (k + 1)]
     for k in checkpoints:
         logK.append(math.log(k))
         logF.append(math.log(np.mean(curves[k])))
@@ -257,17 +261,15 @@ def test_criterion_11_bounded_iterates():
     info = obj.curvature()
     stats = estimate_sigma2(obj, ref.x_star, 1, policy="zero")
     cfg = StepperConfig()  # c_k = sqrt(k+1), c0=1, gamma_b=10
+    rngs, X0 = _seed_rows(obj, range(100), 11)
+    bounds = np.array([d_max_bound(info, x0, ref.x_star, cfg.gamma_b, cfg.c0,
+                                   stats.sigma2_hat_B_max) for x0 in X0])
     worst_ratio = 0.0
-    ok = True
-    for seed in range(100):
-        rng = stream(seed, run_index=11)
-        x0 = rng.standard_normal(obj.d)
-        bound = d_max_bound(info, x0, ref.x_star, cfg.gamma_b, cfg.c0,
-                            stats.sigma2_hat_B_max)
-        for _, x, _ in iterate_run(obj, "decsps", cfg, x0, 10_000, 1, rng):
-            d2 = float(np.dot(x - ref.x_star, x - ref.x_star))
-            worst_ratio = max(worst_ratio, d2 / bound)
-        ok = ok and worst_ratio <= 1.0
+    for _, _, X, _, halted in lockstep(obj, "decsps", cfg, X0, 10_000, 1, rngs):
+        assert not halted.size
+        E = X - ref.x_star
+        worst_ratio = max(worst_ratio, float(np.max(np.vecdot(E, E) / bounds)))
+    ok = worst_ratio <= 1.0
     _verdict(11, "iterates stay inside the almost-sure ball", ok,
              f"max ||x-x*||^2 / bound = {worst_ratio:.3f}")
 

@@ -70,6 +70,16 @@ class TestRun:
         assert "Traceback" not in err
 
 
+    def test_unsound_lower_bound_exits_2(self, tmp_path, capsys):
+        rc = run_cli("run", "--problem", "fig1", "--n", "10", "--d", "3",
+                     "--f-floor", "-1", "--iters", "5", "--out", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "zero lower bound" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestSweep:
     def test_c0_sweep(self, tmp_path, capsys):
         rc = run_cli("sweep", "--problem", "counterexample", "--optimizer", "decsps",

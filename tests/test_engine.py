@@ -1,0 +1,195 @@
+"""The seed-lockstep engine against single-seed runs.
+
+A seed's trace must not depend on which seeds run beside it: every check
+here compares a group of rows with the same rows run alone, bit for bit.
+"""
+
+import csv
+import io
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from polystep.core import sample_batch, stream
+from polystep.data_io import METRICS, Trace, make_synthetic, write_trace
+from polystep.objectives import (
+    LogisticObjective,
+    QuadraticObjective,
+    ShiftedAbsoluteObjective,
+    make_counterexample_1d,
+    make_fig1_problem,
+    make_random_strongly_convex,
+)
+from polystep.runner import (
+    ProblemSpec,
+    RunConfig,
+    SeedBatches,
+    iterate_run,
+    lockstep,
+    run_experiment,
+)
+from polystep.steppers import RULES, StepperConfig
+
+OPTIMIZERS = sorted(RULES)
+
+
+def _logistic(seed, n, d, lam, label_sign="standard"):
+    ds = make_synthetic(stream(seed), n, d)
+    return LogisticObjective(ds.features, ds.labels, lam, label_sign)
+
+
+@pytest.mark.parametrize("obj", [
+    make_counterexample_1d(),
+    make_fig1_problem(stream(1), d=6, n=12),
+    make_random_strongly_convex(stream(2), 4, 9),
+    _logistic(3, 40, 7, 1e-2),
+    _logistic(4, 30, 120, 0.0, "as_printed"),
+    ShiftedAbsoluteObjective(stream(5).standard_normal(9)),
+], ids=["counterexample", "fig1", "strongly_convex", "logistic", "logistic_wide", "absolute"])
+@pytest.mark.parametrize("R,B", [(1, 1), (5, 1), (3, 2), (4, 7)])
+def test_value_and_grad_rows_match_one_batch(obj, R, B):
+    rng = stream(6)
+    B = min(B, obj.n)
+    S = np.stack([rng.choice(obj.n, size=B, replace=False) for _ in range(R)])
+    X = 2.0 * rng.standard_normal((R, obj.d))
+    F, G = obj.value_and_grad(S, X)
+    assert F.shape == (R,) and G.shape == (R, obj.d)
+    for r in range(R):
+        assert F[r] == obj.batch_value(S[r], X[r])
+        np.testing.assert_array_equal(G[r], obj.batch_grad(S[r], X[r]))
+
+
+def _by_seed(trace_path):
+    """Trace data lines grouped by their seed field."""
+    lines = {}
+    with open(trace_path, newline="") as fh:
+        for line in list(fh)[1:]:
+            lines.setdefault(line.split(",", 1)[0], []).append(line)
+    return lines
+
+
+def _assert_seeds_match_solo_runs(cfg, tmp_path, obj=None):
+    group = run_experiment(cfg, obj=obj)
+    grouped = _by_seed(group.trace_path)
+    diagnostics = json.load(open(group.manifest_path))["diagnostics"]
+    for seed in cfg.seeds:
+        solo_cfg = replace(cfg, seeds=(seed,), out_dir=str(tmp_path / f"s{seed}"))
+        solo = run_experiment(solo_cfg, obj=obj)
+        assert grouped.get(str(seed), []) == _by_seed(solo.trace_path).get(str(seed), [])
+        solo_diag = json.load(open(solo.manifest_path))["diagnostics"]
+        assert [d for d in diagnostics if d["seed"] == seed] == solo_diag
+    return group, diagnostics
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_each_seed_matches_its_solo_run_fig1(optimizer, tmp_path):
+    stepper = StepperConfig(eta=0.05, f_star_policy="exact" if optimizer == "sps_max"
+                            else "lower_bound")
+    cfg = RunConfig(problem=ProblemSpec("fig1", n=10, d=4), optimizer=optimizer,
+                    stepper=stepper, K=60, seeds=(0, 1, 2), out_dir=str(tmp_path / "group"),
+                    label="t")
+    _assert_seeds_match_solo_runs(cfg, tmp_path)
+
+
+def test_each_seed_matches_its_solo_run_logistic_batches(tmp_path):
+    cfg = RunConfig(problem=ProblemSpec("synthetic", n=60, d=5, lam=1e-3), optimizer="decsps",
+                    B=10, K=60, seeds=(0, 1, 2), out_dir=str(tmp_path / "group"),
+                    record_every=7, label="t")
+    _assert_seeds_match_solo_runs(cfg, tmp_path)
+
+
+def test_each_seed_matches_its_solo_run_absolute(tmp_path):
+    obj = ShiftedAbsoluteObjective(np.array([-2.0, -0.5, 0.3, 1.0, 2.5]))
+    cfg = RunConfig(problem=ProblemSpec("shifted_absolute"), optimizer="decsps_ns", K=60,
+                    seeds=(0, 1, 2), out_dir=str(tmp_path / "group"), label="t")
+    _assert_seeds_match_solo_runs(cfg, tmp_path, obj)
+
+
+def test_halted_seeds_leave_the_others_unchanged(tmp_path):
+    # From x0 = 0 a first step on a shift-1 component lands exactly on its
+    # kink, where those two components give a zero subgradient; a seed that
+    # then draws them n=3 times in a row halts at k=1.
+    obj = ShiftedAbsoluteObjective(np.array([1.0, 1.0, -5.0]))
+    cfg = RunConfig(problem=ProblemSpec("shifted_absolute"), optimizer="decsps_ns", K=30,
+                    seeds=tuple(range(10)), x0_scale=0.0, out_dir=str(tmp_path / "group"),
+                    label="t")
+    group, diagnostics = _assert_seeds_match_solo_runs(cfg, tmp_path, obj)
+    halted = {d["seed"] for d in diagnostics}
+    assert halted and halted != set(cfg.seeds)
+    assert all(d["reason"].startswith("zero gradient persisted for 3 batches")
+               for d in diagnostics)
+    # the halted seeds stop recording; the aggregate keeps the ks all seeds reached
+    assert group.aggregate.ks.tolist() == list(range(min(d["halted_at"] for d in diagnostics)))
+
+
+def test_halted_row_leaves_the_other_rows_unchanged():
+    # both components are minimised at 1: a row starting there has a zero
+    # gradient on every batch and halts at k=0
+    obj = QuadraticObjective(np.ones((2, 1, 1)), np.ones((2, 1)), np.zeros(2))
+    X0 = np.array([[0.2], [1.0], [-1.5]])
+    cfg = StepperConfig()
+    seen = {0: [], 2: []}
+    halts = []
+    for k, rows, X, gamma, halted in lockstep(obj, "decsps", cfg, X0, 40, 1,
+                                              [stream(s) for s in range(3)]):
+        halts += [(int(r), k) for r in halted]
+        assert rows.tolist() == [0, 2]
+        for r, x, g in zip(rows, X, gamma):
+            seen[int(r)].append((k, x.tolist(), float(g)))
+    assert halts == [(1, 0)]
+    for r in (0, 2):
+        solo = [(k, x.tolist(), g) for k, x, g in
+                iterate_run(obj, "decsps", cfg, X0[r], 40, 1, stream(r))]
+        assert seen[r] == solo
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_block_draws_match_per_step_sample_batch(B):
+    n, block = 7, 4
+    batches = SeedBatches([stream(10), stream(11)], n, B, block=block)
+    drawn = {0: [], 1: []}
+    # both rows, then row 1 alone (a resample), across several block ends
+    pattern = [[0, 1]] * 3 + [[1]] * 6 + [[0, 1]] * 5 + [[1]] * 2
+    for rows in pattern:
+        rows = np.array(rows)
+        for r, S in zip(rows, batches.draw(rows)):
+            drawn[int(r)].append(S.tolist())
+    for r, seed in enumerate((10, 11)):
+        ref = stream(seed)
+        assert drawn[r] == [sample_batch(ref, n, B).tolist() for _ in drawn[r]]
+        # each row used up whole blocks, so its stream is where per-step
+        # draws leave it
+        assert len(drawn[r]) % block == 0
+        np.testing.assert_array_equal(batches.rngs[r].random(8), ref.random(8))
+
+
+def _csv_module_bytes(records):
+    """The trace bytes the csv module writes for these records."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(("seed", "k") + METRICS)
+    for r in records:
+        w.writerow([r[0], r[1]] + [f"{v:.17g}" for v in r[2:]])
+    return buf.getvalue().encode()
+
+
+def test_columnar_writer_matches_per_record_serialisation(tmp_path):
+    rng = stream(12)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    trace = Trace.empty((4, 9, 2), [0, 5, 10, 12])
+    for j in range(4):
+        values = [rng.standard_normal(3) * 10.0 ** rng.integers(-20, 20, 3) for _ in METRICS]
+        values[j % 4][j % 3] = specials[j]
+        trace.record(np.arange(3 if j < 3 else 2), j, *(v[:3 if j < 3 else 2] for v in values))
+    records = list(trace)
+    assert len(records) == len(trace) == 11
+    write_trace(trace, str(tmp_path / "t.csv"), "csv")
+    assert (tmp_path / "t.csv").read_bytes() == _csv_module_bytes(records)
+    write_trace(trace, str(tmp_path / "t.jsonl"), "json-lines")
+    want = "".join(json.dumps({"seed": r.seed, "k": r.k, "f_sub": r.f_sub,
+                               "f_sub_avg_iterate": r.f_sub_avg_iterate,
+                               "dist_sq": r.dist_sq, "gamma": r.gamma}) + "\n"
+                   for r in records)
+    assert (tmp_path / "t.jsonl").read_text() == want

@@ -245,6 +245,27 @@ class TestSuboptimality:
             assert got == pytest.approx(want, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("obj", [
+        make_fig1_problem(stream(47), d=7, n=20),
+        make_counterexample_1d(),
+        small_logistic(seed=48, n=30, d=4, lam=0.05),
+        ShiftedAbsoluteObjective(np.array([-1.0, 0.2, 0.7, 2.0, 3.5])),
+    ], ids=["fig1", "counterexample", "logistic", "absolute"])
+    def test_rows_match_one_iterate_at_a_time(self, obj):
+        ref = solve_reference(obj)
+        f_sub = suboptimality(obj, ref)
+        X = ref.x_star + stream(49).standard_normal((6, obj.d))
+        got = f_sub(X)
+        assert got.shape == (6,)
+        for r, x in enumerate(X):
+            assert got[r] == f_sub(x)
+            if obj.kind == "quadratic":  # the centred form, one iterate at a time
+                e = x - ref.x_star
+                half_hessian = 0.5 * obj.curvatures.mean(axis=0)
+                assert got[r] == float(e @ (half_hessian @ e + full_grad(obj, ref.x_star)))
+            else:
+                assert got[r] == full_value(obj, x) - ref.f_star
+
+    @pytest.mark.parametrize("obj", [
         small_logistic(seed=45, n=30, d=4, lam=0.05),
         ShiftedAbsoluteObjective(np.array([-1.0, 0.2, 0.7, 2.0, 3.5])),
     ], ids=["logistic", "absolute"])

@@ -19,7 +19,7 @@ from polystep.oracles import (
     sps_bias_variance,
     variation_of_constants,
 )
-from polystep.runner import iterate_run
+from polystep.runner import lockstep
 from polystep.steppers import StepperConfig
 
 
@@ -216,13 +216,12 @@ class TestSimulator:
         steps, n_seeds = 300, 400
         cfg = StepperConfig(c_schedule="constant", c_sps=1.0,
                             f_star_policy="exact")
-        finals = []
-        for seed in range(n_seeds):
-            rng = stream(seed, run_index=1)
-            x = rng.standard_normal(1)
-            for _, x_cur, _ in iterate_run(obj, "sps_max", cfg, x, steps, 1, rng):
-                pass
-            finals.append(x_cur[0])
+        # all seeds in lockstep; finals[r] is seed r's last pre-step iterate
+        rngs = [stream(seed, run_index=1) for seed in range(n_seeds)]
+        X0 = np.array([rng.standard_normal(1) for rng in rngs])
+        for _, _, X, _, halted in lockstep(obj, "sps_max", cfg, X0, steps, 1, rngs):
+            assert not halted.size
+        finals = X[:, 0]
         sim = simulate_polyak_1d(obj, "sps", steps=steps, n_runs=200_000,
                                  rng=stream(11), c_schedule="constant", c0=1.0)
         m2_stepper = float(np.mean(np.square(finals)))

@@ -5,7 +5,7 @@ import pytest
 
 from polystep import objectives
 from polystep.core import stream
-from polystep.data_io import read_trace
+from polystep.data_io import Trace, read_trace
 from polystep.objectives import ShiftedAbsoluteObjective, make_counterexample_1d
 from polystep.runner import (
     ProblemSpec,
@@ -67,7 +67,7 @@ class TestIterateRun:
         x0 = np.array([2.0])
         it = iterate_run(obj, "decsps", StepperConfig(), x0, 3, 1, stream(0))
         k, x, gamma = next(it)
-        assert k == 0 and x is x0 and gamma > 0
+        assert k == 0 and np.array_equal(x, x0) and gamma > 0
 
     def test_resample_exhaustion(self):
         # both shifts equal: at the common kink every subgradient is zero
@@ -125,6 +125,19 @@ class TestRunExperiment:
             run_experiment(counterexample_cfg(tmp_path, **{field: 0}))
         assert not list(tmp_path.iterdir())
 
+    def test_unknown_trace_format_rejected_before_any_work(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="trace format 'json'"):
+            run_experiment(counterexample_cfg(tmp_path, trace_format="json"))
+        assert not list(tmp_path.iterdir())
+
+    def test_unsound_lower_bound_rejected_before_any_work(self, tmp_path):
+        cfg = counterexample_cfg(tmp_path, problem=ProblemSpec("fig1", n=10, d=3, f_floor=-1.0))
+        with pytest.raises(ConfigurationError, match="zero lower bound"):
+            run_experiment(cfg)
+        assert not list(tmp_path.iterdir())
+        # a rule without a Polyak target never uses the bound
+        run_experiment(counterexample_cfg(tmp_path, problem=cfg.problem, optimizer="adam"))
+
     def test_exact_policy_on_logistic_batches_rejected(self, tmp_path):
         cfg = RunConfig(
             problem=ProblemSpec(name="synthetic", n=20, d=3),
@@ -139,35 +152,34 @@ class TestRunExperiment:
         out = run_experiment(counterexample_cfg(tmp_path, trace_format="json-lines"))
         assert out.trace_path.endswith(".jsonl")
         recs = read_trace(out.trace_path, "json-lines")
-        assert recs == out.records
+        assert recs == list(out.records)
+
+
+def columnar(seeds, ks, rows):
+    """A Trace holding, for row r, the records (f_sub, f_sub_avg, dist_sq,
+    gamma) listed in rows[r] at ks[0], ks[1], ..."""
+    trace = Trace.empty(seeds, ks)
+    for r, recs in enumerate(rows):
+        for j, values in enumerate(recs):
+            trace.record(np.array([r]), j, *values)
+    return trace
 
 
 class TestAggregate:
     def test_mean_and_std(self):
-        from polystep.data_io import IterationRecord
-
-        recs = [
-            IterationRecord(0, 0, 1.0, 1.0, 1.0, 0.5),
-            IterationRecord(1, 0, 3.0, 3.0, 3.0, 0.5),
-        ]
+        recs = columnar((0, 1), [0], [[(1.0, 1.0, 1.0, 0.5)], [(3.0, 3.0, 3.0, 0.5)]])
         agg = aggregate_records(recs, "t")
         assert agg.ks.tolist() == [0]
         assert agg.mean["f_sub"][0] == 2.0
         assert agg.std["f_sub"][0] == 1.0
 
     def test_intersection_of_ks(self):
-        from polystep.data_io import IterationRecord
-
-        recs = [
-            IterationRecord(0, 0, 1.0, 1.0, 1.0, 0.5),
-            IterationRecord(0, 1, 1.0, 1.0, 1.0, 0.5),
-            IterationRecord(1, 0, 3.0, 3.0, 3.0, 0.5),
-        ]
+        recs = columnar((0, 1), [0, 1], [[(1.0, 1.0, 1.0, 0.5)] * 2, [(3.0, 3.0, 3.0, 0.5)]])
         agg = aggregate_records(recs, "t")
         assert agg.ks.tolist() == [0]
 
     def test_empty(self):
-        agg = aggregate_records([], "t")
+        agg = aggregate_records(Trace.empty((0, 1), [0, 1]), "t")
         assert agg.ks.size == 0
 
 
@@ -190,6 +202,13 @@ class TestCompareGrid:
         cfgs = [counterexample_cfg(tmp_path, K=0, label=str(i)) for i in range(2)]
         with pytest.raises(ConfigurationError, match="K must be >= 1"):
             compare_grid(cfgs)
+
+    def test_mismatched_reference_tol_rejected(self, tmp_path):
+        a = counterexample_cfg(tmp_path, label="a")
+        b = counterexample_cfg(tmp_path, label="b", reference_tol=1e-3)
+        with pytest.raises(ConfigurationError, match="reference_tol"):
+            compare_grid([a, b])
+        assert not list(tmp_path.iterdir())
 
     def test_mismatched_grids_rejected(self, tmp_path):
         a = counterexample_cfg(tmp_path, K=10)
