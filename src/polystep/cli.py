@@ -3,7 +3,7 @@
 Subcommands:
   run        one (problem, optimizer) experiment over a seed set
   sweep      grid of runs varying one stepper hyperparameter
-  reference  solve and cache the full-batch reference solution
+  reference  solve the full-batch problem and export x*, f* and ||grad f(x*)||
   verify     quick self-checks of the analytical oracles
 """
 
@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from . import objectives, oracles, runner
+from . import data_io, objectives, oracles, runner, steppers
 from .core import stream
-from .steppers import STEPPERS, ConfigurationError, StepperConfig
+from .steppers import ConfigurationError, StepperConfig
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -26,7 +26,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", default="synthetic",
                    choices=["counterexample", "fig1", "synthetic", "dataset"])
     p.add_argument("--dataset", help="path for --problem dataset")
-    p.add_argument("--dataset-format", default="libsvm", choices=["libsvm", "delimited"])
+    p.add_argument("--dataset-format", default="libsvm", choices=runner.DATASET_FORMATS)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--label-sign", default="standard", choices=["standard", "as_printed"])
     p.add_argument("--n", type=int, default=500)
@@ -34,7 +34,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--interpolated", action="store_true")
     p.add_argument("--f-floor", type=float, default=1.0)
     p.add_argument("--gen-seed", type=int, default=0)
-    p.add_argument("--optimizer", default="decsps", choices=sorted(STEPPERS))
+    p.add_argument("--optimizer", default="decsps", choices=sorted(steppers.RULES))
     p.add_argument("--batch-size", type=int, default=1)
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--seeds", default="5",
@@ -42,39 +42,49 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma-b", type=float, default=10.0)
     p.add_argument("--gamma-ell", type=float, default=0.01)
     p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--c-schedule", default="sqrt", choices=["constant", "sqrt", "linear_half"])
+    p.add_argument("--c-schedule", default="sqrt", choices=steppers.C_SCHEDULES)
     p.add_argument("--c-sps", type=float, default=1.0)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--b0", type=float, default=0.1)
     p.add_argument("--beta2", type=float, default=0.99)
-    p.add_argument("--f-star-policy", default="lower_bound", choices=["exact", "lower_bound"])
-    p.add_argument("--lower-bound", default="zero", choices=["zero", "exact", "constant"])
+    p.add_argument("--f-star-policy", default="lower_bound", choices=steppers.F_STAR_POLICIES)
+    p.add_argument("--lower-bound", default="zero", choices=steppers.LOWER_BOUND_POLICIES)
     p.add_argument("--lower-bound-value", type=float, default=0.0)
     p.add_argument("--reference-tol", type=float, default=1e-10)
     p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--out", default="out")
-    p.add_argument("--format", default="csv", choices=["csv", "json-lines"])
+    p.add_argument("--format", default="csv", choices=data_io.TRACE_FORMATS)
 
 
-def _parse_seeds(spec: str) -> tuple[int, ...]:
+def _parse_seeds(spec) -> tuple[int, ...]:
+    if isinstance(spec, list):  # a JSON list from a config file
+        return tuple(int(s) for s in spec)
+    spec = str(spec)
     parts = [s for s in spec.split(",") if s]
     if len(parts) == 1 and "," not in spec:
         return tuple(range(int(parts[0])))
     return tuple(int(s) for s in parts)
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser, argv) -> None:
-    if not args.config:
-        return
+def _parse_args(parser: argparse.ArgumentParser, subcommands, argv) -> argparse.Namespace:
+    """Parse argv. The values of a --config file become the subcommand's
+    defaults and argv is parsed again, so argparse lets every flag given on
+    the command line win over the file."""
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    sub = subcommands.choices[args.command]
     with open(args.config) as fh:
         values = json.load(fh)
-    explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
+    known = vars(args).keys() - {"command", "config", "func"}
+    defaults = {}
     for key, val in values.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            parser.error(f"unknown config key {key!r}")
-        if attr not in explicit:  # flags take precedence
-            setattr(args, attr, val)
+        if attr not in known:
+            sub.error(f"unknown config key {key!r}")
+        defaults[attr] = val
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _build_run_config(args) -> runner.RunConfig:
@@ -109,7 +119,7 @@ def _build_run_config(args) -> runner.RunConfig:
         stepper=stepper,
         B=args.batch_size,
         K=args.iters,
-        seeds=_parse_seeds(str(args.seeds)),
+        seeds=_parse_seeds(args.seeds),
         reference_tol=args.reference_tol,
         out_dir=args.out,
         trace_format=args.format,
@@ -157,7 +167,7 @@ def _cmd_reference(args) -> int:
         path = os.path.join(args.out, "reference.json")
         with open(path, "w") as fh:
             json.dump(payload, fh)
-        print(f"reference cached at {path} (f* = {ref.f_star:.12g})")
+        print(f"reference written to {path} (f* = {ref.f_star:.12g})")
     else:
         json.dump(payload, sys.stdout)
     return 0
@@ -214,7 +224,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--sweep-values", required=True, help="comma-separated values")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_ref = sub.add_parser("reference", help="solve and cache the reference solution")
+    p_ref = sub.add_parser("reference", help="solve and export the reference solution")
     _add_common(p_ref)
     p_ref.set_defaults(func=_cmd_reference)
 
@@ -222,9 +232,7 @@ def main(argv=None) -> int:
     p_verify.set_defaults(func=_cmd_verify)
 
     try:
-        args = parser.parse_args(argv)
-        if hasattr(args, "config"):
-            _apply_config_file(args, parser, argv)
+        args = _parse_args(parser, sub, argv)
         return args.func(args)
     except (ConfigurationError, objectives.UnavailableExactMinimum) as e:
         print(f"error: {e}", file=sys.stderr)

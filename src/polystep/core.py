@@ -1,4 +1,4 @@
-"""Dense vector helpers, seeded random streams and minibatch sampling.
+"""Vector types, seeded random streams, minibatch sampling and finite differences.
 
 Vectors are plain 1-d float64 numpy arrays. Random streams are built on the
 Philox counter-based generator, so a given ``(seed, run_index)`` pair
@@ -15,10 +15,6 @@ Vector = np.ndarray
 MiniBatch = np.ndarray  # integer index array, size B
 
 
-class DimensionMismatch(ValueError):
-    """Operands have incompatible dimensions."""
-
-
 class NonFiniteValue(ValueError):
     """A function evaluation produced NaN or Inf."""
 
@@ -31,16 +27,6 @@ def stream(seed: int, run_index: int = 0) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(seed, spawn_key=(run_index,))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def dot(a: Vector, b: Vector) -> float:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dot: shapes {a.shape} and {b.shape} differ")
-    return float(np.dot(a, b))
-
-
-def norm_sq(a: Vector) -> float:
-    return float(np.dot(a, a))
 
 
 def finite_diff_grad(f: Callable[[Vector], float], x: Vector, h: float) -> Vector:

@@ -11,9 +11,11 @@ All objectives expose the same surface:
   shape (R, B) and iterates X of shape (R, d) give values (R,) and gradients
   (R, d), each row bit-identical to ``batch_value(S[r], X[r])`` and
   ``batch_grad(S[r], X[r])``
-* ``lower_bound(S, policy)`` -- a certified lower bound on inf_x f_S(x);
-  the batch-independent ``zero`` and ``constant`` policies do not read S
 * ``batch_min_value(S)`` -- exact f_S* where closed-form (else raises)
+* ``nonnegative`` -- whether zero bounds every component f_i from below
+
+``lower_bound(obj, policy)`` turns those facts into the target m_S that a
+Polyak rule subtracts.
 
 The batch loss is f_S(x) = (1/|S|) sum_{i in S} f_i(x).
 """
@@ -98,6 +100,7 @@ class LogisticObjective:
     label_sign: str = "standard"  # standard | as_printed
 
     kind = "logistic"
+    nonnegative = True  # logaddexp >= 0 and the L2 term is >= 0
 
     def __post_init__(self):
         _store_c_order(self, "features", "labels")
@@ -151,15 +154,6 @@ class LogisticObjective:
             "B=1 with lam=0"
         )
 
-    def lower_bound(self, S: MiniBatch, policy: str, value: float = 0.0) -> float:
-        if policy == "zero":
-            return 0.0  # logaddexp >= 0 and the L2 term is >= 0
-        if policy == "exact":
-            return self.batch_min_value(S)
-        if policy == "constant":
-            return value
-        raise ValueError(f"unknown lower-bound policy {policy!r}")
-
     def curvature(self) -> CurvatureInfo:
         L = np.einsum("ij,ij->i", self.features, self.features) / 4.0 + self.lam
         mu = np.full(self.n, self.lam)
@@ -186,6 +180,10 @@ class QuadraticObjective:
     @property
     def d(self) -> int:
         return self.curvatures.shape[1]
+
+    @property
+    def nonnegative(self) -> bool:
+        return bool((self.floors >= 0).all())  # f_i >= floor_i
 
     def batch_value(self, S: MiniBatch, x: Vector) -> float:
         diff = x - self.offsets[S]
@@ -220,19 +218,6 @@ class QuadraticObjective:
             return float(self.floors[S[0]])
         return self.batch_optimum(S)[1]
 
-    def lower_bound(self, S: MiniBatch, policy: str, value: float = 0.0) -> float:
-        if policy == "zero":
-            if not (self.floors >= 0).all():
-                raise UnsoundLowerBound(
-                    "zero lower bound requires all component floors >= 0"
-                )
-            return 0.0
-        if policy == "exact":
-            return self.batch_min_value(S)
-        if policy == "constant":
-            return value
-        raise ValueError(f"unknown lower-bound policy {policy!r}")
-
     def curvature(self) -> CurvatureInfo:
         eigs = np.linalg.eigvalsh(self.curvatures)  # (n, d), ascending
         return CurvatureInfo(
@@ -248,6 +233,7 @@ class ShiftedAbsoluteObjective:
 
     kind = "absolute"
     d = 1
+    nonnegative = True
 
     def __post_init__(self):
         _store_c_order(self, "shifts")
@@ -272,17 +258,30 @@ class ShiftedAbsoluteObjective:
             return 0.0
         raise UnavailableExactMinimum("exact batch minimum only for B=1")
 
-    def lower_bound(self, S: MiniBatch, policy: str, value: float = 0.0) -> float:
-        if policy == "zero":
-            return 0.0
-        if policy == "exact":
-            return self.batch_min_value(S)
-        if policy == "constant":
-            return value
-        raise ValueError(f"unknown lower-bound policy {policy!r}")
-
 
 FiniteSumObjective = LogisticObjective | QuadraticObjective | ShiftedAbsoluteObjective
+
+
+def lower_bound(
+    obj, policy: str, value: float = 0.0
+) -> Callable[[np.ndarray], np.ndarray | float]:
+    """The map from index blocks S (R, B) to m_S, the value a Polyak rule
+    subtracts from each row's batch loss f_S(x).
+
+    ``exact`` gives each row's batch minimum f_S*. ``zero`` and ``constant``
+    give a bound that does not depend on the batch, and it is certified here,
+    once: a zero bound needs every component to be nonnegative, else this
+    raises ``UnsoundLowerBound``. A ``constant`` bound is taken as given.
+    """
+    if policy == "exact":
+        return lambda S: np.array([obj.batch_min_value(s) for s in S])
+    if policy == "zero":
+        if not obj.nonnegative:
+            raise UnsoundLowerBound("zero lower bound requires all component floors >= 0")
+        value = 0.0
+    elif policy != "constant":
+        raise ValueError(f"unknown lower-bound policy {policy!r}")
+    return lambda S: value
 
 
 def full_batch(obj) -> slice:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Vector
-from .objectives import CurvatureInfo, QuadraticObjective, UnavailableExactMinimum
+from .objectives import CurvatureInfo, QuadraticObjective, UnavailableExactMinimum, lower_bound
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,7 @@ def estimate_sigma2(
         sampled = True
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    target = lower_bound(obj, policy, lower_bound_value)
 
     f_at_star_sum = 0.0
     fs_star_sum = 0.0
@@ -170,7 +171,7 @@ def estimate_sigma2(
     have_exact = True
     for S in batches:
         f_at = obj.batch_value(S, x_star)
-        ell = obj.lower_bound(S, policy, lower_bound_value)
+        ell = np.asarray(target(S[None])).item()  # one row
         f_at_star_sum += f_at
         ell_sum += ell
         gap_max = max(gap_max, f_at - ell)

@@ -45,7 +45,7 @@ class ProblemSpec:
     lam: float = 0.0
     label_sign: str = "standard"
     dataset_path: str | None = None
-    dataset_format: str = "libsvm"  # libsvm | delimited
+    dataset_format: str = "libsvm"  # one of DATASET_FORMATS
     n: int = 500
     d: int = 100
     interpolated: bool = False
@@ -87,7 +87,14 @@ class RunOutput:
     records: Trace = field(repr=False)
 
 
+DATASET_FORMATS = ("libsvm", "delimited")
+
+
 def build_problem(spec: ProblemSpec):
+    if spec.dataset_format not in DATASET_FORMATS:
+        raise ConfigurationError(
+            f"unknown dataset format {spec.dataset_format!r}; "
+            f"expected one of {', '.join(DATASET_FORMATS)}")
     if spec.name == "counterexample":
         return objectives.make_counterexample_1d()
     if spec.name == "fig1":
@@ -145,27 +152,20 @@ class SeedBatches:
         return self._ahead[rows, used][:, None]
 
 
-def _attempts(obj, max_resample: int | None) -> int:
-    return max_resample if max_resample is not None else obj.n
-
-
-def lockstep(obj, method, cfg, X0, K, B, rngs, max_resample=None):
+def lockstep(obj, method, cfg, X0, K, B, rngs):
     """Advance the R rows of X0 (R, d) together for K steps, row r drawing
     its batches from ``rngs[r]``.
 
     Yields ``(k, rows, X, gamma, halted)`` at every step: ``X`` holds the
     pre-step iterates x_k of the live rows ``rows`` and ``gamma`` their
     stepsizes gamma_k. A Polyak rule redraws the batch of each row whose
-    gradient is zero, up to ``max_resample`` attempts in all (default: the
-    component count). ``halted`` lists the rows that ran out at step k; they
-    leave ``rows`` from step k on.
+    gradient is zero, up to n attempts in all, n the component count.
+    ``halted`` lists the rows that ran out at step k; they leave ``rows``
+    from step k on.
     """
     rule = RULES[method]
     state = init_state(cfg, method, obj.d, rows=len(X0))
     target = batch_target(cfg, method, obj)
-    cap = _attempts(obj, max_resample)
-    if cap < 1:
-        raise ValueError(f"max_resample must be >= 1, got {cap}")
     batches = SeedBatches(rngs, obj.n, B, block=min(K, BLOCK))
     rows = np.arange(len(X0))
     no_halts = rows[:0]
@@ -179,7 +179,7 @@ def lockstep(obj, method, cfg, X0, K, B, rngs, max_resample=None):
             zero = g2 == 0.0
             attempts = 1
             while zero.any():
-                if attempts == cap:
+                if attempts == obj.n:
                     halted, keep = rows[zero], ~zero
                     rows, X, S, F, G, g2 = (a[keep] for a in (rows, X, S, F, G, g2))
                     state = state.take(keep)
@@ -198,17 +198,16 @@ def lockstep(obj, method, cfg, X0, K, B, rngs, max_resample=None):
         X = X_next
 
 
-def iterate_run(obj, method, cfg, x0, K, B, rng, max_resample=None):
+def iterate_run(obj, method, cfg, x0, K, B, rng):
     """Drive one run; yields (k, x_k, gamma_k) with x_k the pre-step iterate.
 
     This is ``lockstep`` on one row. A zero-gradient batch is resampled up
-    to ``max_resample`` times (default: the component count); exhaustion
-    raises ResampleExhausted.
+    to n times, n the component count; exhaustion raises ResampleExhausted.
     """
     X0 = np.asarray(x0)[None]
-    for k, _, X, gamma, halted in lockstep(obj, method, cfg, X0, K, B, [rng], max_resample):
+    for k, _, X, gamma, halted in lockstep(obj, method, cfg, X0, K, B, [rng]):
         if halted.size:
-            raise ResampleExhausted(k, _attempts(obj, max_resample))
+            raise ResampleExhausted(k, obj.n)
         yield k, X[0], float(gamma[0])
 
 
@@ -220,6 +219,8 @@ def _check_config(cfg: RunConfig, obj) -> None:
         raise ConfigurationError(f"record_every must be >= 1, got {cfg.record_every}")
     if not cfg.seeds:
         raise ConfigurationError("a run needs at least one seed")
+    if len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ConfigurationError(f"seeds must be distinct, got {list(cfg.seeds)}")
     if cfg.trace_format not in data_io.TRACE_FORMATS:
         raise ConfigurationError(
             f"unknown trace format {cfg.trace_format!r}; "
@@ -283,12 +284,7 @@ def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
     manifest_path = os.path.join(cfg.out_dir, f"{label}_manifest.json")
     with open(manifest_path, "w") as fh:
         json.dump({
-            "problem": asdict(cfg.problem),
-            "optimizer": cfg.optimizer,
-            "stepper": asdict(cfg.stepper),
-            "B": cfg.B,
-            "K": cfg.K,
-            "seeds": list(cfg.seeds),
+            **asdict(cfg),
             "n": obj.n,
             "d": obj.d,
             "f_star": f_star,
@@ -304,10 +300,8 @@ _METRICS = data_io.METRICS
 
 def aggregate_records(records: Trace, label: str) -> Aggregate:
     """Per-k mean and std across seeds; only ks reached by every seed. A seed
-    without records is left out and a repeated seed counts once."""
-    _, first = np.unique(records.seeds, return_index=True)
-    rows = np.sort(first)
-    rows = rows[records.counts[rows] > 0]
+    without records is left out."""
+    rows = np.flatnonzero(records.counts > 0)
     if not rows.size:
         return Aggregate(label, np.array([], dtype=int),
                          {m: np.array([]) for m in _METRICS},

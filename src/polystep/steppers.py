@@ -39,6 +39,7 @@ from functools import partial
 import numpy as np
 
 from .core import Vector
+from .objectives import lower_bound
 
 
 class ZeroGradient(Exception):
@@ -123,6 +124,8 @@ def _sps_scale(cfg: StepperConfig, k: int) -> float:
 
 
 def validate(cfg: StepperConfig, method: str) -> None:
+    if method not in RULES:
+        raise ConfigurationError(f"unknown optimizer {method!r}")
     if cfg.gamma_b <= 0:
         raise ConfigurationError("gamma_b must be positive")
     if cfg.c_schedule not in C_SCHEDULES:
@@ -162,21 +165,16 @@ def init_state(cfg: StepperConfig, method: str, d: int, rows: int = 1) -> Steppe
 
 
 def batch_target(cfg: StepperConfig, method: str, obj):
-    """The map from index blocks S (R, B) to the values m_S that a Polyak
-    rule subtracts in its numerator, or None for the other rules.
-
-    An exact target is each row's batch minimum. A lower bound that does not
-    depend on the batch (``zero``/``constant``) is certified here, once: an
-    uncertified one raises ``UnsoundLowerBound``.
+    """The ``objectives.lower_bound`` map from index blocks S (R, B) to the
+    values m_S that a Polyak rule subtracts in its numerator, or None for the
+    other rules. ``sps_max`` with the exact f* policy uses each row's batch
+    minimum; every other Polyak target follows ``lower_bound_policy``.
     """
     if method not in POLYAK:
         return None
     policy = "exact" if method == "sps_max" and cfg.f_star_policy == "exact" \
         else cfg.lower_bound_policy
-    if policy == "exact":
-        return lambda S: np.array([obj.batch_min_value(s) for s in S])
-    bound = obj.lower_bound(None, policy, cfg.lower_bound_value)
-    return lambda S: bound
+    return lower_bound(obj, policy, cfg.lower_bound_value)
 
 
 def _smaller(a, b):

@@ -9,6 +9,17 @@ def run_cli(*args):
     return main(list(args))
 
 
+def run_with_config(tmp_path, values, *flags):
+    """``polystep run`` with ``values`` as its config file; returns the exit
+    code and the manifest, if one was written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    rc = run_cli("run", "--config", str(cfg), *flags, "--out", str(out))
+    manifests = list(out.glob("*_manifest.json"))
+    return rc, json.loads(manifests[0].read_text()) if manifests else None
+
+
 class TestRun:
     def test_basic_run(self, tmp_path, capsys):
         rc = run_cli("run", "--problem", "counterexample", "--optimizer", "decsps",
@@ -35,6 +46,34 @@ class TestRun:
         assert rc == 0
         # the flag wins over the config file
         assert (tmp_path / "counterexample_decsps.csv").exists()
+
+    def test_flag_beats_config_file(self, tmp_path):
+        values = {"problem": "synthetic", "n": 20, "d": 3, "iters": 3, "seeds": 1, "lam": 0.1}
+        rc, manifest = run_with_config(tmp_path, values, "--lambda", "0.5")
+        assert rc == 0 and manifest["problem"]["lam"] == 0.5
+
+    def test_abbreviated_flag_beats_config_file(self, tmp_path):
+        values = {"problem": "counterexample", "iters": 7, "seeds": 1}
+        rc, manifest = run_with_config(tmp_path, values, "--iter", "3")
+        assert rc == 0 and manifest["K"] == 3
+
+    def test_config_file_seed_list(self, tmp_path):
+        values = {"problem": "counterexample", "iters": 3, "seeds": [1, 2]}
+        rc, manifest = run_with_config(tmp_path, values)
+        assert rc == 0 and manifest["seeds"] == [1, 2]
+
+    @pytest.mark.parametrize("values,flags,message", [
+        ({"optimizer": "bogus"}, (), "unknown optimizer 'bogus'"),
+        ({"dataset_format": "bogus"}, (), "unknown dataset format 'bogus'"),
+        ({}, ("--seeds", "3,3"), "seeds must be distinct"),
+    ])
+    def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, values, flags, message):
+        values = {"problem": "counterexample", "iters": 3, **values}
+        rc, _ = run_with_config(tmp_path, values, *flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

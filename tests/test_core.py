@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystep.core import (
-    DimensionMismatch,
-    NonFiniteValue,
-    dot,
-    finite_diff_grad,
-    norm_sq,
-    sample_batch,
-    stream,
-)
+from polystep.core import NonFiniteValue, finite_diff_grad, sample_batch, stream
 
 
 class TestStream:
@@ -27,23 +19,6 @@ class TestStream:
 
     def test_uses_philox(self):
         assert isinstance(stream(0).bit_generator, np.random.Philox)
-
-
-class TestVectorOps:
-    def test_dot_matches_numpy(self):
-        rng = stream(1)
-        a, b = rng.standard_normal(10), rng.standard_normal(10)
-        assert dot(a, b) == pytest.approx(float(np.dot(a, b)))
-
-    def test_dot_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            dot(np.zeros(3), np.zeros(4))
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20))
-    def test_norm_sq_nonnegative(self, vals):
-        v = np.array(vals)
-        assert norm_sq(v) >= 0.0
-        assert norm_sq(v) == pytest.approx(float(np.dot(v, v)))
 
 
 class TestFiniteDiffGrad:

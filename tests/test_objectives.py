@@ -11,6 +11,7 @@ from polystep.objectives import (
     UnsoundLowerBound,
     full_grad,
     full_value,
+    lower_bound,
     make_counterexample_1d,
     make_fig1_problem,
     make_random_strongly_convex,
@@ -60,11 +61,14 @@ class TestLogistic:
 
     def test_lower_bound_policies(self):
         obj = small_logistic(lam=0.0)
-        S = np.array([0, 5])
-        assert obj.lower_bound(S, "zero") == 0.0
-        assert obj.lower_bound(S, "constant", 0.25) == 0.25
+        S = np.array([[0, 5], [1, 2]])
+        assert lower_bound(obj, "zero")(S) == 0.0
+        assert lower_bound(obj, "constant", 0.25)(S) == 0.25
+        np.testing.assert_array_equal(lower_bound(obj, "exact")(S[:, :1]), [0.0, 0.0])
         with pytest.raises(UnavailableExactMinimum):
-            obj.lower_bound(S, "exact")
+            lower_bound(obj, "exact")(S)
+        with pytest.raises(ValueError, match="unknown lower-bound policy"):
+            lower_bound(obj, "median")
 
     def test_curvature_constants(self):
         obj = small_logistic(lam=0.3)
@@ -106,7 +110,11 @@ class TestQuadratic:
             np.ones((1, 1, 1)), np.zeros((1, 1)), np.array([-0.5])
         )
         with pytest.raises(UnsoundLowerBound):
-            obj.lower_bound(np.array([0]), "zero")
+            lower_bound(obj, "zero")  # certified when the map is built
+        nonneg = QuadraticObjective(np.ones((2, 1, 1)), np.zeros((2, 1)), np.array([0.0, 0.5]))
+        assert lower_bound(nonneg, "zero")(np.array([[0], [1]])) == 0.0
+        np.testing.assert_array_equal(lower_bound(nonneg, "exact")(np.array([[1], [0]])),
+                                      [0.5, 0.0])
 
     def test_curvature_eigs(self):
         obj = make_random_strongly_convex(stream(8), 3, 5, eig_range=(0.5, 2.0))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ class TestBuildProblem:
         obj = build_problem(ProblemSpec(name="dataset", dataset_path=str(p)))
         np.testing.assert_allclose(obj.features.mean(axis=0), 0.0, atol=1e-12)
 
+    def test_unknown_dataset_format(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1,2,5\n-1,2,6\n")
+        spec = ProblemSpec(name="dataset", dataset_path=str(p), dataset_format="csv")
+        with pytest.raises(ConfigurationError, match="dataset format 'csv'"):
+            build_problem(spec)
+
     def test_unknown_problem(self):
         with pytest.raises(ConfigurationError):
             build_problem(ProblemSpec(name="mystery"))
@@ -89,13 +97,16 @@ class TestIterateRun:
 
 class TestRunExperiment:
     def test_outputs_written(self, tmp_path):
-        out = run_experiment(counterexample_cfg(tmp_path))
+        cfg = counterexample_cfg(tmp_path)
+        out = run_experiment(cfg)
         recs = read_trace(out.trace_path)
         assert {r.seed for r in recs} == {0, 1}
         assert max(r.k for r in recs) == 49
         manifest = json.loads(open(out.manifest_path).read())
         assert manifest["f_star"] == pytest.approx(2.0 / 3.0)
         assert manifest["diagnostics"] == []
+        # the whole config, record_every, trace_format, x0_scale and label included
+        assert manifest.items() >= json.loads(json.dumps(asdict(cfg))).items()
 
     def test_same_seed_same_x0_across_optimizers(self, tmp_path):
         a = run_experiment(counterexample_cfg(tmp_path, optimizer="decsps", label="a"))
@@ -123,6 +134,15 @@ class TestRunExperiment:
     def test_nonpositive_counts_rejected(self, tmp_path, field):
         with pytest.raises(ConfigurationError, match=field):
             run_experiment(counterexample_cfg(tmp_path, **{field: 0}))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("optimizer", "bogus", "unknown optimizer 'bogus'"),
+        ("seeds", (3, 3), "seeds must be distinct"),
+    ])
+    def test_bad_value_rejected_before_any_work(self, tmp_path, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            run_experiment(counterexample_cfg(tmp_path, **{field: value}))
         assert not list(tmp_path.iterdir())
 
     def test_unknown_trace_format_rejected_before_any_work(self, tmp_path):
