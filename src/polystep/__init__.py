@@ -7,7 +7,7 @@ The package splits into six modules:
 * :mod:`polystep.steppers`   per-iteration stepsize rules over arrays of rows
 * :mod:`polystep.oracles`    closed forms and independent simulators
 * :mod:`polystep.data_io`    dataset loading and trace serialization
-* :mod:`polystep.runner`     the seed-lockstep engine, orchestration, aggregation
+* :mod:`polystep.runner`     the grid-lockstep engine, orchestration, aggregation
 """
 
 from .core import finite_diff_grad, sample_batch, stream

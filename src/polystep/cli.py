@@ -57,32 +57,65 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_seeds(spec) -> tuple[int, ...]:
-    if isinstance(spec, list):  # a JSON list from a config file
-        return tuple(int(s) for s in spec)
-    spec = str(spec)
-    parts = [s for s in spec.split(",") if s]
-    if len(parts) == 1 and "," not in spec:
-        return tuple(range(int(parts[0])))
-    return tuple(int(s) for s in parts)
+    try:
+        if isinstance(spec, list):  # a JSON list, each entry read as the flag reads it
+            return tuple(int(str(s)) for s in spec)
+        text = str(spec)
+        parts = [s for s in text.split(",") if s]
+        if len(parts) == 1 and "," not in text:
+            return tuple(range(int(parts[0])))
+        return tuple(int(s) for s in parts)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"seeds must be a count or a list of integers, got {spec!r}") from None
+
+
+def _config_value(action: argparse.Action, key: str, val):
+    """A config-file value checked as its flag would check it: a ``store_true``
+    flag takes only a JSON bool; otherwise the flag's ``type`` converts a
+    string and must give back any other value unchanged (so 2.5 is no int),
+    and the result must be one of the flag's ``choices``."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(val, bool):
+            raise ConfigurationError(f"config key {key!r} must be true or false, got {val!r}")
+        return val
+    if action.type is not None:
+        try:
+            converted = action.type(val)
+            if isinstance(val, bool) or not isinstance(val, str) and converted != val:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(
+                f"config key {key!r} expects {action.type.__name__}, got {val!r}") from None
+        val = converted
+    if action.choices is not None and val not in action.choices:
+        raise ConfigurationError(
+            f"unknown {action.dest.replace('_', ' ')} {val!r}; "
+            f"expected one of {', '.join(map(str, action.choices))}")
+    return val
 
 
 def _parse_args(parser: argparse.ArgumentParser, subcommands, argv) -> argparse.Namespace:
-    """Parse argv. The values of a --config file become the subcommand's
-    defaults and argv is parsed again, so argparse lets every flag given on
-    the command line win over the file."""
+    """Parse argv. The values of a --config file, checked like the flags they
+    stand for, become the subcommand's defaults and argv is parsed again, so
+    argparse lets every flag given on the command line win over the file."""
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
     sub = subcommands.choices[args.command]
-    with open(args.config) as fh:
-        values = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigurationError(f"config file {args.config}: {e}") from e
+    actions = {a.dest: a for a in sub._actions}
     known = vars(args).keys() - {"command", "config", "func"}
     defaults = {}
     for key, val in values.items():
         attr = key.replace("-", "_")
         if attr not in known:
             sub.error(f"unknown config key {key!r}")
-        defaults[attr] = val
+        defaults[attr] = _config_value(actions[attr], key, val)
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -136,7 +169,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values = [float(v) for v in args.sweep_values.split(",")]
+    try:
+        values = [float(v) for v in args.sweep_values.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"sweep values must be comma-separated numbers, got {args.sweep_values!r}") from None
     base = _build_run_config(args)
     cfgs = []
     for v in values:
@@ -234,7 +271,8 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(parser, sub, argv)
         return args.func(args)
-    except (ConfigurationError, objectives.UnavailableExactMinimum) as e:
+    except (ConfigurationError, objectives.UnavailableExactMinimum, objectives.SingularSystem,
+            objectives.SolverFailure, data_io.LoadError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,10 @@ class NonFiniteValue(ValueError):
     """A function evaluation produced NaN or Inf."""
 
 
+class ConfigurationError(ValueError):
+    """Invalid or inconsistent configuration."""
+
+
 def stream(seed: int, run_index: int = 0) -> np.random.Generator:
     """Independent random stream keyed by ``(seed, run_index)``.
 

@@ -49,7 +49,8 @@ TRACE_FORMATS = {"csv": "csv", "json-lines": "jsonl"}  # format -> file extensio
 
 @dataclass(frozen=True)
 class Trace:
-    """The records of one run in columns, one row per seed.
+    """The records of one run in columns, one row per seed (a grid pass keeps
+    one row per (config, seed) and hands each config its ``slice``).
 
     Row r belongs to ``seeds[r]`` and holds its records at ``ks[:counts[r]]``;
     a seed that halts early keeps a shorter prefix. Iterating yields
@@ -75,6 +76,11 @@ class Trace:
         for name, v in zip(METRICS, values):
             getattr(self, name)[rows, j] = v
         self.counts[rows] += 1
+
+    def slice(self, start: int, stop: int) -> "Trace":
+        """Rows start:stop, as views of these columns."""
+        return Trace(self.seeds[start:stop], self.ks, self.counts[start:stop],
+                     *(getattr(self, name)[start:stop] for name in METRICS))
 
     def __len__(self) -> int:
         return int(self.counts.sum())

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MiniBatch, Vector
+from .core import ConfigurationError, MiniBatch, Vector
 
 
 class UnavailableExactMinimum(ValueError):
@@ -305,8 +305,8 @@ def solve_reference(obj, tol: float = 1e-10, max_iter: int = 1_000_000) -> Refer
     gradient descent with stepsize 1/L of the averaged objective; the 1-d
     absolute sum takes the median of the shifts.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ConfigurationError(f"reference_tol must be > 0, got {tol}")
     S = full_batch(obj)
 
     if obj.kind == "quadratic":

@@ -1,11 +1,14 @@
 """Experiment orchestration: builds problems, runs (optimizer x seed) grids,
 records per-iteration metrics and writes traces, aggregates and a manifest.
 
-All seeds of a run advance in lockstep (``lockstep``): their iterates form one
-(R, d) array and every step is one pass of array operations over all rows.
-Each row draws from its own seed's stream, one x0 draw and then one batch
-draw per attempted batch, so a seed's trace does not depend on which seeds
-run beside it; ``iterate_run`` is the same engine on one row.
+Every (config, seed) row of a grid advances in lockstep (``grid_lockstep``):
+the iterates form one (R, d) array and every step makes one batch draw, one
+evaluation and one record pass over all rows, then one rule call per
+config on its slice of rows. Each row draws from its own seed's stream, one
+x0 draw and then one batch draw per attempted batch, so a row's trace does
+not depend on which rows run beside it. ``run_experiment`` is the grid of one
+config, ``lockstep`` the engine on one group of rows and ``iterate_run`` on
+one row.
 """
 
 from __future__ import annotations
@@ -107,10 +110,11 @@ def build_problem(spec: ProblemSpec):
     if spec.name == "dataset":
         if spec.dataset_path is None:
             raise ConfigurationError("dataset problem needs a dataset path")
-        if spec.dataset_format == "libsvm":
-            ds = data_io.load_libsvm(spec.dataset_path)
-        else:
-            ds = data_io.load_delimited(spec.dataset_path)
+        load = data_io.load_libsvm if spec.dataset_format == "libsvm" else data_io.load_delimited
+        try:
+            ds = load(spec.dataset_path)
+        except OSError as e:
+            raise data_io.LoadError(f"cannot read dataset: {e}") from e
         if spec.standardize:
             ds = data_io.standardize(ds)
         return objectives.LogisticObjective(ds.features, ds.labels, spec.lam, spec.label_sign)
@@ -152,9 +156,14 @@ class SeedBatches:
         return self._ahead[rows, used][:, None]
 
 
-def lockstep(obj, method, cfg, X0, K, B, rngs):
+def grid_lockstep(obj, groups, X0, K, B, rngs):
     """Advance the R rows of X0 (R, d) together for K steps, row r drawing
     its batches from ``rngs[r]``.
+
+    ``groups`` lists ``(method, cfg, size)``: the rows of X0 split, in order,
+    into consecutive groups that each follow one rule with one config. Every
+    step makes one batch draw and one evaluation over all live rows, then
+    one rule call per group on its row slice.
 
     Yields ``(k, rows, X, gamma, halted)`` at every step: ``X`` holds the
     pre-step iterates x_k of the live rows ``rows`` and ``gamma`` their
@@ -163,39 +172,52 @@ def lockstep(obj, method, cfg, X0, K, B, rngs):
     ``halted`` lists the rows that ran out at step k; they leave ``rows``
     from step k on.
     """
-    rule = RULES[method]
-    state = init_state(cfg, method, obj.d, rows=len(X0))
-    target = batch_target(cfg, method, obj)
+    sizes = [size for _, _, size in groups]
+    bounds = np.cumsum([0] + sizes)  # group g holds rows bounds[g]:bounds[g+1]
+    rules = [(RULES[method], cfg, batch_target(cfg, method, obj)) for method, cfg, _ in groups]
+    states = [init_state(cfg, method, obj.d, rows=size) for method, cfg, size in groups]
+    polyak = np.repeat([target is not None for _, _, target in rules], sizes)
     batches = SeedBatches(rngs, obj.n, B, block=min(K, BLOCK))
     rows = np.arange(len(X0))
+    edges = bounds  # group slices of the live rows
     no_halts = rows[:0]
     X = X0
     for k in range(K):
         S = batches.draw(rows)
         F, G = obj.value_and_grad(S, X)
         g2 = np.vecdot(G, G)
-        halted, m = no_halts, None
-        if target is not None:
-            zero = g2 == 0.0
-            attempts = 1
-            while zero.any():
-                if attempts == obj.n:
-                    halted, keep = rows[zero], ~zero
-                    rows, X, S, F, G, g2 = (a[keep] for a in (rows, X, S, F, G, g2))
-                    state = state.take(keep)
-                    break
-                redo = np.flatnonzero(zero)
-                S[redo] = batches.draw(rows[redo])
-                F[redo], G[redo] = obj.value_and_grad(S[redo], X[redo])
-                g2[redo] = np.vecdot(G[redo], G[redo])
-                zero[redo] = g2[redo] == 0.0
-                attempts += 1
-            m = target(S)
-        X_next, gamma, state = rule(cfg, state, X, F, G, g2, m)
+        halted = no_halts
+        zero = (g2 == 0.0) & polyak
+        attempts = 1
+        while zero.any():
+            if attempts == obj.n:
+                halted, keep = rows[zero], ~zero
+                states = [s.take(keep[a:b]) for s, a, b in zip(states, edges, edges[1:])]
+                rows, X, S, F, G, g2, polyak = (
+                    a[keep] for a in (rows, X, S, F, G, g2, polyak))
+                edges = np.searchsorted(rows, bounds)
+                break
+            redo = np.flatnonzero(zero)
+            S[redo] = batches.draw(rows[redo])
+            F[redo], G[redo] = obj.value_and_grad(S[redo], X[redo])
+            g2[redo] = np.vecdot(G[redo], G[redo])
+            zero[redo] = g2[redo] == 0.0
+            attempts += 1
+        steps = []
+        for g, ((rule, cfg, target), a, b) in enumerate(zip(rules, edges, edges[1:])):
+            m = None if target is None else target(S[a:b])
+            X_g, gamma_g, states[g] = rule(cfg, states[g], X[a:b], F[a:b], G[a:b], g2[a:b], m)
+            steps.append((X_g, gamma_g))
+        X_next, gamma = steps[0] if len(steps) == 1 else map(np.concatenate, zip(*steps))
         yield k, rows, X, gamma, halted
         if not rows.size:
             return
         X = X_next
+
+
+def lockstep(obj, method, cfg, X0, K, B, rngs):
+    """``grid_lockstep`` with every row of X0 in one group: one rule, one config."""
+    return grid_lockstep(obj, [(method, cfg, len(X0))], X0, K, B, rngs)
 
 
 def iterate_run(obj, method, cfg, x0, K, B, rng):
@@ -233,31 +255,36 @@ def _check_config(cfg: RunConfig, obj) -> None:
         target = batch_target(cfg.stepper, cfg.optimizer, obj)
         if target is not None:
             target(np.arange(cfg.B)[None])
-    except (objectives.UnavailableExactMinimum, objectives.UnsoundLowerBound) as e:
+    except (objectives.UnavailableExactMinimum, objectives.UnsoundLowerBound,
+            objectives.SingularSystem) as e:
         raise ConfigurationError(str(e)) from e
 
 
-def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
-    if obj is None:
-        obj = build_problem(cfg.problem)
-    _check_config(cfg, obj)
-    if reference is None:
-        reference = objectives.solve_reference(obj, cfg.reference_tol)
-    x_star, f_star = reference.x_star, reference.f_star
-    f_sub = objectives.suboptimality(obj, reference)
+def _label(cfg: RunConfig) -> str:
+    return cfg.label or f"{cfg.problem.name}_{cfg.optimizer}"
 
-    rngs = [stream(seed) for seed in cfg.seeds]
-    X0 = np.array([cfg.x0_scale * rng.standard_normal(obj.d) for rng in rngs])
+
+def _run_pass(obj, reference, cfgs: list[RunConfig]) -> list[tuple[Trace, list[dict]]]:
+    """Advance every (config, seed) row of ``cfgs``, which share B, K and
+    record_every, in one ``grid_lockstep``: config c's seeds form one group
+    of rows with its own rule, stepper config and fresh ``stream(seed)``
+    generators. Returns each config's records and halted seeds."""
+    first = cfgs[0]
+    x_star = reference.x_star
+    f_sub = objectives.suboptimality(obj, reference)
+    seeds = [seed for c in cfgs for seed in c.seeds]
+    rngs = [stream(seed) for seed in seeds]
+    scales = [c.x0_scale for c in cfgs for _ in c.seeds]
+    X0 = np.array([scale * rng.standard_normal(obj.d) for scale, rng in zip(scales, rngs)])
+    groups = [(c.optimizer, c.stepper, len(c.seeds)) for c in cfgs]
     # record every record_every-th step and the last
-    ks = np.union1d(np.arange(0, cfg.K, cfg.record_every), [cfg.K - 1])
-    records = Trace.empty(cfg.seeds, ks)
+    ks = np.union1d(np.arange(0, first.K, first.record_every), [first.K - 1])
+    records = Trace.empty(seeds, ks)
     record_at = ks.tolist()
     xbar_sum = np.zeros_like(X0)
     halts = []
     j = 0  # next record
-    for k, rows, X, gamma, halted in lockstep(
-        obj, cfg.optimizer, cfg.stepper, X0, cfg.K, cfg.B, rngs
-    ):
+    for k, rows, X, gamma, halted in grid_lockstep(obj, groups, X0, first.K, first.B, rngs):
         if halted.size:
             halts += [(r, k) for r in halted.tolist()]
         xbar_sum[rows] += X
@@ -266,12 +293,21 @@ def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
             records.record(rows, j, f_sub(X), f_sub(xbar_sum[rows] / (k + 1)),
                            np.vecdot(E, E), gamma)
             j += 1
-    diagnostics = [
-        {"seed": cfg.seeds[r], "halted_at": k, "reason": str(ResampleExhausted(k, obj.n))}
-        for r, k in sorted(halts)
-    ]
+    out, start = [], 0
+    for c in cfgs:
+        stop = start + len(c.seeds)
+        diagnostics = [
+            {"seed": seeds[r], "halted_at": k, "reason": str(ResampleExhausted(k, obj.n))}
+            for r, k in sorted(halts) if start <= r < stop
+        ]
+        out.append((records.slice(start, stop), diagnostics))
+        start = stop
+    return out
 
-    label = cfg.label or f"{cfg.problem.name}_{cfg.optimizer}"
+
+def _write_run(cfg: RunConfig, obj, reference, records: Trace, diagnostics) -> RunOutput:
+    """Write one config's trace, aggregate and manifest."""
+    label = _label(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     ext = data_io.TRACE_FORMATS[cfg.trace_format]
     trace_path = os.path.join(cfg.out_dir, f"{label}.{ext}")
@@ -287,12 +323,39 @@ def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
             **asdict(cfg),
             "n": obj.n,
             "d": obj.d,
-            "f_star": f_star,
+            "f_star": reference.f_star,
             "reference_grad_norm": reference.grad_norm,
             "reference_tol": reference.tol,
             "diagnostics": diagnostics,
         }, fh, indent=2)
     return RunOutput(trace_path, agg_path, manifest_path, agg, records)
+
+
+def _run_grid(cfgs: list[RunConfig], obj, reference=None) -> list[RunOutput]:
+    """Check every config, solve the reference unless given, then run the
+    configs, which share K, in one engine pass per distinct (B, record_every)
+    and write each config's outputs. Returns the outputs in the order of
+    ``cfgs``."""
+    for c in cfgs:
+        _check_config(c, obj)
+    if reference is None:
+        reference = objectives.solve_reference(obj, cfgs[0].reference_tol)
+    passes: dict[tuple, list[int]] = {}
+    for i, c in enumerate(cfgs):
+        passes.setdefault((c.B, c.record_every), []).append(i)
+    outs = [None] * len(cfgs)
+    for members in passes.values():
+        group = [cfgs[i] for i in members]
+        for i, c, result in zip(members, group, _run_pass(obj, reference, group)):
+            outs[i] = _write_run(c, obj, reference, *result)
+    return outs
+
+
+def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
+    """Run one config over its seeds: the grid of one config."""
+    if obj is None:
+        obj = build_problem(cfg.problem)
+    return _run_grid([cfg], obj, reference)[0]
 
 
 _METRICS = data_io.METRICS
@@ -315,23 +378,27 @@ def aggregate_records(records: Trace, label: str) -> Aggregate:
     return Aggregate(label, records.ks[:reached], mean, std)
 
 
+_AGG_ROW = "%d" + ",%.17g" * (2 * len(_METRICS)) + "\n"
+
+
 def write_aggregate(agg: Aggregate, path: str) -> None:
     cols = ["k"]
     for m in _METRICS:
         cols += [f"mean_{m}", f"std_{m}"]
+    columns = [agg.ks.tolist()]
+    for m in _METRICS:
+        columns += [agg.mean[m].tolist(), agg.std[m].tolist()]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for i, k in enumerate(agg.ks):
-            row = [str(int(k))]
-            for m in _METRICS:
-                row += [f"{agg.mean[m][i]:.17g}", f"{agg.std[m][i]:.17g}"]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(_AGG_ROW % row for row in zip(*columns))
 
 
 def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
     """Run aligned configs (shared problem, seeds, K and reference tolerance)
     and return a summary table of final suboptimality mean +- 2 std, one row
-    per config."""
+    per config. Every (config, seed) row advances in one engine pass per
+    distinct (B, record_every); each config's outputs are those of its solo
+    ``run_experiment``. Two configs may not share an out_dir and a label."""
     if not cfgs:
         return []
     first = cfgs[0]
@@ -344,13 +411,16 @@ def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
             raise ConfigurationError("compare_grid: all configs must share the problem")
         if c.reference_tol != first.reference_tol:
             raise ConfigurationError("compare_grid: all configs must share reference_tol")
-    obj = build_problem(first.problem)
+    outputs = set()  # (out_dir, label) pairs
     for c in cfgs:
-        _check_config(c, obj)
-    reference = objectives.solve_reference(obj, first.reference_tol)
+        where = (os.path.abspath(c.out_dir), _label(c))
+        if where in outputs:
+            raise ConfigurationError(
+                f"compare_grid: two configs would write {_label(c)!r} in {c.out_dir!r}; "
+                "give each config its own label or out_dir")
+        outputs.add(where)
     table = []
-    for c in cfgs:
-        out = run_experiment(c, obj=obj, reference=reference)
+    for c, out in zip(cfgs, _run_grid(cfgs, build_problem(first.problem))):
         agg = out.aggregate
         final = -1
         table.append({

@@ -38,16 +38,12 @@ from functools import partial
 
 import numpy as np
 
-from .core import Vector
+from .core import ConfigurationError, Vector
 from .objectives import lower_bound
 
 
 class ZeroGradient(Exception):
     """Batch gradient is exactly zero: resample instead of stepping."""
-
-
-class ConfigurationError(ValueError):
-    """Invalid or inconsistent stepper configuration."""
 
 
 C_SCHEDULES = ("constant", "sqrt", "linear_half")

@@ -66,6 +66,9 @@ class TestRun:
         ({"optimizer": "bogus"}, (), "unknown optimizer 'bogus'"),
         ({"dataset_format": "bogus"}, (), "unknown dataset format 'bogus'"),
         ({}, ("--seeds", "3,3"), "seeds must be distinct"),
+        ({}, ("--seeds", "abc"), "seeds must be a count or a list of integers"),
+        ({"seeds": "2.5"}, (), "seeds must be a count or a list of integers"),
+        ({"seeds": [1.5, 2]}, (), "seeds must be a count or a list of integers"),
     ])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, values, flags, message):
         values = {"problem": "counterexample", "iters": 3, **values}
@@ -74,6 +77,63 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values,message", [
+        ({"label_sign": "bogus"}, "unknown label sign 'bogus'"),
+        ({"interpolated": "yes"}, "'interpolated' must be true or false"),
+        ({"n": 2.5}, "'n' expects int"),
+        ({"problem": 7}, "unknown problem 7"),
+        ({"eta": 10**400}, "'eta' expects float"),
+    ])
+    def test_config_value_checked_like_its_flag(self, tmp_path, capsys, values, message):
+        values = {"problem": "fig1", "n": 5, "d": 2, "iters": 3, "seeds": 1, **values}
+        rc, _ = run_with_config(tmp_path, values)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_values_converted_like_flags(self, tmp_path):
+        values = {"problem": "fig1", "n": "5", "d": 2.0, "iters": 3, "seeds": 1,
+                  "interpolated": True, "f_floor": 0}
+        rc, manifest = run_with_config(tmp_path, values)
+        assert rc == 0
+        assert manifest["problem"]["n"] == 5 and manifest["problem"]["interpolated"] is True
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--problem", "counterexample", "--reference-tol", "0"), "reference_tol must be > 0"),
+        (("--problem", "dataset", "--dataset", "/nonexistent"), "No such file"),
+    ])
+    def test_library_error_exits_2_with_one_line(self, tmp_path, capsys, flags, message):
+        rc = run_cli("run", *flags, "--iters", "3", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file_exits_2_with_one_line(self, tmp_path, capsys):
+        rc = run_cli("run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "absent.json" in err and "No such file" in err
+
+    def test_output_write_error_is_not_a_usage_error(self, tmp_path):
+        # an out path that is a file fails while writing, after the run: it
+        # surfaces as the OSError it is, not as a one-line exit 2
+        out = tmp_path / "taken"
+        out.write_text("")
+        with pytest.raises(OSError):
+            run_cli("run", "--problem", "counterexample", "--iters", "3", "--seeds", "1",
+                    "--out", str(out))
+
+    def test_unreadable_dataset_exits_2_with_one_line(self, tmp_path, capsys):
+        data = tmp_path / "bad.svm"
+        data.write_text("+1 1:0.5\nnot-a-label 1:2\n")
+        rc = run_cli("run", "--problem", "dataset", "--dataset", str(data), "--iters", "3",
+                     "--out", str(tmp_path / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad label 'not-a-label'" in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -130,6 +190,24 @@ class TestSweep:
         assert (tmp_path / "sweep_summary.csv").exists()
         assert len(out.strip().splitlines()) == 4  # header + 3 rows
 
+    def test_colliding_labels_exit_2_before_any_work(self, tmp_path, capsys):
+        # 1 and 1.0 give the same label, fig1_decsps_c0_1
+        rc = run_cli("sweep", "--problem", "fig1", "--n", "10", "--d", "3",
+                     "--optimizer", "decsps", "--sweep-param", "c0", "--sweep-values", "1,1.0",
+                     "--iters", "50", "--seeds", "1,2", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'fig1_decsps_c0_1'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_numeric_value_exits_2(self, tmp_path, capsys):
+        rc = run_cli("sweep", "--problem", "counterexample", "--iters", "3",
+                     "--sweep-param", "c0", "--sweep-values", "1,x", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sweep values must be comma-separated numbers" in err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_iterations_exits_2(self, tmp_path, capsys):
         rc = run_cli("sweep", "--problem", "counterexample", "--iters", "0",
                      "--sweep-param", "c0", "--sweep-values", "0.5,1", "--out", str(tmp_path))
@@ -141,6 +219,13 @@ class TestSweep:
 
 
 class TestReference:
+    def test_nonpositive_tolerance_exits_2(self, tmp_path, capsys):
+        rc = run_cli("reference", "--problem", "counterexample", "--reference-tol", "0",
+                     "--out", str(tmp_path / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "reference_tol must be > 0" in err
+
     def test_cached_reference(self, tmp_path, capsys):
         rc = run_cli("reference", "--problem", "counterexample", "--out", str(tmp_path))
         assert rc == 0

@@ -1,13 +1,15 @@
-"""The seed-lockstep engine against single-seed runs.
+"""The lockstep engine against single-seed and single-config runs.
 
-A seed's trace must not depend on which seeds run beside it: every check
-here compares a group of rows with the same rows run alone, bit for bit.
+A seed's trace must not depend on which seeds or configs run beside it:
+every check here compares a group of rows with the same rows run alone, and
+a grid's outputs with each config's solo run, bit for bit.
 """
 
 import csv
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from polystep.runner import (
     ProblemSpec,
     RunConfig,
     SeedBatches,
+    _run_grid,
+    compare_grid,
     iterate_run,
     lockstep,
     run_experiment,
@@ -122,6 +126,66 @@ def test_halted_seeds_leave_the_others_unchanged(tmp_path):
                for d in diagnostics)
     # the halted seeds stop recording; the aggregate keeps the ks all seeds reached
     assert group.aggregate.ks.tolist() == list(range(min(d["halted_at"] for d in diagnostics)))
+
+
+def _assert_grid_matches_solo_runs(cfgs, obj=None):
+    """Every config's trace, aggregate and manifest from one ``compare_grid``
+    (the grid engine itself, ``_run_grid``, on a given ``obj``) equal,
+    byte for byte, those its solo ``run_experiment`` writes to the same paths
+    afterwards. Returns each config's halted seeds."""
+    if obj is None:
+        compare_grid(cfgs)
+    else:
+        _run_grid(cfgs, obj)
+    grid = {p.name: p.read_bytes() for p in Path(cfgs[0].out_dir).iterdir()}
+    for cfg in cfgs:
+        solo = run_experiment(cfg, obj=obj)
+        for path in map(Path, (solo.trace_path, solo.aggregate_path, solo.manifest_path)):
+            assert path.read_bytes() == grid[path.name], path.name
+    return {cfg.label: json.loads(grid[f"{cfg.label}_manifest.json"])["diagnostics"]
+            for cfg in cfgs}
+
+
+def test_grid_of_all_rules_matches_solo_runs_fig1(tmp_path):
+    # each config its own constants, so a rule run with another's config shows
+    cfgs = [RunConfig(problem=ProblemSpec("fig1", n=10, d=4), optimizer=opt,
+                      stepper=StepperConfig(eta=0.03 + 0.005 * i, c0=1.0 + 0.25 * i,
+                                            f_star_policy="exact" if opt == "sps_max"
+                                            else "lower_bound"),
+                      K=60, seeds=(0, 1, 2), out_dir=str(tmp_path / "grid"), label=opt)
+            for i, opt in enumerate(OPTIMIZERS)]
+    _assert_grid_matches_solo_runs(cfgs)
+
+
+def test_grid_matches_solo_runs_logistic_batches(tmp_path):
+    cfgs = [RunConfig(problem=ProblemSpec("synthetic", n=60, d=5, lam=1e-3), optimizer=opt,
+                      B=10, K=60, seeds=(0, 1, 2), out_dir=str(tmp_path / "grid"), label=opt)
+            for opt in ("decsps", "sps_max")]
+    _assert_grid_matches_solo_runs(cfgs)
+
+
+def test_grid_with_a_halting_config_matches_solo_runs(tmp_path):
+    # the halted-seed construction of test_halted_seeds_leave_the_others_unchanged
+    obj = ShiftedAbsoluteObjective(np.array([1.0, 1.0, -5.0]))
+    # with eta=1 the sgd rows reach the kinks too, and step on (by zero) there
+    cfgs = [RunConfig(problem=ProblemSpec("shifted_absolute"), optimizer=opt,
+                      stepper=StepperConfig(eta=1.0), K=30, seeds=tuple(range(10)),
+                      x0_scale=0.0, out_dir=str(tmp_path / "grid"), label=opt)
+            for opt in ("sgd_constant", "decsps_ns", "sgd_decreasing", "amsgrad")]
+    diagnostics = _assert_grid_matches_solo_runs(cfgs, obj)
+    assert diagnostics["decsps_ns"]
+    assert not any(d for label, d in diagnostics.items() if label != "decsps_ns")
+
+
+def test_grid_mixing_batch_sizes_and_record_schedules_matches_solo_runs(tmp_path):
+    problem = ProblemSpec("synthetic", n=40, d=4, lam=1e-3)
+    cfgs = [RunConfig(problem=problem, optimizer=opt, stepper=StepperConfig(eta=0.1), B=B,
+                      K=50, seeds=(3, 1), record_every=every, out_dir=str(tmp_path / "grid"),
+                      trace_format=fmt, label=f"{opt}_{B}_{every}")
+            for opt, B, every, fmt in [("decsps", 1, 1, "csv"), ("decsps", 8, 7, "csv"),
+                                       ("adam", 8, 1, "json-lines"), ("sps_max", 1, 7, "csv"),
+                                       ("sgd_constant", 8, 7, "json-lines")]]
+    _assert_grid_matches_solo_runs(cfgs)
 
 
 def test_halted_row_leaves_the_other_rows_unchanged():

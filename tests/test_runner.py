@@ -139,6 +139,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("field,value,message", [
         ("optimizer", "bogus", "unknown optimizer 'bogus'"),
         ("seeds", (3, 3), "seeds must be distinct"),
+        ("reference_tol", 0.0, "reference_tol must be > 0"),
     ])
     def test_bad_value_rejected_before_any_work(self, tmp_path, field, value, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -229,6 +230,15 @@ class TestCompareGrid:
         with pytest.raises(ConfigurationError, match="reference_tol"):
             compare_grid([a, b])
         assert not list(tmp_path.iterdir())
+
+    def test_colliding_outputs_rejected_before_any_work(self, tmp_path):
+        a = counterexample_cfg(tmp_path, label="same")
+        b = counterexample_cfg(tmp_path, optimizer="sgd_decreasing", label="same")
+        with pytest.raises(ConfigurationError, match="'same'"):
+            compare_grid([a, b])
+        assert not list(tmp_path.iterdir())
+        # the default label names problem and optimizer, so these two differ
+        compare_grid([counterexample_cfg(tmp_path), counterexample_cfg(tmp_path, optimizer="adam")])
 
     def test_mismatched_grids_rejected(self, tmp_path):
         a = counterexample_cfg(tmp_path, K=10)
