@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace as dc_replace
 from itertools import repeat
 from typing import NamedTuple
@@ -104,11 +105,36 @@ def _remap_labels(raw: np.ndarray) -> np.ndarray:
     raise LoadError(f"cannot map label values {sorted(vals)} to {{-1, +1}}")
 
 
+def _dataset(path: str, name: str, X: np.ndarray, y: np.ndarray) -> Dataset:
+    if X.shape[1] == 0:
+        raise LoadError(f"{path}: no features")
+    return Dataset(X, _remap_labels(y), name=name or path)
+
+
 def load_libsvm(path: str, name: str = "") -> Dataset:
     """Parse `label idx:val ...` lines; 1-based indices are densified and
-    d is the maximum index seen."""
-    rows = []
-    max_idx = 0
+    d is the maximum index seen. A repeated index keeps its last value.
+
+    The whole text is parsed at once; a text that the one-pass parse cannot
+    vouch for goes to the line scan, which parses it alike or raises a
+    ``LoadError`` naming the line."""
+    with open(path) as fh:  # text mode: CRLF and CR line ends become newlines
+        parsed = _parse_libsvm(fh.read().encode())
+    if parsed is None:
+        parsed = _scan_libsvm(path)
+    labels, rows, idx, vals = parsed
+    if not labels.size:
+        raise LoadError(f"{path}: empty file")
+    X = np.zeros((labels.size, int(idx.max(initial=0))))
+    X[rows, idx - 1] = vals  # assigned in order: a repeated index keeps its last value
+    return _dataset(path, name, X, labels)
+
+
+def _scan_libsvm(path: str):
+    """Line-by-line parse of a LIBSVM file, the reference for
+    ``_parse_libsvm``: (labels, rows, indices, values), or a ``LoadError``
+    naming the first bad line."""
+    labels, rows, idx, vals = [], [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -119,27 +145,85 @@ def load_libsvm(path: str, name: str = "") -> Dataset:
                 label = float(parts[0])
             except ValueError as e:
                 raise LoadError(f"{path}:{lineno}: bad label {parts[0]!r}") from e
+            if not math.isfinite(label):
+                raise LoadError(f"{path}:{lineno}: non-finite value {parts[0]!r}")
             feats = {}
             for tok in parts[1:]:
                 try:
                     idx_s, val_s = tok.split(":")
-                    idx, val = int(idx_s), float(val_s)
+                    i, val = int(idx_s), float(val_s)
                 except ValueError as e:
                     raise LoadError(f"{path}:{lineno}: bad pair {tok!r}") from e
-                if idx < 1:
-                    raise LoadError(f"{path}:{lineno}: index {idx} is not 1-based")
-                feats[idx] = val
-                max_idx = max(max_idx, idx)
-            rows.append((label, feats))
-    if not rows:
-        raise LoadError(f"{path}: empty file")
-    X = np.zeros((len(rows), max_idx))
-    y = np.empty(len(rows))
-    for i, (label, feats) in enumerate(rows):
-        y[i] = label
-        for idx, val in feats.items():
-            X[i, idx - 1] = val
-    return Dataset(X, _remap_labels(y), name=name or path)
+                if i < 1:
+                    raise LoadError(f"{path}:{lineno}: index {i} is not 1-based")
+                if not math.isfinite(val):
+                    raise LoadError(f"{path}:{lineno}: non-finite value {tok!r}")
+                feats[i] = val
+            rows += [len(labels)] * len(feats)
+            idx += feats.keys()
+            vals += feats.values()
+            labels.append(label)
+    return (np.array(labels), np.array(rows, dtype=np.intp), np.array(idx, dtype=np.intp),
+            np.array(vals, dtype=np.float64))
+
+
+# The one-pass parse takes only texts made of these bytes; any other byte (a
+# letter other than e/E, a non-ASCII character, a separator other than space,
+# tab or newline) leaves the text to the line scan.
+_LIBSVM_BYTES = b"0123456789+-.eE: \t\n"
+_TAB_TO_BLANK = bytes.maketrans(b"\t", b" ")
+
+
+def _parse_libsvm(raw: bytes):
+    """One-pass parse of an encoded LIBSVM text with newline line ends: every
+    number through one ``np.fromstring``, placed by the token layout of the
+    bytes. Returns what ``_scan_libsvm`` returns, or None for a text it must
+    judge itself.
+
+    A text is taken only when every line is a colon-free label token followed
+    by tokens with exactly one colon each, every index is a run of digits,
+    every word parses and every number is finite."""
+    if raw.translate(None, _LIBSVM_BYTES):
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    sep = np.ones(b.size + 1, dtype=bool)  # sep[i + 1]: byte i is blank or newline
+    np.less_equal(b, ord(" "), out=sep[1:])
+    starts = np.flatnonzero(sep[:-1] > sep[1:])  # first byte of each token
+    del sep
+    line = np.searchsorted(np.flatnonzero(b == ord("\n")), starts)
+    first = np.diff(line, prepend=-1) != 0  # the label token of its line
+    colons = np.flatnonzero(b == ord(":"))
+    # one colon in every pair token, none in a label
+    if not np.array_equal(np.searchsorted(starts, colons, side="right") - 1,
+                          np.flatnonzero(~first)):
+        return None
+    # with the digits dropped, an all-digit index leaves its colon next to
+    # the blank before its token (so does an empty index, which the count
+    # of numbers below catches)
+    if raw.translate(_TAB_TO_BLANK, b"0123456789").count(b" :") != colons.size:
+        return None
+    n_tokens, n_words = starts.size, starts.size + colons.size
+    label_tokens = np.flatnonzero(first)
+    del b, starts, line, first, colons  # freed before the number parse allocates
+    try:
+        numbers = np.fromstring(raw.replace(b":", b" "), sep=" ")
+    except ValueError:
+        return None
+    del raw
+    # one number per label, two per pair: fewer means an empty index or value
+    if numbers.size != n_words or not np.isfinite(numbers).all():
+        return None
+    # a label's offset in numbers: one number per label before it, two per pair
+    label_at = 2 * label_tokens - np.arange(label_tokens.size)
+    labels = numbers[label_at]
+    pair_numbers = np.delete(numbers, label_at).reshape(-1, 2)
+    del numbers
+    idx = pair_numbers[:, 0].astype(np.intp)
+    if idx.size and idx.min() < 1:
+        return None
+    pairs_per_row = np.diff(label_tokens, append=n_tokens) - 1
+    rows = np.repeat(np.arange(label_tokens.size), pairs_per_row)
+    return labels, rows, idx, pair_numbers[:, 1]
 
 
 def load_delimited(path: str, label_column: int = 0, name: str = "") -> Dataset:
@@ -161,6 +245,9 @@ def load_delimited(path: str, label_column: int = 0, name: str = "") -> Dataset:
                     header_skipped = True  # at most one header row
                     continue
                 raise LoadError(f"{path}:{lineno}: non-numeric cell")
+            bad = [c for c, v in zip(cells, row) if not math.isfinite(v)]
+            if bad:
+                raise LoadError(f"{path}:{lineno}: non-finite value {bad[0]!r}")
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -173,7 +260,7 @@ def load_delimited(path: str, label_column: int = 0, name: str = "") -> Dataset:
     table = np.array(rows)
     y = table[:, label_column]
     X = np.delete(table, label_column, axis=1)
-    return Dataset(X, _remap_labels(y), name=name or path)
+    return _dataset(path, name, X, y)
 
 
 def standardize(ds: Dataset) -> Dataset:

@@ -77,12 +77,12 @@ def _store_c_order(obj, *names: str) -> None:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
+    """1 / (1 + exp(-t)), with exp's argument -t where t >= 0 and t elsewhere
+    so it never overflows. Both branches are computed everywhere and one is
+    selected; each element gets the bits it would get from its branch alone."""
     pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(np.where(pos, -t, t))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -130,17 +130,17 @@ class LogisticObjective:
 
     def batch_grad(self, S: MiniBatch, x: Vector) -> Vector:
         A = self.features[S]
-        s = self._margin_sign()
-        z = s * self.labels[S] * (A @ x)
-        w = s * self.labels[S] * _sigmoid(z)
+        sy = self._margin_sign() * self.labels[S]
+        z = sy * (A @ x)
+        w = sy * _sigmoid(z)
         return A.T @ w / A.shape[0] + self.lam * x
 
     def value_and_grad(self, S: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         A = self.features[S]  # (R, B, d)
-        s = self._margin_sign()
-        z = s * self.labels[S] * (A @ X[:, :, None])[..., 0]
+        sy = self._margin_sign() * self.labels[S]
+        z = sy * (A @ X[:, :, None])[..., 0]
         values = np.mean(np.logaddexp(0.0, z), axis=1) + 0.5 * self.lam * np.vecdot(X, X)
-        w = s * self.labels[S] * _sigmoid(z)
+        w = sy * _sigmoid(z)
         grads = (A.transpose(0, 2, 1) @ w[:, :, None])[..., 0] / A.shape[1] + self.lam * X
         return values, grads
 

@@ -135,6 +135,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "bad label 'not-a-label'" in err
 
+    @pytest.mark.parametrize("content,message", [
+        ("1 1:0.5 2:1\n-1 1:nan 2:-1\n1 1:0.1 2:0.3\n", ":2: non-finite value '1:nan'"),
+        ("1 1:0.5 2:1\n-1 1:1e400 2:-1\n", ":2: non-finite value '1:1e400'"),
+        ("1\n-1\n1\n", ": no features"),
+    ])
+    def test_unusable_dataset_exits_2_with_one_line(self, tmp_path, capsys, content, message):
+        data = tmp_path / "bad.svm"
+        data.write_text(content)
+        rc = run_cli("run", "--problem", "dataset", "--dataset", str(data), "--optimizer",
+                     "decsps", "--iters", "5", "--seeds", "1", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {data}{message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus_key": 1}))

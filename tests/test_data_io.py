@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polystep import data_io
 from polystep.core import stream
 from polystep.data_io import (
     IterationRecord,
@@ -52,6 +55,105 @@ class TestLibsvm:
         with pytest.raises(LoadError, match=frag):
             load_libsvm(str(p))
 
+    @pytest.mark.parametrize("content,message", [
+        ("1 1:0.5 2:1\n-1 1:nan 2:-1\n1 1:0.1 2:0.3\n", ":2: non-finite value '1:nan'"),
+        ("1 1:0.5\n-1 1:1e400\n", ":2: non-finite value '1:1e400'"),
+        ("1 1:0.5\ninf 1:2\n", ":2: non-finite value 'inf'"),
+        ("1\n-1\n1\n", ": no features"),
+    ])
+    def test_rejects_nonfinite_values_and_no_features(self, tmp_path, content, message):
+        p = tmp_path / "d.libsvm"
+        p.write_text(content)
+        with pytest.raises(LoadError) as err:
+            load_libsvm(str(p))
+        assert str(err.value) == str(p) + message
+
+
+# Generated LIBSVM texts: sparse, unsorted and repeated indices, blank lines,
+# tabs, CRLF and every label convention the loader maps.
+VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.6g}"),
+    st.sampled_from(["0", "-0", ".5", "5.", "+2", "1E3", "-1e-05", "007", "1e-400"]),
+)
+LABELS = [("+1", "-1"), ("1", "-1"), ("0", "1"), ("1", "2"), ("2",)]
+BLANKS = st.sampled_from([" ", "\t", "  ", " \t"])
+
+
+@st.composite
+def libsvm_lines(draw) -> list[str]:
+    labels = draw(st.sampled_from(LABELS))
+    d = draw(st.integers(1, 12))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        idx = draw(st.lists(st.integers(1, d), max_size=d))
+        tokens = [draw(st.sampled_from(labels))]
+        tokens += [f"{i}:{draw(VALUE)}" for i in idx]
+        line = draw(BLANKS).join(tokens)
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " "])))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    return lines
+
+
+# Lines the one-pass parse must leave to the line scan. Most are errors; the
+# scan accepts `+1:`, `1_0` and the vertical tab. The pair of lines is bad
+# only together: its missing and extra numbers cancel in the file's total.
+MUTATIONS = [
+    ["1 3:"], ["1 :3"], ["1 1:2:3"], ["1 0:1"], ["1 1.5:2"], ["1 1e2:2"], ["1 +1:2"],
+    ["1 2 3:4"], ["-1 :5", "1 2 3:4"], ["1 1:nan"], ["nan 1:2"], ["1 1:1e400"],
+    ["1 1:2,5"], ["1 1:0x1p3"], ["1:2 3:4"], ["1:2 5"], ["1 1:1_0"], ["1 1:2\x0b2:3"],
+]
+
+
+def load_by_scan(path):
+    """``load_libsvm`` with every text sent to the line scan."""
+    with mock.patch.object(data_io, "_parse_libsvm", lambda raw: None):
+        return load_libsvm(path)
+
+
+def assert_loads_like_scan(path):
+    try:
+        want = load_by_scan(path)
+    except LoadError as e:
+        with pytest.raises(LoadError) as got:
+            load_libsvm(path)
+        assert str(got.value) == str(e)
+        return
+    got = load_libsvm(path)
+    np.testing.assert_array_equal(got.features, want.features)
+    assert got.features.tobytes() == want.features.tobytes()  # -0.0 kept apart from 0.0
+    np.testing.assert_array_equal(got.labels, want.labels)
+
+
+class TestOnePassParse:
+    """The one-pass parse agrees with the line scan on every text: the same
+    dataset, or the same ``LoadError`` message and line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=libsvm_lines(), eol=st.sampled_from(["\n", "\r\n"]), last_eol=st.booleans())
+    def test_generated_files(self, tmp_path_factory, lines, eol, last_eol):
+        text = eol.join(lines) + (eol if last_eol else "")
+        path = tmp_path_factory.mktemp("svm") / "d.svm"
+        path.write_bytes(text.encode())
+        assert data_io._parse_libsvm(path.read_text().encode()) is not None  # no fallback
+        assert_loads_like_scan(str(path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=libsvm_lines(), bad=st.sampled_from(MUTATIONS), at=st.integers(0, 20))
+    def test_mutated_files(self, tmp_path_factory, lines, bad, at):
+        at = min(at, len(lines))
+        lines = lines[:at] + bad + lines[at:]
+        path = tmp_path_factory.mktemp("svm") / "d.svm"
+        path.write_text("\n".join(lines) + "\n")
+        assert data_io._parse_libsvm(path.read_text().encode()) is None
+        assert_loads_like_scan(str(path))
+
+    def test_repeated_index_keeps_last_value(self, tmp_path):
+        p = tmp_path / "d.svm"
+        p.write_text("1 2:5 1:1 2:7\n-1 1:3\n")
+        np.testing.assert_array_equal(load_libsvm(str(p)).features, [[1.0, 7.0], [3.0, 0.0]])
+
 
 class TestDelimited:
     def test_csv_with_header(self, tmp_path):
@@ -77,6 +179,18 @@ class TestDelimited:
         p.write_text("1,2,3\n1,2\n")
         with pytest.raises(LoadError, match="ragged"):
             load_delimited(str(p))
+
+    @pytest.mark.parametrize("content,message", [
+        ("1,0.5,2\n-1,nan,3\n", ":2: non-finite value 'nan'"),
+        ("1,0.5,2\n-1,1e400,3\n", ":2: non-finite value '1e400'"),
+        ("1\n-1\n", ": no features"),
+    ])
+    def test_rejects_nonfinite_values_and_no_features(self, tmp_path, content, message):
+        p = tmp_path / "d.csv"
+        p.write_text(content)
+        with pytest.raises(LoadError) as err:
+            load_delimited(str(p))
+        assert str(err.value) == str(p) + message
 
     def test_label_column_selection(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -34,6 +34,11 @@ GOLDENS = {
     "absolute_decsps_ns": (
         ProblemSpec("shifted_absolute"), "decsps_ns", 1,
         lambda: ShiftedAbsoluteObjective(np.array([-2.0, -0.5, 0.3, 1.0, 2.5]))),
+    # parse -> standardize -> reference -> sigmoid on a small LIBSVM file
+    # with sparse rows, a blank line, tab separators and 0/1 labels
+    "libsvm_decsps_b5": (
+        ProblemSpec("dataset", lam=1e-3, dataset_path=str(GOLDEN_DIR / "libsvm_small.svm")),
+        "decsps", 5, None),
 }
 QUADRATIC = {"counterexample_decsps", "fig1_decsps"}
 

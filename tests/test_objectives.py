@@ -9,6 +9,7 @@ from polystep.objectives import (
     SolverFailure,
     UnavailableExactMinimum,
     UnsoundLowerBound,
+    _sigmoid,
     full_grad,
     full_value,
     lower_bound,
@@ -80,6 +81,32 @@ class TestLogistic:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             LogisticObjective(np.ones((2, 2)), np.array([0.0, 1.0]))
+
+
+def masked_sigmoid(t):
+    """The per-branch reference: each branch evaluated on its own elements."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-320, -1e-320,
+             745.2, -745.2, 800.0, -800.0]
+
+    def test_bit_identical_to_masked_on_edges(self):
+        t = np.array(self.EDGES)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = masked_sigmoid(t)
+        assert _sigmoid(t).tobytes() == want.tobytes()  # NaN sign bits included
+
+    def test_bit_identical_to_masked_on_random(self):
+        rng = stream(11)
+        t = rng.standard_normal((3, 4000)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 4000))
+        assert _sigmoid(t).tobytes() == masked_sigmoid(t).tobytes()
 
 
 class TestQuadratic:
