@@ -68,8 +68,6 @@ from .steppers import (
     ConfigurationError,
     StepperConfig,
     StepperState,
-    StepResult,
-    ZeroGradient,
     init_state,
 )
 
@@ -92,14 +90,12 @@ __all__ = [
     "ShiftedAbsoluteObjective",
     "SingularSystem",
     "SolverFailure",
-    "StepResult",
     "StepperConfig",
     "StepperState",
     "SuboptimalityStats",
     "Trace",
     "UnavailableExactMinimum",
     "UnsoundLowerBound",
-    "ZeroGradient",
     "bias_fixed_point",
     "bounded_recursion_check",
     "build_problem",

@@ -34,7 +34,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--interpolated", action="store_true")
     p.add_argument("--f-floor", type=float, default=1.0)
     p.add_argument("--gen-seed", type=int, default=0)
-    p.add_argument("--optimizer", default="decsps", choices=sorted(steppers.RULES))
+    p.add_argument("--optimizer", default="decsps", choices=sorted(steppers.STEPPERS))
     p.add_argument("--batch-size", type=int, default=1)
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--seeds", default="5",
@@ -43,7 +43,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma-ell", type=float, default=0.01)
     p.add_argument("--c0", type=float, default=1.0)
     p.add_argument("--c-schedule", default="sqrt", choices=steppers.C_SCHEDULES)
-    p.add_argument("--c-sps", type=float, default=1.0)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--b0", type=float, default=0.1)
     p.add_argument("--beta2", type=float, default=0.99)
@@ -138,7 +137,6 @@ def _build_run_config(args) -> runner.RunConfig:
         gamma_ell=args.gamma_ell,
         c0=args.c0,
         c_schedule=args.c_schedule,
-        c_sps=args.c_sps,
         eta=args.eta,
         b0=args.b0,
         beta2=args.beta2,
@@ -257,7 +255,7 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="hyperparameter sweep")
     _add_common(p_sweep)
     p_sweep.add_argument("--sweep-param", required=True,
-                         choices=["c0", "gamma_b", "gamma_ell", "eta", "b0", "beta2", "c_sps"])
+                         choices=["c0", "gamma_b", "gamma_ell", "eta", "b0", "beta2"])
     p_sweep.add_argument("--sweep-values", required=True, help="comma-separated values")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -94,7 +94,7 @@ class Trace:
             yield from map(IterationRecord._make, rows)
 
 
-def _remap_labels(raw: np.ndarray) -> np.ndarray:
+def _remap_labels(path: str, raw: np.ndarray) -> np.ndarray:
     vals = set(np.unique(raw).tolist())
     if vals <= {-1.0, 1.0}:
         return raw.astype(np.float64)
@@ -102,13 +102,13 @@ def _remap_labels(raw: np.ndarray) -> np.ndarray:
         return np.where(raw == 0.0, -1.0, 1.0)
     if vals <= {1.0, 2.0}:
         return np.where(raw == 2.0, -1.0, 1.0)
-    raise LoadError(f"cannot map label values {sorted(vals)} to {{-1, +1}}")
+    raise LoadError(f"{path}: cannot map label values {sorted(vals)} to {{-1, +1}}")
 
 
 def _dataset(path: str, name: str, X: np.ndarray, y: np.ndarray) -> Dataset:
     if X.shape[1] == 0:
         raise LoadError(f"{path}: no features")
-    return Dataset(X, _remap_labels(y), name=name or path)
+    return Dataset(X, _remap_labels(path, y), name=name or path)
 
 
 def load_libsvm(path: str, name: str = "") -> Dataset:

@@ -22,8 +22,7 @@ import numpy as np
 from . import data_io, objectives
 from .core import sample_batch, stream
 from .data_io import Trace
-from .steppers import (  # STEPPERS stays importable here for benchmarks/tracer.py
-    RULES,
+from .steppers import (
     STEPPERS,
     ConfigurationError,
     StepperConfig,
@@ -174,7 +173,9 @@ def grid_lockstep(obj, groups, X0, K, B, rngs):
     """
     sizes = [size for _, _, size in groups]
     bounds = np.cumsum([0] + sizes)  # group g holds rows bounds[g]:bounds[g+1]
-    rules = [(RULES[method], cfg, batch_target(cfg, method, obj)) for method, cfg, _ in groups]
+    # look the rules up when the pass starts, not at import, so that a caller
+    # may swap entries of STEPPERS in place (e.g. to time or count them)
+    rules = [(STEPPERS[method], cfg, batch_target(cfg, method, obj)) for method, cfg, _ in groups]
     states = [init_state(cfg, method, obj.d, rows=size) for method, cfg, size in groups]
     polyak = np.repeat([target is not None for _, _, target in rules], sizes)
     batches = SeedBatches(rngs, obj.n, B, block=min(K, BLOCK))

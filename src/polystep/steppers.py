@@ -3,17 +3,14 @@
 Every rule is written once over R rows that advance together: iterates X of
 shape (R, d), batch values F (R,), gradients G (R, d), squared gradient norms
 g2 (R,), and a state whose scalars are (R,) arrays (``k`` is shared). A rule
-``RULES[method](cfg, state, X, F, G, g2, m) -> (X_next, gamma, state)`` gets
-m, the Polyak target of each row's batch, from ``batch_target``. Polyak rules
-never divide by a zero gradient norm: the caller resamples that row's batch.
-
-``STEPPERS[method](cfg, state, obj, S, x) -> StepResult`` is the same rule on
-one row, for one batch S: it evaluates the objective itself and raises
-``ZeroGradient`` instead of stepping on a zero gradient.
+``STEPPERS[method](cfg, state, X, F, G, g2, m) -> (X_next, gamma, state)``
+gets m, the Polyak target of each row's batch, from ``batch_target``. Polyak
+rules never divide by a zero gradient norm: the caller resamples that row's
+batch.
 
 Implemented rules:
 
-* ``sps_max``      gamma = min{(f_S(x) - m_S) / (c ||g||^2), gamma_b}, where
+* ``sps_max``      gamma_k = min{(f_S(x) - m_S) / (c_k ||g||^2), gamma_b}, where
                    m_S is the exact batch minimum or a lower bound on it
 * ``decsps``       gamma_k = (1/c_k) min{(f_S(x) - l_S) / ||g||^2, c_{k-1} gamma_{k-1}}
 * ``decsps_ns``    subgradient variant with floor:
@@ -23,6 +20,9 @@ Implemented rules:
 * ``adagrad_norm`` b_{k+1}^2 = b_k^2 + ||g||^2, gamma = eta / b_{k+1}
 * ``adam``         second-moment EMA with bias correction, fixed eta, no momentum
 * ``amsgrad``      running-max second moment, eta / sqrt(k+1), no momentum
+
+The three Polyak rules share c_k (``c_value``): under the constant schedule
+c_k = c0, so ``sps_max`` is then SPS_max with c = c0.
 
 For ``decsps``/``decsps_ns`` the clip value c_{k-1} gamma_{k-1} is carried in
 the state as a single number per row (``scaled_prev``) instead of being
@@ -38,12 +38,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import ConfigurationError, Vector
+from .core import ConfigurationError
 from .objectives import lower_bound
-
-
-class ZeroGradient(Exception):
-    """Batch gradient is exactly zero: resample instead of stepping."""
 
 
 C_SCHEDULES = ("constant", "sqrt", "linear_half")
@@ -57,7 +53,6 @@ class StepperConfig:
     gamma_ell: float = 0.01  # decsps_ns stepsize floor
     c0: float = 1.0
     c_schedule: str = "sqrt"  # constant | sqrt | linear_half
-    c_sps: float = 1.0  # the constant c of sps_max
     eta: float = 1.0  # sgd / adagrad / adam scale
     b0: float = 0.1  # adagrad_norm initial accumulator
     beta2: float = 0.99
@@ -90,13 +85,6 @@ class StepperState:
         })
 
 
-@dataclass(frozen=True)
-class StepResult:
-    x_next: Vector
-    gamma: float
-    state: StepperState
-
-
 POLYAK = ("sps_max", "decsps", "decsps_ns")
 
 
@@ -111,16 +99,8 @@ def c_value(cfg: StepperConfig, k: int) -> float:
     raise ConfigurationError(f"unknown c_schedule {cfg.c_schedule!r}")
 
 
-def _sps_scale(cfg: StepperConfig, k: int) -> float:
-    # sps_max with a constant schedule uses the plain constant c; a growing
-    # schedule turns it into the scaled-down variant of the bias analysis.
-    if cfg.c_schedule == "constant":
-        return cfg.c_sps
-    return c_value(cfg, k)
-
-
 def validate(cfg: StepperConfig, method: str) -> None:
-    if method not in RULES:
+    if method not in STEPPERS:
         raise ConfigurationError(f"unknown optimizer {method!r}")
     if cfg.gamma_b <= 0:
         raise ConfigurationError("gamma_b must be positive")
@@ -130,15 +110,13 @@ def validate(cfg: StepperConfig, method: str) -> None:
         raise ConfigurationError(f"unknown f_star_policy {cfg.f_star_policy!r}")
     if cfg.lower_bound_policy not in LOWER_BOUND_POLICIES:
         raise ConfigurationError(f"unknown lower-bound policy {cfg.lower_bound_policy!r}")
-    if method in ("decsps", "decsps_ns") and cfg.c0 <= 0:
+    if method in POLYAK and cfg.c0 <= 0:
         raise ConfigurationError("c0 must be positive")
     if method == "decsps_ns":
         if cfg.gamma_ell <= 0:
             raise ConfigurationError("gamma_ell must be positive")
         if cfg.gamma_ell > cfg.gamma_b:
             raise ConfigurationError("gamma_ell must not exceed gamma_b")
-    if method == "sps_max" and cfg.c_sps <= 0:
-        raise ConfigurationError("c_sps must be positive")
     if method in ("adam", "amsgrad") and not 0 < cfg.beta2 < 1:
         raise ConfigurationError("beta2 must be in (0, 1)")
     if method in ("adam", "amsgrad") and cfg.eps_adam <= 0:
@@ -193,7 +171,7 @@ def _descend(X, G, gamma, state, **fields):
 
 
 def _sps_max(cfg, state, X, F, G, g2, m):
-    gamma = _smaller((F - m) / (_sps_scale(cfg, state.k) * g2), cfg.gamma_b)
+    gamma = _smaller((F - m) / (c_value(cfg, state.k) * g2), cfg.gamma_b)
     return _descend(X, G, gamma, state)
 
 
@@ -237,7 +215,7 @@ def _amsgrad(cfg, state, X, F, G, g2, m):
     return _diagonal(cfg, state, X, G, cfg.eta / math.sqrt(state.k + 1), vhat, v=v, vhat=vhat)
 
 
-RULES = {
+STEPPERS = {
     "sps_max": _sps_max,
     "decsps": _decsps,
     "decsps_ns": partial(_decsps, floored=True),
@@ -247,24 +225,3 @@ RULES = {
     "adam": _adam,
     "amsgrad": _amsgrad,
 }
-
-
-def _one_row(method: str):
-    rule = RULES[method]
-
-    def step(cfg, state, obj, S, x) -> StepResult:
-        S, X = np.asarray(S)[None], x[None]
-        F, G = obj.value_and_grad(S, X)
-        g2 = np.vecdot(G, G)
-        target = batch_target(cfg, method, obj)
-        if target is not None and g2[0] == 0.0:
-            raise ZeroGradient
-        m = None if target is None else target(S)
-        X_next, gamma, state = rule(cfg, state, X, F, G, g2, m)
-        return StepResult(X_next[0], float(gamma[0]), state)
-
-    step.__name__ = step.__qualname__ = f"{method}_step"
-    return step
-
-
-STEPPERS = {method: _one_row(method) for method in RULES}

@@ -184,9 +184,9 @@ def test_criterion_07_gamma_moment_identity():
 
 def test_criterion_08_interpolation_coincidence():
     obj = make_fig1_problem(stream(800), d=10, n=20, interpolated=True, f_floor=0.0)
-    cfg_exact = StepperConfig(c_schedule="constant", c_sps=1.0, gamma_b=2.0,
+    cfg_exact = StepperConfig(c_schedule="constant", gamma_b=2.0,
                               f_star_policy="exact")
-    cfg_lb = StepperConfig(c_schedule="constant", c_sps=1.0, gamma_b=2.0,
+    cfg_lb = StepperConfig(c_schedule="constant", gamma_b=2.0,
                            f_star_policy="lower_bound", lower_bound_policy="zero")
 
     def trajectory(cfg):
@@ -221,9 +221,9 @@ def test_criterion_09_neighborhood_ordering():
                     tail.append(full_value(obj, x) - ref.f_star)
         return float(np.mean([np.mean(tail) for tail in tails]))
 
-    exact = plateau(StepperConfig(c_schedule="constant", c_sps=1.0, gamma_b=2.0,
+    exact = plateau(StepperConfig(c_schedule="constant", gamma_b=2.0,
                                   f_star_policy="exact"))
-    loose = plateau(StepperConfig(c_schedule="constant", c_sps=1.0, gamma_b=2.0,
+    loose = plateau(StepperConfig(c_schedule="constant", gamma_b=2.0,
                                   f_star_policy="lower_bound",
                                   lower_bound_policy="zero"))
     _verdict(9, "tighter target gives smaller plateau", exact <= loose,

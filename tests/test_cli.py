@@ -139,6 +139,7 @@ class TestRun:
         ("1 1:0.5 2:1\n-1 1:nan 2:-1\n1 1:0.1 2:0.3\n", ":2: non-finite value '1:nan'"),
         ("1 1:0.5 2:1\n-1 1:1e400 2:-1\n", ":2: non-finite value '1:1e400'"),
         ("1\n-1\n1\n", ": no features"),
+        ("1 1:0.5\n3 1:1\n1 1:2\n", ": cannot map label values [1.0, 3.0] to {-1, +1}"),
     ])
     def test_unusable_dataset_exits_2_with_one_line(self, tmp_path, capsys, content, message):
         data = tmp_path / "bad.svm"
@@ -182,6 +183,17 @@ class TestRun:
         assert "record_every" in err
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("c0", ["-1", "0"])
+    def test_nonpositive_c0_sps_max_exits_2(self, tmp_path, capsys, c0):
+        # c_k scales sps_max as it does decsps: -1 used to give negative
+        # stepsizes and 0 a divide by zero, both exiting 0
+        rc = run_cli("run", "--problem", "fig1", "--n", "10", "--d", "3",
+                     "--optimizer", "sps_max", "--c0", c0, "--iters", "20", "--seeds", "2",
+                     "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: c0 must be positive\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unsound_lower_bound_exits_2(self, tmp_path, capsys):
         rc = run_cli("run", "--problem", "fig1", "--n", "10", "--d", "3",

@@ -60,6 +60,7 @@ class TestLibsvm:
         ("1 1:0.5\n-1 1:1e400\n", ":2: non-finite value '1:1e400'"),
         ("1 1:0.5\ninf 1:2\n", ":2: non-finite value 'inf'"),
         ("1\n-1\n1\n", ": no features"),
+        ("1 1:0.5\n3 1:1\n1 1:2\n", ": cannot map label values [1.0, 3.0] to {-1, +1}"),
     ])
     def test_rejects_nonfinite_values_and_no_features(self, tmp_path, content, message):
         p = tmp_path / "d.libsvm"
@@ -184,6 +185,7 @@ class TestDelimited:
         ("1,0.5,2\n-1,nan,3\n", ":2: non-finite value 'nan'"),
         ("1,0.5,2\n-1,1e400,3\n", ":2: non-finite value '1e400'"),
         ("1\n-1\n", ": no features"),
+        ("1,0.5\n3,1\n1,2\n", ": cannot map label values [1.0, 3.0] to {-1, +1}"),
     ])
     def test_rejects_nonfinite_values_and_no_features(self, tmp_path, content, message):
         p = tmp_path / "d.csv"

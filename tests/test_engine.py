@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polystep import steppers
 from polystep.core import sample_batch, stream
 from polystep.data_io import METRICS, Trace, make_synthetic, write_trace
 from polystep.objectives import (
@@ -34,9 +35,9 @@ from polystep.runner import (
     lockstep,
     run_experiment,
 )
-from polystep.steppers import RULES, StepperConfig
+from polystep.steppers import STEPPERS, StepperConfig
 
-OPTIMIZERS = sorted(RULES)
+OPTIMIZERS = sorted(STEPPERS)
 
 
 def _logistic(seed, n, d, lam, label_sign="standard"):
@@ -207,6 +208,24 @@ def test_halted_row_leaves_the_other_rows_unchanged():
         solo = [(k, x.tolist(), g) for k, x, g in
                 iterate_run(obj, "decsps", cfg, X0[r], 40, 1, stream(r))]
         assert seen[r] == solo
+
+
+def test_rules_are_looked_up_when_a_pass_starts(tmp_path, monkeypatch):
+    # an entry swapped into STEPPERS after import is the rule a run calls,
+    # once per step for all rows, and a transparent wrapper changes no byte
+    cfg = RunConfig(problem=ProblemSpec("counterexample"), optimizer="decsps", K=5,
+                    seeds=(0, 1, 2), out_dir=str(tmp_path / "plain"), label="t")
+    plain = Path(run_experiment(cfg).trace_path).read_bytes()
+    rule, calls = steppers.STEPPERS["decsps"], []
+
+    def counting(*args):
+        calls.append(len(args[2]))  # rows in X
+        return rule(*args)
+
+    monkeypatch.setitem(steppers.STEPPERS, "decsps", counting)
+    out = run_experiment(replace(cfg, out_dir=str(tmp_path / "counted")))
+    assert calls == [3] * 5
+    assert Path(out.trace_path).read_bytes() == plain
 
 
 @pytest.mark.parametrize("B", [1, 3])

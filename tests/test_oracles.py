@@ -214,7 +214,7 @@ class TestSimulator:
         # moment sum 4^-j = 1/3; both routes are checked against it.
         obj = make_counterexample_1d()
         steps, n_seeds = 300, 400
-        cfg = StepperConfig(c_schedule="constant", c_sps=1.0,
+        cfg = StepperConfig(c_schedule="constant",
                             f_star_policy="exact")
         # all seeds in lockstep; finals[r] is seed r's last pre-step iterate
         rngs = [stream(seed, run_index=1) for seed in range(n_seeds)]

@@ -1,43 +1,50 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystep.core import sample_batch, stream
+from polystep.core import stream
 from polystep.objectives import (
     ShiftedAbsoluteObjective,
     make_counterexample_1d,
     make_random_strongly_convex,
 )
+from polystep.runner import lockstep
 from polystep.steppers import (
     STEPPERS,
     ConfigurationError,
     StepperConfig,
-    ZeroGradient,
+    batch_target,
     c_value,
     init_state,
     validate,
 )
 
 
-def drive(obj, method, cfg, x0, K, seed=0, B=1):
-    """Run K steps, returning the gamma sequence and final iterate."""
-    rng = stream(seed)
-    state = init_state(cfg, method, obj.d)
-    x = x0
-    gammas = []
-    step = STEPPERS[method]
-    for _ in range(K):
-        S = sample_batch(rng, obj.n, B)
-        try:
-            res = step(cfg, state, obj, S, x)
-        except ZeroGradient:
-            continue
-        gammas.append(res.gamma)
-        x, state = res.x_next, res.state
-    return gammas, x, state
+def step(method, cfg, state, obj, S, x):
+    """One rule call on one row: batch S at x, passed as (1, B) and (1, d)
+    arrays. Returns x_next (d,), gamma as a float and the next state."""
+    S, X = np.asarray(S)[None], np.asarray(x, dtype=np.float64)[None]
+    F, G = obj.value_and_grad(S, X)
+    target = batch_target(cfg, method, obj)
+    m = None if target is None else target(S)
+    X_next, gamma, state = STEPPERS[method](cfg, state, X, F, G, np.vecdot(G, G), m)
+    return X_next[0], float(gamma[0]), state
+
+
+def drive(obj, method, cfg, x0, K, seeds=(0, 1, 2), B=1):
+    """K lockstep steps with one row per seed, every row from x0. Returns
+    each row's stepsizes gamma_0, gamma_1, ... as an array, cut short where
+    the row halted (every redrawn batch had a zero gradient)."""
+    X0 = np.tile(np.asarray(x0, dtype=np.float64), (len(seeds), 1))
+    gammas = [[] for _ in seeds]
+    for _, rows, _, gamma, _ in lockstep(obj, method, cfg, X0, K, B, map(stream, seeds)):
+        for r, g in zip(rows.tolist(), gamma.tolist()):
+            gammas[r].append(g)
+    return [np.array(g) for g in gammas]
 
 
 class TestCSchedule:
@@ -53,7 +60,7 @@ class TestCSchedule:
 class TestValidate:
     @pytest.mark.parametrize("method,kwargs", [
         ("sps_max", {"gamma_b": 0.0}),
-        ("sps_max", {"c_sps": -1.0}),
+        ("sps_max", {"c0": -1.0}),
         ("decsps", {"c0": 0.0}),
         ("decsps", {"c_schedule": "cubic"}),
         ("decsps_ns", {"gamma_ell": 0.0}),
@@ -76,34 +83,37 @@ class TestSpsMax:
         # component 0 of the two-quadratic problem at x=0: f=1, g=-2 so
         # gamma = 1/(1*4) = 0.25 and the step lands at 0.5
         obj = make_counterexample_1d()
-        cfg = StepperConfig(c_schedule="constant", c_sps=1.0,
-                            f_star_policy="exact")
+        cfg = StepperConfig(c_schedule="constant", c0=1.0, f_star_policy="exact")
         state = init_state(cfg, "sps_max", 1)
-        res = STEPPERS["sps_max"](cfg, state, obj, np.array([0]), np.array([0.0]))
-        assert res.gamma == pytest.approx(0.25)
-        assert res.x_next[0] == pytest.approx(0.5)
+        x_next, gamma, _ = step("sps_max", cfg, state, obj, [0], [0.0])
+        assert gamma == pytest.approx(0.25)
+        assert x_next[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("schedule,c3", [("constant", 2.0), ("sqrt", 4.0),
+                                             ("linear_half", 2.0)])
+    def test_divides_by_c_k(self, schedule, c3):
+        # the same step as above at k=3 is scaled by c_3 under every
+        # schedule, by c0 under the constant one
+        obj = make_counterexample_1d()
+        cfg = StepperConfig(c_schedule=schedule, c0=2.0, f_star_policy="exact")
+        state = replace(init_state(cfg, "sps_max", 1), k=3)
+        _, gamma, _ = step("sps_max", cfg, state, obj, [0], [0.0])
+        assert gamma == 0.25 / c3
 
     def test_cap_applies(self):
         obj = make_counterexample_1d()
         cfg = StepperConfig(gamma_b=0.1, c_schedule="constant",
                             f_star_policy="exact")
         state = init_state(cfg, "sps_max", 1)
-        res = STEPPERS["sps_max"](cfg, state, obj, np.array([0]), np.array([0.0]))
-        assert res.gamma == 0.1
-
-    def test_zero_gradient_raises(self):
-        obj = make_counterexample_1d()
-        cfg = StepperConfig(c_schedule="constant", f_star_policy="exact")
-        state = init_state(cfg, "sps_max", 1)
-        with pytest.raises(ZeroGradient):
-            STEPPERS["sps_max"](cfg, state, obj, np.array([0]), np.array([1.0]))
+        _, gamma, _ = step("sps_max", cfg, state, obj, [0], [0.0])
+        assert gamma == 0.1
 
     def test_gamma_never_exceeds_cap(self):
         obj = make_random_strongly_convex(stream(1), 3, 10)
         cfg = StepperConfig(gamma_b=0.7, c_schedule="constant",
                             lower_bound_policy="exact")
-        gammas, _, _ = drive(obj, "sps_max", cfg, stream(2).standard_normal(3), 300)
-        assert max(gammas) <= 0.7
+        gammas = drive(obj, "sps_max", cfg, stream(2).standard_normal(3), 300)
+        assert max(g.max() for g in gammas) <= 0.7
 
     def test_quadratic_polyak_step_is_half_curvature(self):
         # uncapped single-sample step on a 1-d quadratic is 1/(2a)
@@ -112,8 +122,8 @@ class TestSpsMax:
                             f_star_policy="exact")
         state = init_state(cfg, "sps_max", 1)
         for i, a in enumerate([2.0, 1.0]):
-            res = STEPPERS["sps_max"](cfg, state, obj, np.array([i]), np.array([5.0]))
-            assert res.gamma == pytest.approx(1.0 / (2.0 * a))
+            _, gamma, _ = step("sps_max", cfg, state, obj, [i], [5.0])
+            assert gamma == pytest.approx(1.0 / (2.0 * a))
 
 
 class TestDecSps:
@@ -121,56 +131,52 @@ class TestDecSps:
         obj = make_counterexample_1d()
         cfg = StepperConfig(c0=1.0, gamma_b=10.0, c_schedule="sqrt")
         state = init_state(cfg, "decsps", 1)
-        step = STEPPERS["decsps"]
-        r0 = step(cfg, state, obj, np.array([0]), np.array([0.0]))
-        assert r0.gamma == pytest.approx(0.25)  # min(1/4, 10) / sqrt(1)
-        assert r0.x_next[0] == pytest.approx(0.5)
-        r1 = step(cfg, r0.state, obj, np.array([0]), r0.x_next)
-        assert r1.gamma == pytest.approx(0.25 / math.sqrt(2.0))
+        x1, gamma0, state = step("decsps", cfg, state, obj, [0], [0.0])
+        assert gamma0 == pytest.approx(0.25)  # min(1/4, 10) / sqrt(1)
+        assert x1[0] == pytest.approx(0.5)
+        _, gamma1, _ = step("decsps", cfg, state, obj, [0], x1)
+        assert gamma1 == pytest.approx(0.25 / math.sqrt(2.0))
 
     def test_gamma_monotone_nonincreasing_exact(self):
         obj = make_random_strongly_convex(stream(3), 4, 12)
         cfg = StepperConfig()
-        gammas, _, _ = drive(obj, "decsps", cfg, stream(4).standard_normal(4), 2000, B=3)
-        g = np.array(gammas)
-        assert (np.diff(g) <= 0.0).all()  # exact, no tolerance
+        gammas = drive(obj, "decsps", cfg, stream(4).standard_normal(4), 2000, B=3)
+        assert all((np.diff(g) <= 0.0).all() for g in gammas)  # exact, no tolerance
 
     def test_sandwich_bounds(self):
         obj = make_random_strongly_convex(stream(5), 3, 8)
         info = obj.curvature()
         cfg = StepperConfig(c0=1.5, gamma_b=4.0)
-        gammas, _, _ = drive(obj, "decsps", cfg, stream(6).standard_normal(3), 1500)
-        for k, g in enumerate(gammas):
-            ck = cfg.c0 * math.sqrt(k + 1)
+        for g in drive(obj, "decsps", cfg, stream(6).standard_normal(3), 1500):
+            ck = cfg.c0 * np.sqrt(np.arange(1, len(g) + 1))
             upper = cfg.c0 * cfg.gamma_b / ck
-            lower = min(1.0 / (2.0 * ck * info.L_max), upper)
-            assert lower - 1e-12 <= g <= upper + 1e-15
+            lower = np.minimum(1.0 / (2.0 * ck * info.L_max), upper)
+            assert (lower - 1e-12 <= g).all()
+            assert (g <= upper + 1e-15).all()
 
     def test_first_ratio_clipped_by_c0_gamma_b(self):
         obj = make_counterexample_1d()
         cfg = StepperConfig(c0=1.0, gamma_b=0.01)
         state = init_state(cfg, "decsps", 1)
-        res = STEPPERS["decsps"](cfg, state, obj, np.array([0]), np.array([0.0]))
-        assert res.gamma == pytest.approx(0.01)
+        _, gamma, _ = step("decsps", cfg, state, obj, [0], [0.0])
+        assert gamma == pytest.approx(0.01)
+
+
+def _assert_in_floor_interval(gammas, cfg):
+    """c0 gamma_ell / c_k <= gamma_k <= c0 gamma_b / c_k at every step k of
+    every row."""
+    for g in gammas:
+        ck = np.array([c_value(cfg, k) for k in range(len(g))])
+        assert (cfg.c0 * cfg.gamma_ell / ck <= g).all()
+        assert (g <= cfg.c0 * cfg.gamma_b / ck).all()
 
 
 class TestDecSpsNs:
     def test_exact_interval(self):
         obj = ShiftedAbsoluteObjective(stream(7).standard_normal(30))
         cfg = StepperConfig(gamma_ell=0.05, gamma_b=2.0, c0=1.0)
-        rng = stream(8)
-        state = init_state(cfg, "decsps_ns", 1)
-        x = np.array([3.0])
-        step = STEPPERS["decsps_ns"]
-        for k in range(2000):
-            S = sample_batch(rng, obj.n, 1)
-            try:
-                res = step(cfg, state, obj, S, x)
-            except ZeroGradient:
-                continue
-            ck = c_value(cfg, state.k)
-            assert cfg.c0 * cfg.gamma_ell / ck <= res.gamma <= cfg.c0 * cfg.gamma_b / ck
-            x, state = res.x_next, res.state
+        gammas = drive(obj, "decsps_ns", cfg, [3.0], 2000, seeds=(8, 9, 10))
+        _assert_in_floor_interval(gammas, cfg)
 
     def test_floor_engages(self):
         # batch value ~0 near a shift: the raw ratio vanishes but gamma stays
@@ -178,8 +184,8 @@ class TestDecSpsNs:
         obj = ShiftedAbsoluteObjective(np.array([0.0, 10.0]))
         cfg = StepperConfig(gamma_ell=0.5, gamma_b=5.0, c0=1.0)
         state = init_state(cfg, "decsps_ns", 1)
-        res = STEPPERS["decsps_ns"](cfg, state, obj, np.array([0]), np.array([1e-12]))
-        assert res.gamma == pytest.approx(0.5)
+        _, gamma, _ = step("decsps_ns", cfg, state, obj, [0], [1e-12])
+        assert gamma == pytest.approx(0.5)
 
 
 class TestSgdAndAdaptive:
@@ -190,15 +196,16 @@ class TestSgdAndAdaptive:
     def test_sgd_constant(self):
         cfg = StepperConfig(eta=0.3)
         state = init_state(cfg, "sgd_constant", 3)
-        res = STEPPERS["sgd_constant"](cfg, state, self.obj, np.array([0]), self.x)
+        x_next, _, _ = step("sgd_constant", cfg, state, self.obj, [0], self.x)
         g = self.obj.batch_grad(np.array([0]), self.x)
-        np.testing.assert_allclose(res.x_next, self.x - 0.3 * g)
+        np.testing.assert_allclose(x_next, self.x - 0.3 * g)
 
     def test_sgd_decreasing_schedule(self):
         cfg = StepperConfig(eta=1.0)
-        gammas, _, _ = drive(self.obj, "sgd_decreasing", cfg, self.x, 9)
+        gammas = drive(self.obj, "sgd_decreasing", cfg, self.x, 9)
         expected = [1.0 / math.sqrt(k + 1) for k in range(9)]
-        np.testing.assert_allclose(gammas, expected)
+        for g in gammas:
+            np.testing.assert_allclose(g, expected)
 
     def test_adagrad_norm_accumulates(self):
         cfg = StepperConfig(eta=1.0, b0=0.1)
@@ -206,38 +213,39 @@ class TestSgdAndAdaptive:
         S = np.array([1])
         g = self.obj.batch_grad(S, self.x)
         g2 = float(np.dot(g, g))
-        res = STEPPERS["adagrad_norm"](cfg, state, self.obj, S, self.x)
-        assert res.gamma == pytest.approx(1.0 / math.sqrt(0.01 + g2))
-        assert res.state.accum == pytest.approx(0.01 + g2)
+        _, gamma, state = step("adagrad_norm", cfg, state, self.obj, S, self.x)
+        assert gamma == pytest.approx(1.0 / math.sqrt(0.01 + g2))
+        assert state.accum[0] == pytest.approx(0.01 + g2)
 
     def test_adagrad_gamma_nonincreasing(self):
         cfg = StepperConfig(eta=0.5)
-        gammas, _, _ = drive(self.obj, "adagrad_norm", cfg, self.x, 400)
-        assert (np.diff(gammas) <= 0).all()
+        gammas = drive(self.obj, "adagrad_norm", cfg, self.x, 400)
+        assert all((np.diff(g) <= 0).all() for g in gammas)
 
     def test_adam_first_step_normalizes(self):
         cfg = StepperConfig(eta=0.1, beta2=0.99, eps_adam=1e-8)
         state = init_state(cfg, "adam", 3)
         S = np.array([2])
         g = self.obj.batch_grad(S, self.x)
-        res = STEPPERS["adam"](cfg, state, self.obj, S, self.x)
+        x_next, _, _ = step("adam", cfg, state, self.obj, S, self.x)
         # bias-corrected vhat equals g^2 on the first step
-        np.testing.assert_allclose(
-            res.x_next, self.x - 0.1 * g / (np.abs(g) + 1e-8)
-        )
+        np.testing.assert_allclose(x_next, self.x - 0.1 * g / (np.abs(g) + 1e-8))
 
-    def test_amsgrad_vhat_monotone(self):
-        cfg = StepperConfig(eta=0.1)
-        state = init_state(cfg, "amsgrad", 3)
-        rng = stream(11)
-        x = self.x
-        prev = state.vhat.copy()
-        for _ in range(50):
-            S = sample_batch(rng, self.obj.n, 2)
-            res = STEPPERS["amsgrad"](cfg, state, self.obj, S, x)
-            assert (res.state.vhat >= prev).all()
-            prev = res.state.vhat.copy()
-            x, state = res.x_next, res.state
+    def test_amsgrad_vhat_monotone(self, monkeypatch):
+        # the engine looks its rules up when a pass starts, so a wrapper
+        # swapped into STEPPERS sees every state the rule returns
+        rule, vhats = STEPPERS["amsgrad"], []
+
+        def recording(*args):
+            X_next, gamma, state = rule(*args)
+            vhats.append(state.vhat.copy())
+            return X_next, gamma, state
+
+        monkeypatch.setitem(STEPPERS, "amsgrad", recording)
+        drive(self.obj, "amsgrad", StepperConfig(eta=0.1), self.x, 50, seeds=(11, 12, 13), B=2)
+        assert len(vhats) == 50
+        assert (np.diff(np.array(vhats), axis=0) >= 0).all()
+        assert (vhats[0] >= 0).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -249,11 +257,10 @@ class TestSgdAndAdaptive:
 def test_decsps_monotone_property(c0, gamma_b, seed):
     obj = make_counterexample_1d()
     cfg = StepperConfig(c0=c0, gamma_b=gamma_b)
-    gammas, _, _ = drive(obj, "decsps", cfg, np.array([2.0]), 200, seed=seed)
-    g = np.array(gammas)
-    assert (np.diff(g) <= 0.0).all()
-    # gamma_0 <= c0 gamma_b / c_0 with c_0 = c0 for the sqrt schedule
-    assert g[0] <= gamma_b
+    for g in drive(obj, "decsps", cfg, [2.0], 200, seeds=(seed, seed + 101, seed + 202)):
+        assert (np.diff(g) <= 0.0).all()
+        # gamma_0 <= c0 gamma_b / c_0 with c_0 = c0 for the sqrt schedule
+        assert g[0] <= gamma_b
 
 
 @settings(max_examples=30, deadline=None)
@@ -265,15 +272,5 @@ def test_decsps_monotone_property(c0, gamma_b, seed):
 def test_decsps_ns_interval_property(gamma_ell, gamma_b, seed):
     obj = ShiftedAbsoluteObjective(stream(seed).standard_normal(10))
     cfg = StepperConfig(gamma_ell=gamma_ell, gamma_b=gamma_b, c0=1.0)
-    rng = stream(seed + 1)
-    state = init_state(cfg, "decsps_ns", 1)
-    x = np.array([1.5])
-    for _ in range(100):
-        S = sample_batch(rng, obj.n, 1)
-        try:
-            res = STEPPERS["decsps_ns"](cfg, state, obj, S, x)
-        except ZeroGradient:
-            continue
-        ck = c_value(cfg, state.k)
-        assert gamma_ell / ck <= res.gamma <= gamma_b / ck
-        x, state = res.x_next, res.state
+    gammas = drive(obj, "decsps_ns", cfg, [1.5], 100, seeds=(seed + 1, seed + 102, seed + 203))
+    _assert_in_floor_interval(gammas, cfg)
