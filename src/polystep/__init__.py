@@ -54,7 +54,6 @@ from .oracles import (
 )
 from .runner import (
     ProblemSpec,
-    ResampleExhausted,
     RunConfig,
     SeedBatches,
     build_problem,
@@ -83,7 +82,6 @@ __all__ = [
     "ProblemSpec",
     "QuadraticObjective",
     "ReferenceSolution",
-    "ResampleExhausted",
     "RunConfig",
     "STEPPERS",
     "SeedBatches",

@@ -5,6 +5,9 @@ Subcommands:
   sweep      grid of runs varying one stepper hyperparameter
   reference  solve the full-batch problem and export x*, f* and ||grad f(x*)||
   verify     quick self-checks of the analytical oracles
+
+Exit codes: 0 success; 2 a bad config or input, before any work; 3 a run that
+recorded inf or nan, after writing every output.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -158,12 +162,24 @@ def _build_run_config(args) -> runner.RunConfig:
     )
 
 
+def _diverged(runs) -> int:
+    """3 after one stderr line naming the seeds of every (label, diagnostics)
+    pair that lists any, else 0."""
+    named = [f"{label} seeds {','.join(str(d['seed']) for d in diagnostics)}"
+             for label, diagnostics in runs if diagnostics]
+    if not named:
+        return 0
+    print(f"error: non-finite values recorded in {'; '.join(named)} "
+          "(see the manifest diagnostics)", file=sys.stderr)
+    return 3
+
+
 def _cmd_run(args) -> int:
     out = runner.run_experiment(_build_run_config(args))
     print(f"trace: {out.trace_path}")
     print(f"aggregate: {out.aggregate_path}")
     print(f"manifest: {out.manifest_path}")
-    return 0
+    return _diverged([(out.aggregate.label, out.diagnostics)])
 
 
 def _cmd_sweep(args) -> int:
@@ -183,7 +199,7 @@ def _cmd_sweep(args) -> int:
     for row in table:
         print(f"{row['label']:<45} {row['final_f_sub_avg_mean']:>18.6e} "
               f"{row['final_f_sub_avg_2std']:>12.3e}")
-    return 0
+    return _diverged([(row["label"], row["diagnostics"]) for row in table])
 
 
 def _cmd_reference(args) -> int:
@@ -196,8 +212,6 @@ def _cmd_reference(args) -> int:
         "x_star": ref.x_star.tolist(),
     }
     if args.out and args.out != "-":
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "reference.json")
         with open(path, "w") as fh:

@@ -53,14 +53,12 @@ class Trace:
     """The records of one run in columns, one row per seed (a grid pass keeps
     one row per (config, seed) and hands each config its ``slice``).
 
-    Row r belongs to ``seeds[r]`` and holds its records at ``ks[:counts[r]]``;
-    a seed that halts early keeps a shorter prefix. Iterating yields
-    ``IterationRecord`` rows seed by seed, in trace-file order.
+    Row r belongs to ``seeds[r]`` and holds its records at ``ks``. Iterating
+    yields ``IterationRecord`` rows seed by seed, in trace-file order.
     """
 
     seeds: tuple[int, ...]
     ks: np.ndarray  # (n_records,) the record schedule
-    counts: np.ndarray  # (R,) records kept per row
     f_sub: np.ndarray  # (R, n_records), and likewise the other metrics
     f_sub_avg_iterate: np.ndarray
     dist_sq: np.ndarray
@@ -69,28 +67,26 @@ class Trace:
     @classmethod
     def empty(cls, seeds, ks) -> "Trace":
         shape = (len(seeds), len(ks))
-        return cls(tuple(seeds), np.asarray(ks), np.zeros(len(seeds), dtype=int),
-                   *(np.full(shape, np.nan) for _ in METRICS))
+        return cls(tuple(seeds), np.asarray(ks), *(np.full(shape, np.nan) for _ in METRICS))
 
-    def record(self, rows: np.ndarray, j: int, *values: np.ndarray) -> None:
-        """Store record ``j`` (at k = ks[j]) of the given rows, one array per metric."""
+    def record(self, j: int, *values: np.ndarray) -> None:
+        """Store record ``j`` (at k = ks[j]) of every row, one array per metric."""
         for name, v in zip(METRICS, values):
-            getattr(self, name)[rows, j] = v
-        self.counts[rows] += 1
+            getattr(self, name)[:, j] = v
 
     def slice(self, start: int, stop: int) -> "Trace":
         """Rows start:stop, as views of these columns."""
-        return Trace(self.seeds[start:stop], self.ks, self.counts[start:stop],
+        return Trace(self.seeds[start:stop], self.ks,
                      *(getattr(self, name)[start:stop] for name in METRICS))
 
     def __len__(self) -> int:
-        return int(self.counts.sum())
+        return len(self.seeds) * len(self.ks)
 
     def __iter__(self):
         ks = self.ks.tolist()
         columns = [getattr(self, name).tolist() for name in METRICS]
-        for r, (seed, count) in enumerate(zip(self.seeds, self.counts.tolist())):
-            rows = zip(repeat(seed), ks[:count], *(c[r][:count] for c in columns))
+        for r, seed in enumerate(self.seeds):
+            rows = zip(repeat(seed), ks, *(c[r] for c in columns))
             yield from map(IterationRecord._make, rows)
 
 

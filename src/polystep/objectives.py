@@ -22,7 +22,7 @@ The batch loss is f_S(x) = (1/|S|) sum_{i in S} f_i(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,8 +56,6 @@ class CurvatureInfo:
 
     L_max: float
     mu_min: float
-    L_per_component: np.ndarray = field(repr=False, default=None)
-    mu_per_component: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -156,8 +154,7 @@ class LogisticObjective:
 
     def curvature(self) -> CurvatureInfo:
         L = np.einsum("ij,ij->i", self.features, self.features) / 4.0 + self.lam
-        mu = np.full(self.n, self.lam)
-        return CurvatureInfo(float(L.max()), float(mu.min()), L, mu)
+        return CurvatureInfo(float(L.max()), float(self.lam))
 
 
 @dataclass(frozen=True)
@@ -220,9 +217,7 @@ class QuadraticObjective:
 
     def curvature(self) -> CurvatureInfo:
         eigs = np.linalg.eigvalsh(self.curvatures)  # (n, d), ascending
-        return CurvatureInfo(
-            float(eigs[:, -1].max()), float(eigs[:, 0].min()), eigs[:, -1], eigs[:, 0]
-        )
+        return CurvatureInfo(float(eigs[:, -1].max()), float(eigs[:, 0].min()))
 
 
 @dataclass(frozen=True)
@@ -257,9 +252,6 @@ class ShiftedAbsoluteObjective:
         if len(S) == 1:
             return 0.0
         raise UnavailableExactMinimum("exact batch minimum only for B=1")
-
-
-FiniteSumObjective = LogisticObjective | QuadraticObjective | ShiftedAbsoluteObjective
 
 
 def lower_bound(
@@ -303,7 +295,10 @@ def solve_reference(obj, tol: float = 1e-10, max_iter: int = 1_000_000) -> Refer
 
     Quadratics use the direct linear solve; the logistic loss runs full-batch
     gradient descent with stepsize 1/L of the averaged objective; the 1-d
-    absolute sum takes the median of the shifts.
+    absolute sum takes the median of the shifts. Without regularization the
+    descent stops early, every 1000 iterations, if its x separates the data
+    (every margin term z_i < 0): the loss along t x then falls to 0 as t
+    grows, so no minimizer exists.
     """
     if not tol > 0:
         raise ConfigurationError(f"reference_tol must be > 0, got {tol}")
@@ -325,9 +320,15 @@ def solve_reference(obj, tol: float = 1e-10, max_iter: int = 1_000_000) -> Refer
     step = 1.0 / L
     g = obj.batch_grad(S, x)
     gn = float(np.linalg.norm(g))
-    for _ in range(max_iter):
+    for i in range(max_iter):
         if gn <= tol:
             break
+        if obj.lam == 0.0 and i % 1000 == 0:
+            z = obj._margin_sign() * obj.labels * (obj.features @ x)
+            if (z < 0.0).all():
+                raise SolverFailure("reference solver: the data are linearly separable, so "
+                                    "the unregularized logistic loss has no minimizer; "
+                                    "use lam > 0 (--lambda)", gn)
         x = x - step * g
         g = obj.batch_grad(S, x)
         gn = float(np.linalg.norm(g))

@@ -5,8 +5,8 @@ Every (config, seed) row of a grid advances in lockstep (``grid_lockstep``):
 the iterates form one (R, d) array and every step makes one batch draw, one
 evaluation and one record pass over all rows, then one rule call per
 config on its slice of rows. Each row draws from its own seed's stream, one
-x0 draw and then one batch draw per attempted batch, so a row's trace does
-not depend on which rows run beside it. ``run_experiment`` is the grid of one
+x0 draw and then one batch draw per step, so a row's trace does not depend
+on which rows run beside it. ``run_experiment`` is the grid of one
 config, ``lockstep`` the engine on one group of rows and ``iterate_run`` on
 one row.
 """
@@ -30,15 +30,6 @@ from .steppers import (
     init_state,
     validate,
 )
-
-
-class ResampleExhausted(RuntimeError):
-    """Every resampled batch at some iteration had a zero gradient."""
-
-    def __init__(self, k: int, attempts: int):
-        super().__init__(f"zero gradient persisted for {attempts} batches at step {k}")
-        self.k = k
-        self.attempts = attempts
 
 
 @dataclass(frozen=True)
@@ -87,6 +78,7 @@ class RunOutput:
     manifest_path: str
     aggregate: Aggregate
     records: Trace = field(repr=False)
+    diagnostics: list[dict]  # one entry per seed with a non-finite record
 
 
 DATASET_FORMATS = ("libsvm", "delimited")
@@ -128,9 +120,8 @@ class SeedBatches:
 
     For B=1, ``rng.integers(0, n, m)`` yields the same indices, and leaves
     the stream in the same state, as m successive ``sample_batch`` calls, so
-    single indices are drawn ahead in blocks of ``block`` per row, in
-    whatever order the rows ask for them. A B>1 batch is one ``sample_batch``
-    call on its row's stream.
+    single indices are drawn ahead in blocks of ``block`` per row. A B>1
+    batch is one ``sample_batch`` call on its row's stream.
     """
 
     def __init__(self, rngs, n: int, B: int, block: int = BLOCK):
@@ -138,21 +129,18 @@ class SeedBatches:
             raise ValueError(f"SeedBatches: need 1 <= B <= n, got B={B}, n={n}")
         self.rngs, self.n, self.B, self.block = list(rngs), n, B, block
         self._ahead = np.empty((len(self.rngs), block if B == 1 else 0), dtype=np.int64)
-        self._used = np.full(len(self.rngs), block)  # per row: indices consumed
+        self._used = block  # indices of the current block consumed, by every row
 
-    def draw(self, rows: np.ndarray) -> np.ndarray:
-        """The next batch of each of ``rows`` (distinct): an (len(rows), B) block."""
+    def draw(self) -> np.ndarray:
+        """The next batch of every row: an (R, B) block."""
         if self.B > 1:
-            S = np.empty((len(rows), self.B), dtype=np.int64)
-            for i, r in enumerate(rows):
-                S[i] = sample_batch(self.rngs[r], self.n, self.B)
-            return S
-        used = self._used[rows]
-        for r in rows[used == self.block]:
-            self._ahead[r] = self.rngs[r].integers(0, self.n, size=self.block)
-        used %= self.block
-        self._used[rows] = used + 1
-        return self._ahead[rows, used][:, None]
+            return np.stack([sample_batch(rng, self.n, self.B) for rng in self.rngs])
+        if self._used == self.block:
+            for r, rng in enumerate(self.rngs):
+                self._ahead[r] = rng.integers(0, self.n, size=self.block)
+            self._used = 0
+        self._used += 1
+        return self._ahead[:, [self._used - 1]]
 
 
 def grid_lockstep(obj, groups, X0, K, B, rngs):
@@ -161,58 +149,32 @@ def grid_lockstep(obj, groups, X0, K, B, rngs):
 
     ``groups`` lists ``(method, cfg, size)``: the rows of X0 split, in order,
     into consecutive groups that each follow one rule with one config. Every
-    step makes one batch draw and one evaluation over all live rows, then
-    one rule call per group on its row slice.
+    step makes one batch draw and one evaluation over all rows, then one
+    rule call per group on its row slice.
 
-    Yields ``(k, rows, X, gamma, halted)`` at every step: ``X`` holds the
-    pre-step iterates x_k of the live rows ``rows`` and ``gamma`` their
-    stepsizes gamma_k. A Polyak rule redraws the batch of each row whose
-    gradient is zero, up to n attempts in all, n the component count.
-    ``halted`` lists the rows that ran out at step k; they leave ``rows``
-    from step k on.
+    Yields ``(k, X, gamma)`` at every step: ``X`` holds the pre-step iterates
+    x_k of all rows and ``gamma`` their stepsizes gamma_k. A row whose batch
+    gradient is zero stays where it is: its Polyak ratio is +inf, so the
+    rule's cap binds, and ``X - gamma * 0`` is X.
     """
-    sizes = [size for _, _, size in groups]
-    bounds = np.cumsum([0] + sizes)  # group g holds rows bounds[g]:bounds[g+1]
+    bounds = np.cumsum([0] + [size for _, _, size in groups])  # group g: rows bounds[g]:bounds[g+1]
     # look the rules up when the pass starts, not at import, so that a caller
     # may swap entries of STEPPERS in place (e.g. to time or count them)
     rules = [(STEPPERS[method], cfg, batch_target(cfg, method, obj)) for method, cfg, _ in groups]
     states = [init_state(cfg, method, obj.d, rows=size) for method, cfg, size in groups]
-    polyak = np.repeat([target is not None for _, _, target in rules], sizes)
     batches = SeedBatches(rngs, obj.n, B, block=min(K, BLOCK))
-    rows = np.arange(len(X0))
-    edges = bounds  # group slices of the live rows
-    no_halts = rows[:0]
     X = X0
     for k in range(K):
-        S = batches.draw(rows)
+        S = batches.draw()
         F, G = obj.value_and_grad(S, X)
         g2 = np.vecdot(G, G)
-        halted = no_halts
-        zero = (g2 == 0.0) & polyak
-        attempts = 1
-        while zero.any():
-            if attempts == obj.n:
-                halted, keep = rows[zero], ~zero
-                states = [s.take(keep[a:b]) for s, a, b in zip(states, edges, edges[1:])]
-                rows, X, S, F, G, g2, polyak = (
-                    a[keep] for a in (rows, X, S, F, G, g2, polyak))
-                edges = np.searchsorted(rows, bounds)
-                break
-            redo = np.flatnonzero(zero)
-            S[redo] = batches.draw(rows[redo])
-            F[redo], G[redo] = obj.value_and_grad(S[redo], X[redo])
-            g2[redo] = np.vecdot(G[redo], G[redo])
-            zero[redo] = g2[redo] == 0.0
-            attempts += 1
         steps = []
-        for g, ((rule, cfg, target), a, b) in enumerate(zip(rules, edges, edges[1:])):
+        for g, ((rule, cfg, target), a, b) in enumerate(zip(rules, bounds, bounds[1:])):
             m = None if target is None else target(S[a:b])
             X_g, gamma_g, states[g] = rule(cfg, states[g], X[a:b], F[a:b], G[a:b], g2[a:b], m)
             steps.append((X_g, gamma_g))
         X_next, gamma = steps[0] if len(steps) == 1 else map(np.concatenate, zip(*steps))
-        yield k, rows, X, gamma, halted
-        if not rows.size:
-            return
+        yield k, X, gamma
         X = X_next
 
 
@@ -222,15 +184,8 @@ def lockstep(obj, method, cfg, X0, K, B, rngs):
 
 
 def iterate_run(obj, method, cfg, x0, K, B, rng):
-    """Drive one run; yields (k, x_k, gamma_k) with x_k the pre-step iterate.
-
-    This is ``lockstep`` on one row. A zero-gradient batch is resampled up
-    to n times, n the component count; exhaustion raises ResampleExhausted.
-    """
-    X0 = np.asarray(x0)[None]
-    for k, _, X, gamma, halted in lockstep(obj, method, cfg, X0, K, B, [rng]):
-        if halted.size:
-            raise ResampleExhausted(k, obj.n)
+    """``lockstep`` on one row: yields (k, x_k, gamma_k) with x_k the pre-step iterate."""
+    for k, X, gamma in lockstep(obj, method, cfg, np.asarray(x0)[None], K, B, [rng]):
         yield k, X[0], float(gamma[0])
 
 
@@ -265,11 +220,11 @@ def _label(cfg: RunConfig) -> str:
     return cfg.label or f"{cfg.problem.name}_{cfg.optimizer}"
 
 
-def _run_pass(obj, reference, cfgs: list[RunConfig]) -> list[tuple[Trace, list[dict]]]:
+def _run_pass(obj, reference, cfgs: list[RunConfig]) -> list[Trace]:
     """Advance every (config, seed) row of ``cfgs``, which share B, K and
     record_every, in one ``grid_lockstep``: config c's seeds form one group
     of rows with its own rule, stepper config and fresh ``stream(seed)``
-    generators. Returns each config's records and halted seeds."""
+    generators. Returns each config's records."""
     first = cfgs[0]
     x_star = reference.x_star
     f_sub = objectives.suboptimality(obj, reference)
@@ -283,30 +238,31 @@ def _run_pass(obj, reference, cfgs: list[RunConfig]) -> list[tuple[Trace, list[d
     records = Trace.empty(seeds, ks)
     record_at = ks.tolist()
     xbar_sum = np.zeros_like(X0)
-    halts = []
     j = 0  # next record
-    for k, rows, X, gamma, halted in grid_lockstep(obj, groups, X0, first.K, first.B, rngs):
-        if halted.size:
-            halts += [(r, k) for r in halted.tolist()]
-        xbar_sum[rows] += X
+    for k, X, gamma in grid_lockstep(obj, groups, X0, first.K, first.B, rngs):
+        xbar_sum += X
         if k == record_at[j]:
             E = X - x_star
-            records.record(rows, j, f_sub(X), f_sub(xbar_sum[rows] / (k + 1)),
-                           np.vecdot(E, E), gamma)
+            records.record(j, f_sub(X), f_sub(xbar_sum / (k + 1)), np.vecdot(E, E), gamma)
             j += 1
-    out, start = [], 0
-    for c in cfgs:
-        stop = start + len(c.seeds)
-        diagnostics = [
-            {"seed": seeds[r], "halted_at": k, "reason": str(ResampleExhausted(k, obj.n))}
-            for r, k in sorted(halts) if start <= r < stop
-        ]
-        out.append((records.slice(start, stop), diagnostics))
-        start = stop
+    stops = np.cumsum([len(c.seeds) for c in cfgs])
+    return [records.slice(stop - len(c.seeds), stop) for c, stop in zip(cfgs, stops)]
+
+
+def _diagnostics(records: Trace) -> list[dict]:
+    """One entry per seed whose records hold an inf or a nan, at the first
+    recorded k where one shows."""
+    bad = ~np.isfinite(np.stack([getattr(records, m) for m in _METRICS]))  # (metric, row, j)
+    out = []
+    for r in np.flatnonzero(bad.any(axis=(0, 2))):
+        j = int(bad[:, r].any(axis=0).argmax())
+        names = [m for m, b in zip(_METRICS, bad[:, r, j]) if b]
+        out.append({"seed": records.seeds[r], "k": int(records.ks[j]),
+                    "reason": f"non-finite {', '.join(names)}"})
     return out
 
 
-def _write_run(cfg: RunConfig, obj, reference, records: Trace, diagnostics) -> RunOutput:
+def _write_run(cfg: RunConfig, obj, reference, records: Trace) -> RunOutput:
     """Write one config's trace, aggregate and manifest."""
     label = _label(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -318,6 +274,7 @@ def _write_run(cfg: RunConfig, obj, reference, records: Trace, diagnostics) -> R
     agg_path = os.path.join(cfg.out_dir, f"{label}_agg.csv")
     write_aggregate(agg, agg_path)
 
+    diagnostics = _diagnostics(records)
     manifest_path = os.path.join(cfg.out_dir, f"{label}_manifest.json")
     with open(manifest_path, "w") as fh:
         json.dump({
@@ -329,14 +286,15 @@ def _write_run(cfg: RunConfig, obj, reference, records: Trace, diagnostics) -> R
             "reference_tol": reference.tol,
             "diagnostics": diagnostics,
         }, fh, indent=2)
-    return RunOutput(trace_path, agg_path, manifest_path, agg, records)
+    return RunOutput(trace_path, agg_path, manifest_path, agg, records, diagnostics)
 
 
 def _run_grid(cfgs: list[RunConfig], obj, reference=None) -> list[RunOutput]:
     """Check every config, solve the reference unless given, then run the
     configs, which share K, in one engine pass per distinct (B, record_every)
     and write each config's outputs. Returns the outputs in the order of
-    ``cfgs``."""
+    ``cfgs``. A diverging row records inf or nan, without a floating-point
+    warning, and its config's ``diagnostics`` name it."""
     for c in cfgs:
         _check_config(c, obj)
     if reference is None:
@@ -345,10 +303,11 @@ def _run_grid(cfgs: list[RunConfig], obj, reference=None) -> list[RunOutput]:
     for i, c in enumerate(cfgs):
         passes.setdefault((c.B, c.record_every), []).append(i)
     outs = [None] * len(cfgs)
-    for members in passes.values():
-        group = [cfgs[i] for i in members]
-        for i, c, result in zip(members, group, _run_pass(obj, reference, group)):
-            outs[i] = _write_run(c, obj, reference, *result)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for members in passes.values():
+            group = [cfgs[i] for i in members]
+            for i, c, records in zip(members, group, _run_pass(obj, reference, group)):
+                outs[i] = _write_run(c, obj, reference, records)
     return outs
 
 
@@ -363,20 +322,10 @@ _METRICS = data_io.METRICS
 
 
 def aggregate_records(records: Trace, label: str) -> Aggregate:
-    """Per-k mean and std across seeds; only ks reached by every seed. A seed
-    without records is left out."""
-    rows = np.flatnonzero(records.counts > 0)
-    if not rows.size:
-        return Aggregate(label, np.array([], dtype=int),
-                         {m: np.array([]) for m in _METRICS},
-                         {m: np.array([]) for m in _METRICS})
-    reached = int(records.counts[rows].min())
-    mean, std = {}, {}
-    for m in _METRICS:
-        table = getattr(records, m)[rows, :reached]
-        mean[m] = table.mean(axis=0)
-        std[m] = table.std(axis=0)
-    return Aggregate(label, records.ks[:reached], mean, std)
+    """Per-k mean and std across seeds."""
+    return Aggregate(label, records.ks,
+                     {m: getattr(records, m).mean(axis=0) for m in _METRICS},
+                     {m: getattr(records, m).std(axis=0) for m in _METRICS})
 
 
 _AGG_ROW = "%d" + ",%.17g" * (2 * len(_METRICS)) + "\n"
@@ -397,9 +346,10 @@ def write_aggregate(agg: Aggregate, path: str) -> None:
 def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
     """Run aligned configs (shared problem, seeds, K and reference tolerance)
     and return a summary table of final suboptimality mean +- 2 std, one row
-    per config. Every (config, seed) row advances in one engine pass per
-    distinct (B, record_every); each config's outputs are those of its solo
-    ``run_experiment``. Two configs may not share an out_dir and a label."""
+    per config, with its manifest diagnostics. Every (config, seed) row
+    advances in one engine pass per distinct (B, record_every); each config's
+    outputs are those of its solo ``run_experiment``. Two configs may not
+    share an out_dir and a label."""
     if not cfgs:
         return []
     first = cfgs[0]
@@ -431,6 +381,7 @@ def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
             "final_f_sub_avg_mean": float(agg.mean["f_sub_avg_iterate"][final]),
             "final_f_sub_avg_2std": 2.0 * float(agg.std["f_sub_avg_iterate"][final]),
             "trace": out.trace_path,
+            "diagnostics": out.diagnostics,
         })
     table.sort(key=lambda row: row["final_f_sub_avg_mean"])
     summary_path = os.path.join(first.out_dir, "sweep_summary.csv")

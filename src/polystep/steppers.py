@@ -4,9 +4,9 @@ Every rule is written once over R rows that advance together: iterates X of
 shape (R, d), batch values F (R,), gradients G (R, d), squared gradient norms
 g2 (R,), and a state whose scalars are (R,) arrays (``k`` is shared). A rule
 ``STEPPERS[method](cfg, state, X, F, G, g2, m) -> (X_next, gamma, state)``
-gets m, the Polyak target of each row's batch, from ``batch_target``. Polyak
-rules never divide by a zero gradient norm: the caller resamples that row's
-batch.
+gets m, the Polyak target of each row's batch, from ``batch_target``. Where a
+row's gradient is zero, its Polyak ratio takes its limit +inf, so the cap
+binds and the row stays where it is (as in ``oracles.simulate_polyak_1d``).
 
 Implemented rules:
 
@@ -76,13 +76,6 @@ class StepperState:
     # Init-only and discarded: scaled_prev carries c_{k-1} gamma_{k-1}.
     # benchmarks/roadmap_check.py still passes c_prev when it times replace().
     c_prev: InitVar[float] = 0.0
-
-    def take(self, rows: np.ndarray) -> "StepperState":
-        """The state of the selected rows."""
-        return replace(self, **{
-            name: value[rows] for name, value in vars(self).items()
-            if isinstance(value, np.ndarray)
-        })
 
 
 POLYAK = ("sps_max", "decsps", "decsps_ns")
@@ -161,6 +154,12 @@ def _larger(a, b):
     return np.where(b > a, b, a)
 
 
+def _ratio(num, den):
+    """num / den per row, and +inf where den is zero: the limit of a Polyak
+    ratio as the gradient norm goes to zero, which the rule's cap then clips."""
+    return np.divide(num, den, out=np.full(len(den), np.inf), where=den != 0)
+
+
 def _advance(state, gamma, **fields):
     return replace(state, k=state.k + 1, gamma_prev=gamma, **fields)
 
@@ -171,12 +170,12 @@ def _descend(X, G, gamma, state, **fields):
 
 
 def _sps_max(cfg, state, X, F, G, g2, m):
-    gamma = _smaller((F - m) / (c_value(cfg, state.k) * g2), cfg.gamma_b)
+    gamma = _smaller(_ratio(F - m, c_value(cfg, state.k) * g2), cfg.gamma_b)
     return _descend(X, G, gamma, state)
 
 
 def _decsps(cfg, state, X, F, G, g2, m, floored=False):
-    ratio = (F - m) / g2
+    ratio = _ratio(F - m, g2)
     if floored:
         ratio = _larger(cfg.c0 * cfg.gamma_ell, ratio)
     scaled = _smaller(ratio, state.scaled_prev)

@@ -65,8 +65,7 @@ def test_criterion_01_decsps_stepsize_sandwich():
         # all seeds of a problem in lockstep: gammas[k, r] is seed r's gamma_k
         rngs, X0 = _seed_rows(obj, range(n_seeds), p_idx + 1)
         gammas = []
-        for k, _, _, gamma, halted in lockstep(obj, "decsps", cfg, X0, K, 1, rngs):
-            assert not halted.size
+        for k, _, gamma in lockstep(obj, "decsps", cfg, X0, K, 1, rngs):
             ck = c_value(cfg, k)
             upper = cfg.c0 * cfg.gamma_b / ck
             lower = min(1.0 / (2.0 * ck * L_max), upper)
@@ -214,8 +213,7 @@ def test_criterion_09_neighborhood_ordering():
         # tails[r] holds seed r's recorded f(x_k) - f*, all seeds in lockstep
         rngs, X0 = _seed_rows(obj, range(n_seeds), 9)
         tails = [[] for _ in range(n_seeds)]
-        for k, _, X, _, halted in lockstep(obj, "sps_max", cfg, X0, K, 1, rngs):
-            assert not halted.size
+        for k, X, _ in lockstep(obj, "sps_max", cfg, X0, K, 1, rngs):
             if k % record_every == 0 and k >= 0.9 * K:
                 for tail, x in zip(tails, X):
                     tail.append(full_value(obj, x) - ref.f_star)
@@ -240,8 +238,7 @@ def test_criterion_10_decsps_sublinear_rate():
     curves = {k: [] for k in checkpoints}
     rngs, X0 = _seed_rows(obj, range(5), 10)
     xbar_sum = np.zeros_like(X0)
-    for k, _, X, _, halted in lockstep(obj, "decsps", cfg, X0, K, 20, rngs):
-        assert not halted.size
+    for k, X, _ in lockstep(obj, "decsps", cfg, X0, K, 20, rngs):
         xbar_sum += X
         if k + 1 in curves:
             curves[k + 1] += [full_value(obj, xbar) - ref.f_star
@@ -265,8 +262,7 @@ def test_criterion_11_bounded_iterates():
     bounds = np.array([d_max_bound(info, x0, ref.x_star, cfg.gamma_b, cfg.c0,
                                    stats.sigma2_hat_B_max) for x0 in X0])
     worst_ratio = 0.0
-    for _, _, X, _, halted in lockstep(obj, "decsps", cfg, X0, 10_000, 1, rngs):
-        assert not halted.size
+    for _, X, _ in lockstep(obj, "decsps", cfg, X0, 10_000, 1, rngs):
         E = X - ref.x_star
         worst_ratio = max(worst_ratio, float(np.max(np.vecdot(E, E) / bounds)))
     ok = worst_ratio <= 1.0

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -195,6 +196,48 @@ class TestRun:
         assert capsys.readouterr().err == "error: c0 must be positive\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_exits_3_after_writing_every_output(self, tmp_path, capsys):
+        # eta=100 overflows on fig1: the outputs are written without a
+        # floating-point warning, then one line names the label and seeds
+        out = tmp_path / "out"
+        rc = run_cli("run", "--problem", "fig1", "--n", "10", "--d", "3",
+                     "--optimizer", "sgd_constant", "--eta", "100", "--iters", "200",
+                     "--seeds", "2", "--out", str(out))
+        assert rc == 3
+        assert capsys.readouterr().err == ("error: non-finite values recorded in "
+                                           "fig1_sgd_constant seeds 0,1 "
+                                           "(see the manifest diagnostics)\n")
+        assert len((out / "fig1_sgd_constant.csv").read_text().splitlines()) == 401
+        assert len((out / "fig1_sgd_constant_agg.csv").read_text().splitlines()) == 201
+        manifest = json.loads((out / "fig1_sgd_constant_manifest.json").read_text())
+        assert [d["seed"] for d in manifest["diagnostics"]] == [0, 1]
+
+    def test_separable_unregularized_dataset_fails_fast(self, tmp_path, capsys):
+        # no minimizer exists: the reference solve stops at its first
+        # separation check instead of running a million iterations
+        data = tmp_path / "sep.svm"
+        data.write_text("1 1:1 2:0.5\n-1 1:-1 2:0.3\n1 1:0.8 2:-0.2\n-1 1:-0.6 2:-0.9\n")
+        t0 = time.perf_counter()
+        rc = run_cli("run", "--problem", "dataset", "--dataset", str(data), "--iters", "5",
+                     "--seeds", "1", "--out", str(tmp_path / "out"))
+        assert time.perf_counter() - t0 < 2.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "linearly separable" in err and "--lambda" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_landing_on_a_component_minimiser_is_no_failure(self, tmp_path, capsys):
+        # gamma_0 = 0.25 / 0.5 lands some seeds exactly on x = 1, where one
+        # component has a zero gradient: they stay there and keep recording
+        rc = run_cli("run", "--problem", "counterexample", "--optimizer", "decsps",
+                     "--c0", "0.5", "--iters", "200", "--seeds", "20", "--out", str(tmp_path))
+        assert rc == 0 and capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "counterexample_decsps_manifest.json").read_text())
+        assert manifest["diagnostics"] == []
+        agg = (tmp_path / "counterexample_decsps_agg.csv").read_text().splitlines()
+        assert len(agg) == 201
+
     def test_unsound_lower_bound_exits_2(self, tmp_path, capsys):
         rc = run_cli("run", "--problem", "fig1", "--n", "10", "--d", "3",
                      "--f-floor", "-1", "--iters", "5", "--out", str(tmp_path))
@@ -225,6 +268,17 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'fig1_decsps_c0_1'" in err
         assert not (tmp_path / "out").exists()
+
+    def test_divergence_exits_3_naming_each_label(self, tmp_path, capsys):
+        rc = run_cli("sweep", "--problem", "fig1", "--n", "10", "--d", "3",
+                     "--optimizer", "sgd_constant", "--sweep-param", "eta",
+                     "--sweep-values", "0.01,100", "--iters", "200", "--seeds", "2",
+                     "--out", str(tmp_path))
+        assert rc == 3
+        assert capsys.readouterr().err == ("error: non-finite values recorded in "
+                                           "fig1_sgd_constant_eta_100 seeds 0,1 "
+                                           "(see the manifest diagnostics)\n")
+        assert len((tmp_path / "sweep_summary.csv").read_text().splitlines()) == 3
 
     def test_non_numeric_value_exits_2(self, tmp_path, capsys):
         rc = run_cli("sweep", "--problem", "counterexample", "--iters", "3",

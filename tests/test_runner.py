@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from polystep.data_io import Trace, read_trace
 from polystep.objectives import ShiftedAbsoluteObjective, make_counterexample_1d
 from polystep.runner import (
     ProblemSpec,
-    ResampleExhausted,
     RunConfig,
     aggregate_records,
     build_problem,
@@ -18,7 +18,7 @@ from polystep.runner import (
     iterate_run,
     run_experiment,
 )
-from polystep.steppers import ConfigurationError, StepperConfig
+from polystep.steppers import ConfigurationError, StepperConfig, c_value
 
 
 def counterexample_cfg(tmp_path, **kwargs):
@@ -77,12 +77,16 @@ class TestIterateRun:
         k, x, gamma = next(it)
         assert k == 0 and np.array_equal(x, x0) and gamma > 0
 
-    def test_resample_exhaustion(self):
-        # both shifts equal: at the common kink every subgradient is zero
+    def test_common_kink_leaves_x_unchanged(self):
+        # both shifts equal: at the common kink every subgradient is zero, so
+        # every step keeps x, with the carried clip as its stepsize
         obj = ShiftedAbsoluteObjective(np.array([1.0, 1.0]))
-        it = iterate_run(obj, "decsps_ns", StepperConfig(), np.array([1.0]), 5, 1, stream(1))
-        with pytest.raises(ResampleExhausted):
-            list(it)
+        cfg = StepperConfig()
+        steps = list(iterate_run(obj, "decsps_ns", cfg, np.array([1.0]), 5, 1, stream(1)))
+        assert [k for k, _, _ in steps] == list(range(5))
+        assert all(x.tolist() == [1.0] for _, x, _ in steps)
+        assert [g for _, _, g in steps] == [cfg.c0 * cfg.gamma_b / c_value(cfg, k)
+                                            for k in range(5)]
 
     def test_seed_determinism(self):
         obj = make_counterexample_1d()
@@ -125,6 +129,24 @@ class TestRunExperiment:
         agg = out.aggregate
         assert agg.mean["f_sub"][-1] < agg.mean["f_sub"][0]
         assert agg.mean["f_sub"][-1] < 0.05
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_is_reported_not_raised(self, tmp_path):
+        # eta=100 overflows on fig1: the run completes without a
+        # floating-point warning, and each seed is listed at its first
+        # recorded k with an inf or a nan
+        cfg = RunConfig(problem=ProblemSpec("fig1", n=10, d=3), optimizer="sgd_constant",
+                        stepper=StepperConfig(eta=100.0), K=200, seeds=(0, 1),
+                        out_dir=str(tmp_path))
+        out = run_experiment(cfg)
+        manifest = json.loads(Path(out.manifest_path).read_text())
+        assert manifest["diagnostics"] == out.diagnostics
+        assert [d["seed"] for d in out.diagnostics] == [0, 1]
+        for d in out.diagnostics:
+            bad = [r for r in out.records if r.seed == d["seed"]
+                   and not np.isfinite(r[2:]).all()]
+            assert d["k"] == bad[0].k and d["reason"].startswith("non-finite ")
+        assert run_experiment(counterexample_cfg(tmp_path)).diagnostics == []
 
     def test_batch_too_large(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -180,9 +202,8 @@ def columnar(seeds, ks, rows):
     """A Trace holding, for row r, the records (f_sub, f_sub_avg, dist_sq,
     gamma) listed in rows[r] at ks[0], ks[1], ..."""
     trace = Trace.empty(seeds, ks)
-    for r, recs in enumerate(rows):
-        for j, values in enumerate(recs):
-            trace.record(np.array([r]), j, *values)
+    for j in range(len(ks)):
+        trace.record(j, *np.array([recs[j] for recs in rows]).T)
     return trace
 
 
@@ -194,14 +215,13 @@ class TestAggregate:
         assert agg.mean["f_sub"][0] == 2.0
         assert agg.std["f_sub"][0] == 1.0
 
-    def test_intersection_of_ks(self):
-        recs = columnar((0, 1), [0, 1], [[(1.0, 1.0, 1.0, 0.5)] * 2, [(3.0, 3.0, 3.0, 0.5)]])
+    def test_one_entry_per_recorded_k(self):
+        recs = columnar((0, 1), [0, 5], [[(1.0, 1.0, 1.0, 0.5), (2.0, 1.0, 1.0, 0.5)],
+                                         [(3.0, 3.0, 3.0, 0.5), (6.0, 3.0, 3.0, 0.5)]])
         agg = aggregate_records(recs, "t")
-        assert agg.ks.tolist() == [0]
-
-    def test_empty(self):
-        agg = aggregate_records(Trace.empty((0, 1), [0, 1]), "t")
-        assert agg.ks.size == 0
+        assert agg.ks.tolist() == [0, 5]
+        assert agg.mean["f_sub"].tolist() == [2.0, 4.0]
+        assert agg.std["f_sub"].tolist() == [1.0, 2.0]
 
 
 class TestCompareGrid:

@@ -16,6 +16,7 @@ from polystep.runner import lockstep
 from polystep.steppers import (
     STEPPERS,
     ConfigurationError,
+    F_STAR_POLICIES,
     StepperConfig,
     batch_target,
     c_value,
@@ -37,14 +38,10 @@ def step(method, cfg, state, obj, S, x):
 
 def drive(obj, method, cfg, x0, K, seeds=(0, 1, 2), B=1):
     """K lockstep steps with one row per seed, every row from x0. Returns
-    each row's stepsizes gamma_0, gamma_1, ... as an array, cut short where
-    the row halted (every redrawn batch had a zero gradient)."""
+    each row's stepsizes gamma_0, ..., gamma_{K-1} as an array."""
     X0 = np.tile(np.asarray(x0, dtype=np.float64), (len(seeds), 1))
-    gammas = [[] for _ in seeds]
-    for _, rows, _, gamma, _ in lockstep(obj, method, cfg, X0, K, B, map(stream, seeds)):
-        for r, g in zip(rows.tolist(), gamma.tolist()):
-            gammas[r].append(g)
-    return [np.array(g) for g in gammas]
+    gammas = [gamma for _, _, gamma in lockstep(obj, method, cfg, X0, K, B, map(stream, seeds))]
+    return list(np.array(gammas).T)
 
 
 class TestCSchedule:
@@ -186,6 +183,39 @@ class TestDecSpsNs:
         state = init_state(cfg, "decsps_ns", 1)
         _, gamma, _ = step("decsps_ns", cfg, state, obj, [0], [1e-12])
         assert gamma == pytest.approx(0.5)
+
+
+@pytest.mark.filterwarnings("error")
+class TestZeroGradient:
+    """At a zero batch gradient the Polyak ratio takes its limit +inf,
+    without a division warning: the rule's cap sets gamma and x stays put.
+    Each batch here is one component at its minimiser (or kink), where the
+    numerator is 0 too."""
+
+    def test_sps_max_takes_gamma_b(self):
+        obj = make_counterexample_1d()  # component 0 is minimised at x = 1
+        for policy in F_STAR_POLICIES:
+            cfg = StepperConfig(gamma_b=3.0, f_star_policy=policy)
+            state = replace(init_state(cfg, "sps_max", 1), k=5)
+            x_next, gamma, state = step("sps_max", cfg, state, obj, [0], [1.0])
+            assert (x_next.tolist(), gamma, state.k) == ([1.0], 3.0, 6)
+
+    def test_decsps_carries_the_clip(self):
+        obj = make_counterexample_1d()
+        cfg = StepperConfig(c0=2.0)
+        state = replace(init_state(cfg, "decsps", 1), k=3, scaled_prev=np.array([0.3]))
+        x_next, gamma, state = step("decsps", cfg, state, obj, [1], [-1.0])
+        assert x_next.tolist() == [-1.0]
+        assert gamma == 0.3 / c_value(cfg, 3) == 0.3 / 4.0
+        assert state.scaled_prev.tolist() == [0.3]
+
+    def test_decsps_ns_carries_the_clip_over_the_floor(self):
+        obj = ShiftedAbsoluteObjective(np.array([1.0, 1.0]))  # common kink at 1
+        cfg = StepperConfig(gamma_ell=0.5, gamma_b=5.0)
+        state = init_state(cfg, "decsps_ns", 1)
+        x_next, gamma, state = step("decsps_ns", cfg, state, obj, [0], [1.0])
+        assert (x_next.tolist(), gamma) == ([1.0], 5.0)  # c0 gamma_b / c_0
+        assert state.scaled_prev.tolist() == [5.0]
 
 
 class TestSgdAndAdaptive:
