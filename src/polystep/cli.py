@@ -162,7 +162,7 @@ def _build_run_config(args) -> runner.RunConfig:
     )
 
 
-def _diverged(runs) -> int:
+def _report_divergence(runs) -> int:
     """3 after one stderr line naming the seeds of every (label, diagnostics)
     pair that lists any, else 0."""
     named = [f"{label} seeds {','.join(str(d['seed']) for d in diagnostics)}"
@@ -179,7 +179,7 @@ def _cmd_run(args) -> int:
     print(f"trace: {out.trace_path}")
     print(f"aggregate: {out.aggregate_path}")
     print(f"manifest: {out.manifest_path}")
-    return _diverged([(out.aggregate.label, out.diagnostics)])
+    return _report_divergence([(out.aggregate.label, out.diagnostics)])
 
 
 def _cmd_sweep(args) -> int:
@@ -199,7 +199,7 @@ def _cmd_sweep(args) -> int:
     for row in table:
         print(f"{row['label']:<45} {row['final_f_sub_avg_mean']:>18.6e} "
               f"{row['final_f_sub_avg_2std']:>12.3e}")
-    return _diverged([(row["label"], row["diagnostics"]) for row in table])
+    return _report_divergence([(row["label"], row["diagnostics"]) for row in table])
 
 
 def _cmd_reference(args) -> int:
