@@ -7,7 +7,7 @@ Subcommands:
   verify     quick self-checks of the analytical oracles
 
 Exit codes: 0 success; 2 a bad config or input, before any work; 3 a run that
-recorded inf or nan, after writing every output.
+recorded inf or nan or took a negative stepsize, after writing every output.
 """
 
 from __future__ import annotations
@@ -163,14 +163,20 @@ def _build_run_config(args) -> runner.RunConfig:
 
 
 def _report_divergence(runs) -> int:
-    """3 after one stderr line naming the seeds of every (label, diagnostics)
-    pair that lists any, else 0."""
-    named = [f"{label} seeds {','.join(str(d['seed']) for d in diagnostics)}"
-             for label, diagnostics in runs if diagnostics]
-    if not named:
+    """3 after one stderr line naming, for each kind of entry, the label and
+    seeds of every (label, diagnostics) pair that lists one, else 0."""
+    kinds: dict[str, dict[str, list]] = {}  # headline -> label -> seeds
+    for label, diagnostics in runs:
+        for d in diagnostics:
+            head = ("negative stepsizes taken" if d["reason"] == runner.NEGATIVE_STEPSIZE
+                    else "non-finite values recorded")
+            kinds.setdefault(head, {}).setdefault(label, []).append(d["seed"])
+    if not kinds:
         return 0
-    print(f"error: non-finite values recorded in {'; '.join(named)} "
-          "(see the manifest diagnostics)", file=sys.stderr)
+    named = [f"{head} in " + "; ".join(f"{label} seeds {','.join(map(str, seeds))}"
+                                       for label, seeds in labels.items())
+             for head, labels in kinds.items()]
+    print(f"error: {'; '.join(named)} (see the manifest diagnostics)", file=sys.stderr)
     return 3
 
 

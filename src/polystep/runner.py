@@ -78,7 +78,7 @@ class RunOutput:
     manifest_path: str
     aggregate: Aggregate
     records: Trace = field(repr=False)
-    diagnostics: list[dict]  # one entry per seed with a non-finite record
+    diagnostics: list[dict]  # per seed, a non-finite record and a negative stepsize
 
 
 DATASET_FORMATS = ("libsvm", "delimited")
@@ -220,11 +220,11 @@ def _label(cfg: RunConfig) -> str:
     return cfg.label or f"{cfg.problem.name}_{cfg.optimizer}"
 
 
-def _run_pass(obj, reference, cfgs: list[RunConfig]) -> list[Trace]:
+def _run_pass(obj, reference, cfgs: list[RunConfig]) -> list[tuple[Trace, list[dict]]]:
     """Advance every (config, seed) row of ``cfgs``, which share B, K and
     record_every, in one ``grid_lockstep``: config c's seeds form one group
     of rows with its own rule, stepper config and fresh ``stream(seed)``
-    generators. Returns each config's records."""
+    generators. Returns each config's records and diagnostics."""
     first = cfgs[0]
     x_star = reference.x_star
     f_sub = objectives.suboptimality(obj, reference)
@@ -238,31 +238,49 @@ def _run_pass(obj, reference, cfgs: list[RunConfig]) -> list[Trace]:
     records = Trace.empty(seeds, ks)
     record_at = ks.tolist()
     xbar_sum = np.zeros_like(X0)
+    first_negative = np.full(len(seeds), -1)  # per row, the first k with gamma_k < 0
     j = 0  # next record
     for k, X, gamma in grid_lockstep(obj, groups, X0, first.K, first.B, rngs):
         xbar_sum += X
+        # at every step, as a row may step back to gamma >= 0; fmin skips a nan
+        if np.fmin.reduce(gamma) < 0:
+            first_negative[(gamma < 0) & (first_negative < 0)] = k
         if k == record_at[j]:
             E = X - x_star
             records.record(j, f_sub(X), f_sub(xbar_sum / (k + 1)), np.vecdot(E, E), gamma)
             j += 1
-    stops = np.cumsum([len(c.seeds) for c in cfgs])
-    return [records.slice(stop - len(c.seeds), stop) for c, stop in zip(cfgs, stops)]
+    results = []
+    for c, stop in zip(cfgs, np.cumsum([len(c.seeds) for c in cfgs])):
+        start = stop - len(c.seeds)
+        trace = records.slice(start, stop)
+        results.append((trace, _diagnostics(trace, first_negative[start:stop])))
+    return results
 
 
-def _diagnostics(records: Trace) -> list[dict]:
-    """One entry per seed whose records hold an inf or a nan, at the first
-    recorded k where one shows."""
+NEGATIVE_STEPSIZE = "negative stepsize"
+
+
+def _diagnostics(records: Trace, first_negative: np.ndarray) -> list[dict]:
+    """Per seed, one entry for the first recorded k where its records hold an
+    inf or a nan, and one for the first k where it took a negative stepsize
+    (``first_negative``, -1 for none)."""
     bad = ~np.isfinite(np.stack([getattr(records, m) for m in _METRICS]))  # (metric, row, j)
+    nonfinite = bad.any(axis=(0, 2))
     out = []
-    for r in np.flatnonzero(bad.any(axis=(0, 2))):
-        j = int(bad[:, r].any(axis=0).argmax())
-        names = [m for m, b in zip(_METRICS, bad[:, r, j]) if b]
-        out.append({"seed": records.seeds[r], "k": int(records.ks[j]),
-                    "reason": f"non-finite {', '.join(names)}"})
+    for r in np.flatnonzero(nonfinite | (first_negative >= 0)):
+        seed = records.seeds[r]
+        if nonfinite[r]:
+            j = int(bad[:, r].any(axis=0).argmax())
+            names = [m for m, b in zip(_METRICS, bad[:, r, j]) if b]
+            out.append({"seed": seed, "k": int(records.ks[j]),
+                        "reason": f"non-finite {', '.join(names)}"})
+        if first_negative[r] >= 0:
+            out.append({"seed": seed, "k": int(first_negative[r]), "reason": NEGATIVE_STEPSIZE})
     return out
 
 
-def _write_run(cfg: RunConfig, obj, reference, records: Trace) -> RunOutput:
+def _write_run(cfg: RunConfig, obj, reference, records: Trace,
+               diagnostics: list[dict]) -> RunOutput:
     """Write one config's trace, aggregate and manifest."""
     label = _label(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -274,7 +292,6 @@ def _write_run(cfg: RunConfig, obj, reference, records: Trace) -> RunOutput:
     agg_path = os.path.join(cfg.out_dir, f"{label}_agg.csv")
     write_aggregate(agg, agg_path)
 
-    diagnostics = _diagnostics(records)
     manifest_path = os.path.join(cfg.out_dir, f"{label}_manifest.json")
     with open(manifest_path, "w") as fh:
         json.dump({
@@ -294,7 +311,8 @@ def _run_grid(cfgs: list[RunConfig], obj, reference=None) -> list[RunOutput]:
     configs, which share K, in one engine pass per distinct (B, record_every)
     and write each config's outputs. Returns the outputs in the order of
     ``cfgs``. A diverging row records inf or nan, without a floating-point
-    warning, and its config's ``diagnostics`` name it."""
+    warning, and its config's ``diagnostics`` name it, as they name a row
+    that took a negative stepsize."""
     for c in cfgs:
         _check_config(c, obj)
     if reference is None:
@@ -306,8 +324,8 @@ def _run_grid(cfgs: list[RunConfig], obj, reference=None) -> list[RunOutput]:
     with np.errstate(over="ignore", invalid="ignore"):
         for members in passes.values():
             group = [cfgs[i] for i in members]
-            for i, c, records in zip(members, group, _run_pass(obj, reference, group)):
-                outs[i] = _write_run(c, obj, reference, records)
+            for i, c, result in zip(members, group, _run_pass(obj, reference, group)):
+                outs[i] = _write_run(c, obj, reference, *result)
     return outs
 
 

@@ -213,6 +213,21 @@ class TestRun:
         manifest = json.loads((out / "fig1_sgd_constant_manifest.json").read_text())
         assert [d["seed"] for d in manifest["diagnostics"]] == [0, 1]
 
+    def test_negative_stepsize_exits_3(self, tmp_path, capsys):
+        # a constant bound of 5 lies above every batch minimum of the
+        # counterexample: each step goes uphill, with a finite trace
+        rc = run_cli("run", "--problem", "counterexample", "--optimizer", "decsps",
+                     "--lower-bound", "constant", "--lower-bound-value", "5",
+                     "--iters", "50", "--seeds", "2", "--out", str(tmp_path))
+        assert rc == 3
+        assert capsys.readouterr().err == ("error: negative stepsizes taken in "
+                                           "counterexample_decsps seeds 0,1 "
+                                           "(see the manifest diagnostics)\n")
+        manifest = json.loads((tmp_path / "counterexample_decsps_manifest.json").read_text())
+        assert manifest["diagnostics"] == [
+            {"seed": s, "k": 0, "reason": "negative stepsize"} for s in (0, 1)]
+        assert len((tmp_path / "counterexample_decsps.csv").read_text().splitlines()) == 101
+
     def test_separable_unregularized_dataset_fails_fast(self, tmp_path, capsys):
         # no minimizer exists: the reference solve stops at its first
         # separation check instead of running a million iterations
@@ -312,6 +327,23 @@ class TestReference:
         data = json.load(open(tmp_path / "reference.json"))
         assert data["f_star"] == pytest.approx(2.0 / 3.0)
         assert data["x_star"][0] == pytest.approx(1.0 / 3.0)
+
+
+    def test_absent_features_unregularized(self, tmp_path, capsys):
+        # features 2 and 4 occur in no row: their columns are zero, so the
+        # unregularized Hessian is singular, and the solve leaves them at 0;
+        # four points come with both labels, so a minimizer exists
+        points = ["1:1 3:0.5 5:-1", "1:-0.7 3:1 5:0.4", "1:0.3 3:-0.2 5:-1.2", "1:0.6 3:0.9 5:1"]
+        data = tmp_path / "gaps.svm"
+        data.write_text("".join(f"{y} {p}\n" for p in points for y in (1, -1))
+                        + "1 1:0.8 3:0.1 5:0.3\n-1 1:-0.4 3:0.7 5:-0.5\n1 1:0.2 3:-0.9 5:0.6\n")
+        rc = run_cli("reference", "--problem", "dataset", "--dataset", str(data),
+                     "--out", str(tmp_path / "out"))
+        assert rc == 0, capsys.readouterr().err
+        ref = json.loads((tmp_path / "out" / "reference.json").read_text())
+        assert ref["grad_norm"] <= ref["tol"]
+        assert len(ref["x_star"]) == 5 and min(abs(ref["x_star"][j]) for j in (0, 2, 4)) > 0.1
+        assert abs(ref["x_star"][1]) <= 1e-12 and abs(ref["x_star"][3]) <= 1e-12
 
 
 class TestVerify:

@@ -5,9 +5,10 @@ Quadratic suboptimality is evaluated in the centred form around x*, so there
 ``seed``, ``k``, ``dist_sq`` and ``gamma`` must match byte for byte and the
 two ``f_sub`` columns to 1e-12 * max(1, |f*|).
 
-Regenerate only for an intended trace change that CHANGES.md explains:
+Regenerate only the goldens an intended trace change moves, and explain the
+change in CHANGES.md; with no names the script rewrites every golden:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py synthetic_decsps_b10 libsvm_decsps_b5
 """
 
 import csv
@@ -82,9 +83,13 @@ if __name__ == "__main__":
     import shutil
     import tempfile
 
+    names = sys.argv[1:] or list(GOLDENS)
+    unknown = sorted(set(names) - set(GOLDENS))
+    if unknown:
+        sys.exit(f"unknown golden {', '.join(unknown)}; expected some of {', '.join(GOLDENS)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for golden in GOLDENS:
+        for golden in names:
             path, _ = run_golden(golden, tmp)
             shutil.copyfile(path, GOLDEN_DIR / path.name)
             print(f"wrote {GOLDEN_DIR / path.name}", file=sys.stderr)

@@ -185,6 +185,20 @@ class TestGradients:
             np.testing.assert_allclose(obj.batch_grad(S, x), fd, rtol=1e-6, atol=1e-8)
 
 
+def gradient_iterates(monkeypatch):
+    """Wrap LogisticObjective.batch_grad so that each call appends its
+    iterate to the returned list."""
+    calls = []
+    batch_grad = LogisticObjective.batch_grad
+
+    def counted(self, S, x):
+        calls.append(x.copy())
+        return batch_grad(self, S, x)
+
+    monkeypatch.setattr(LogisticObjective, "batch_grad", counted)
+    return calls
+
+
 class TestSolveReference:
     def test_logistic_reaches_tolerance(self):
         obj = small_logistic(lam=0.05)
@@ -198,26 +212,61 @@ class TestSolveReference:
             solve_reference(obj, tol=1e-14, max_iter=3)
         assert exc.value.grad_norm > 1e-14
 
-    def test_logistic_one_gradient_per_iterate(self, monkeypatch):
+    def test_logistic_matches_gradient_descent(self):
         obj = small_logistic(lam=0.05)
-        # reference sequence: plain gradient descent with step 1/L
+        # plain gradient descent with step 1/L, L of the mean objective
         L = float(np.linalg.eigvalsh(obj.features.T @ obj.features / obj.n)[-1]) / 4.0 + obj.lam
-        step = 1.0 / L
-        x, iters = np.zeros(obj.d), 0
+        x = np.zeros(obj.d)
         while np.linalg.norm(full_grad(obj, x)) > 1e-10:
-            x = x - step * full_grad(obj, x)
-            iters += 1
-        calls = []
-        batch_grad = LogisticObjective.batch_grad
-
-        def counted(self, S, z):
-            calls.append(1)
-            return batch_grad(self, S, z)
-
-        monkeypatch.setattr(LogisticObjective, "batch_grad", counted)
+            x = x - full_grad(obj, x) / L
         ref = solve_reference(obj, tol=1e-10)
-        np.testing.assert_array_equal(ref.x_star, x)
-        assert len(calls) == iters + 1
+        np.testing.assert_allclose(ref.x_star, x, rtol=0.0, atol=1e-7)
+
+    def test_logistic_few_gradients(self, monkeypatch):
+        calls = gradient_iterates(monkeypatch)
+        ref = solve_reference(small_logistic(lam=0.05), tol=1e-10)
+        assert ref.grad_norm <= 1e-10
+        assert 1 <= len(calls) <= 10
+
+    def test_logistic_steps_below_the_rounding_of_f(self):
+        # near x* the decrease of a Newton step is below f's rounding, so
+        # the line search cannot see it; the full step is taken there
+        obj = small_logistic(lam=0.05)
+        assert solve_reference(obj, tol=1e-15).grad_norm <= 1e-15
+
+    def test_stalled_line_search_fails(self, monkeypatch):
+        # f reads +inf away from x0 = 0: no step length passes the Armijo test
+        batch_value = LogisticObjective.batch_value
+        monkeypatch.setattr(LogisticObjective, "batch_value",
+                            lambda self, S, x: np.inf if x.any() else batch_value(self, S, x))
+        with pytest.raises(SolverFailure, match="line search stalled") as exc:
+            solve_reference(small_logistic(lam=0.05))
+        assert exc.value.grad_norm > 1e-10
+
+    def test_separation_stops_the_first_step_that_separates(self, monkeypatch):
+        # unregularized and separable: the margins of some Newton iterate are
+        # all negative, and the solve stops there without another step
+        rng = stream(15)
+        X = rng.standard_normal((30, 3))
+        y = np.where(X @ np.array([1.0, -2.0, 0.5]) > 0, 1.0, -1.0)
+        obj = LogisticObjective(X, y, 0.0)
+        calls = gradient_iterates(monkeypatch)
+        with pytest.raises(SolverFailure, match="linearly separable"):
+            solve_reference(obj)
+        separates = [bool((-y * (X @ x) < 0.0).all()) for x in calls]
+        assert separates[-1] and not any(separates[:-1])
+
+    def test_singular_hessian_takes_the_minimum_norm_step(self):
+        # without regularization an all-zero feature column makes the Hessian
+        # exactly singular; its coordinate never moves and the rest converges
+        rng = stream(16)
+        X = rng.standard_normal((40, 5))
+        X[:, 2] = 0.0
+        obj = LogisticObjective(X, rng.choice([-1.0, 1.0], size=40), 0.0)
+        ref = solve_reference(obj, tol=1e-10)
+        assert ref.grad_norm <= 1e-10
+        assert np.linalg.norm(full_grad(obj, ref.x_star)) <= 1e-10
+        assert abs(ref.x_star[2]) <= 1e-12
 
     def test_quadratic_direct(self):
         obj = make_random_strongly_convex(stream(14), 5, 7)

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +147,21 @@ class TestRunExperiment:
                    and not np.isfinite(r[2:]).all()]
             assert d["k"] == bad[0].k and d["reason"].startswith("non-finite ")
         assert run_experiment(counterexample_cfg(tmp_path)).diagnostics == []
+
+    def test_negative_stepsize_between_records_is_reported(self, tmp_path):
+        # a constant bound above some batch minima: seed 9's sps_max row
+        # takes one negative stepsize at k=3 and recovers before k=10
+        stepper = StepperConfig(c_schedule="constant", lower_bound_policy="constant",
+                                lower_bound_value=0.5)
+        cfg = counterexample_cfg(tmp_path, optimizer="sps_max", stepper=stepper,
+                                 K=30, seeds=(8, 9))
+        gamma = run_experiment(cfg).records.gamma
+        assert (gamma[0] >= 0).all() and np.flatnonzero(gamma[1] < 0).tolist() == [3]
+        out = run_experiment(replace(cfg, record_every=10, label="sparse"))
+        assert (out.records.gamma >= 0).all()
+        assert out.diagnostics == [{"seed": 9, "k": 3, "reason": "negative stepsize"}]
+        manifest = json.loads(Path(out.manifest_path).read_text())
+        assert manifest["diagnostics"] == out.diagnostics
 
     def test_batch_too_large(self, tmp_path):
         with pytest.raises(ConfigurationError):
