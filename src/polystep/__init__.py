@@ -13,7 +13,6 @@ The package splits into six modules:
 from .core import finite_diff_grad, sample_batch, stream
 from .data_io import (
     Dataset,
-    IterationRecord,
     LoadError,
     Trace,
     load_delimited,
@@ -76,7 +75,6 @@ __all__ = [
     "CurvatureInfo",
     "ConfigurationError",
     "Dataset",
-    "IterationRecord",
     "LoadError",
     "LogisticObjective",
     "ProblemSpec",

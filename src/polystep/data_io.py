@@ -7,8 +7,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace as dc_replace
-from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,17 +32,8 @@ class Dataset:
         return self.features.shape[1]
 
 
-class IterationRecord(NamedTuple):
-    seed: int
-    k: int
-    f_sub: float
-    f_sub_avg_iterate: float
-    dist_sq: float
-    gamma: float
-
-
-TRACE_HEADER = IterationRecord._fields
-METRICS = TRACE_HEADER[2:]
+METRICS = ("f_sub", "f_sub_avg_iterate", "dist_sq", "gamma")
+TRACE_HEADER = ("seed", "k", "f_sub", "f_sub_avg_iterate", "dist_sq", "gamma")
 TRACE_FORMATS = {"csv": "csv", "json-lines": "jsonl"}  # format -> file extension
 
 
@@ -53,8 +42,8 @@ class Trace:
     """The records of one run in columns, one row per seed (a grid pass keeps
     one row per (config, seed) and hands each config its ``slice``).
 
-    Row r belongs to ``seeds[r]`` and holds its records at ``ks``. Iterating
-    yields ``IterationRecord`` rows seed by seed, in trace-file order.
+    Row r belongs to ``seeds[r]`` and holds its records at ``ks``; a trace
+    file lists the rows seed by seed, each over all of ``ks``.
     """
 
     seeds: tuple[int, ...]
@@ -80,14 +69,8 @@ class Trace:
                      *(getattr(self, name)[start:stop] for name in METRICS))
 
     def __len__(self) -> int:
+        """The number of records, one per (seed, k): the rows of a trace file."""
         return len(self.seeds) * len(self.ks)
-
-    def __iter__(self):
-        ks = self.ks.tolist()
-        columns = [getattr(self, name).tolist() for name in METRICS]
-        for r, seed in enumerate(self.seeds):
-            rows = zip(repeat(seed), ks, *(c[r] for c in columns))
-            yield from map(IterationRecord._make, rows)
 
 
 def _remap_labels(path: str, raw: np.ndarray) -> np.ndarray:
@@ -263,7 +246,7 @@ def standardize(ds: Dataset) -> Dataset:
     """Center each feature column and divide by its population standard
     deviation. Zero-variance columns pass through unchanged and are flagged."""
     if ds.n < 2:
-        raise ValueError("standardize needs at least 2 rows")
+        raise LoadError(f"{ds.name}: standardizing needs at least 2 rows")
     mean = ds.features.mean(axis=0)
     std = ds.features.std(axis=0)  # population convention (divide by n)
     constant = std == 0.0
@@ -289,14 +272,18 @@ def make_synthetic(rng: np.random.Generator, n: int, d: int, name: str = "synthe
 _CSV_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g\r\n"  # the csv module's line ending
 
 
-def write_trace(records, path: str, fmt: str = "csv") -> None:
-    """Write iteration records (a ``Trace`` or any iterable of
-    ``IterationRecord``) with round-trip-exact decimal floats."""
+def write_trace(trace: Trace, path: str, fmt: str = "csv") -> None:
+    """Write a ``Trace``, one line per (seed, k) in file order, with
+    round-trip-exact decimal floats."""
+    n = len(trace.ks)
+    columns = [np.repeat(np.array(trace.seeds, dtype=np.int64), n).tolist(),
+               np.tile(trace.ks, len(trace.seeds)).tolist(),
+               *(getattr(trace, name).ravel().tolist() for name in METRICS)]
     if fmt == "csv":
-        lines = (_CSV_ROW % r for r in records)
+        lines = (_CSV_ROW % row for row in zip(*columns))
         header = ",".join(TRACE_HEADER) + "\r\n"
     elif fmt == "json-lines":
-        lines = (json.dumps(r._asdict()) + "\n" for r in records)
+        lines = (json.dumps(dict(zip(TRACE_HEADER, row))) + "\n" for row in zip(*columns))
         header = ""
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
@@ -308,27 +295,34 @@ def write_trace(records, path: str, fmt: str = "csv") -> None:
         raise OSError(f"writing trace {path}: {e}") from e
 
 
-def read_trace(path: str, fmt: str = "csv") -> list[IterationRecord]:
-    out = []
+def read_trace(path: str, fmt: str = "csv") -> Trace:
+    """The ``Trace`` that ``write_trace`` wrote to ``path``. A file whose rows
+    are not one contiguous block per seed, every block over the same ks, is
+    a ``LoadError``."""
     if fmt == "csv":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if tuple(header) != TRACE_HEADER:
+            header = next(reader, None)
+            if header is None or tuple(header) != TRACE_HEADER:
                 raise LoadError(f"{path}: unexpected header {header}")
-            for row in reader:
-                out.append(IterationRecord(
-                    int(row[0]), int(row[1]), float(row[2]), float(row[3]),
-                    float(row[4]), float(row[5]),
-                ))
+            rows = list(reader)
+        if any(len(r) != len(TRACE_HEADER) for r in rows):
+            raise LoadError(f"{path}: a row without {len(TRACE_HEADER)} fields")
+        rows = [(int(r[0]), int(r[1]), *map(float, r[2:])) for r in rows]
     elif fmt == "json-lines":
         with open(path) as fh:
-            for line in fh:
-                d = json.loads(line)
-                out.append(IterationRecord(
-                    d["seed"], d["k"], d["f_sub"], d["f_sub_avg_iterate"],
-                    d["dist_sq"], d["gamma"],
-                ))
+            rows = [tuple(d[name] for name in TRACE_HEADER) for d in map(json.loads, fh)]
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
-    return out
+    if not rows:
+        return Trace.empty((), np.empty(0, dtype=np.int64))
+    seed, k, *values = (np.array(c) for c in zip(*rows))
+    changes = np.flatnonzero(seed[1:] != seed[:-1])
+    n = changes[0] + 1 if changes.size else seed.size  # records per seed
+    seeds = seed[::n]
+    shape = (seeds.size, n)
+    if (seed.size != seeds.size * n or np.unique(seeds).size != seeds.size
+            or (seed.reshape(shape) != seeds[:, None]).any()
+            or (k.reshape(shape) != k[:n]).any()):
+        raise LoadError(f"{path}: the rows are not one block per seed over one k schedule")
+    return Trace(tuple(seeds.tolist()), k[:n], *(v.reshape(shape) for v in values))

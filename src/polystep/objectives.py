@@ -276,18 +276,17 @@ def lower_bound(
     return lambda S: value
 
 
-def full_batch(obj) -> slice:
-    """All n components as a basic slice: indexing with it gives views of the
-    component arrays, not the copies an ``np.arange(n)`` gather makes."""
-    return slice(None)
+# All n components as a basic slice: indexing with it gives views of the
+# component arrays, not the copies an ``np.arange(n)`` gather makes.
+FULL_BATCH = slice(None)
 
 
 def full_value(obj, x: Vector) -> float:
-    return obj.batch_value(full_batch(obj), x)
+    return obj.batch_value(FULL_BATCH, x)
 
 
 def full_grad(obj, x: Vector) -> Vector:
-    return obj.batch_grad(full_batch(obj), x)
+    return obj.batch_grad(FULL_BATCH, x)
 
 
 def solve_reference(obj, tol: float = 1e-10, max_iter: int = 100) -> ReferenceSolution:
@@ -305,25 +304,24 @@ def solve_reference(obj, tol: float = 1e-10, max_iter: int = 100) -> ReferenceSo
     """
     if not tol > 0:
         raise ConfigurationError(f"reference_tol must be > 0, got {tol}")
-    S = full_batch(obj)
 
     if obj.kind == "quadratic":
-        x_star, f_star = obj.batch_optimum(S)
-        gn = float(np.linalg.norm(obj.batch_grad(S, x_star)))
+        x_star, f_star = obj.batch_optimum(FULL_BATCH)
+        gn = float(np.linalg.norm(obj.batch_grad(FULL_BATCH, x_star)))
         return ReferenceSolution(x_star, f_star, gn, tol)
 
     if obj.kind == "absolute":
         x_star = np.array([float(np.median(obj.shifts))])
-        return ReferenceSolution(x_star, obj.batch_value(S, x_star), 0.0, tol)
+        return ReferenceSolution(x_star, obj.batch_value(FULL_BATCH, x_star), 0.0, tol)
 
     x = np.zeros(obj.d)
-    g = obj.batch_grad(S, x)
+    g = obj.batch_grad(FULL_BATCH, x)
     gn = float(np.linalg.norm(g))
     for _ in range(max_iter):
         if gn <= tol:
             break
         x = _newton_step(obj, x, g, gn)
-        g = obj.batch_grad(S, x)
+        g = obj.batch_grad(FULL_BATCH, x)
         gn = float(np.linalg.norm(g))
     if gn > tol:
         raise SolverFailure(
@@ -331,7 +329,7 @@ def solve_reference(obj, tol: float = 1e-10, max_iter: int = 100) -> ReferenceSo
             f"after {max_iter} Newton steps",
             gn,
         )
-    return ReferenceSolution(x, obj.batch_value(S, x), gn, tol)
+    return ReferenceSolution(x, obj.batch_value(FULL_BATCH, x), gn, tol)
 
 
 ARMIJO, BACKTRACK, MIN_STEP = 0.25, 0.5, 1e-12
@@ -359,13 +357,12 @@ def _newton_step(obj, x: Vector, g: Vector, gn: float) -> Vector:
         dx = -np.linalg.solve(H, g)
     except np.linalg.LinAlgError:  # exactly singular: the minimum-norm step
         dx = -np.linalg.lstsq(H, g)[0]
-    S = full_batch(obj)
-    f = obj.batch_value(S, x)
+    f = obj.batch_value(FULL_BATCH, x)
     slope = float(g @ dx)  # minus the Newton decrement
     if abs(slope) <= 4.0 * np.spacing(abs(f)):
         return x + dx
     t = 1.0
-    while obj.batch_value(S, x + t * dx) > f + ARMIJO * t * slope:
+    while obj.batch_value(FULL_BATCH, x + t * dx) > f + ARMIJO * t * slope:
         t *= BACKTRACK
         if t < MIN_STEP:
             raise SolverFailure(

@@ -44,7 +44,6 @@ class ProblemSpec:
     interpolated: bool = False
     f_floor: float = 1.0
     gen_seed: int = 0
-    standardize: bool = True
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,14 @@ def build_problem(spec: ProblemSpec):
         raise ConfigurationError(
             f"unknown dataset format {spec.dataset_format!r}; "
             f"expected one of {', '.join(DATASET_FORMATS)}")
+    if not 0 <= spec.lam < np.inf:
+        raise ConfigurationError(f"lam must be finite and >= 0, got {spec.lam}")
+    if not np.isfinite(spec.f_floor):
+        raise ConfigurationError(f"f_floor must be finite, got {spec.f_floor}")
+    if spec.gen_seed < 0:
+        raise ConfigurationError(f"gen_seed must be >= 0, got {spec.gen_seed}")
+    if spec.name in ("fig1", "synthetic") and min(spec.n, spec.d) < 1:
+        raise ConfigurationError(f"n and d must be >= 1, got n={spec.n}, d={spec.d}")
     if spec.name == "counterexample":
         return objectives.make_counterexample_1d()
     if spec.name == "fig1":
@@ -106,8 +113,7 @@ def build_problem(spec: ProblemSpec):
             ds = load(spec.dataset_path)
         except OSError as e:
             raise data_io.LoadError(f"cannot read dataset: {e}") from e
-        if spec.standardize:
-            ds = data_io.standardize(ds)
+        ds = data_io.standardize(ds)
         return objectives.LogisticObjective(ds.features, ds.labels, spec.lam, spec.label_sign)
     raise ConfigurationError(f"unknown problem {spec.name!r}")
 
@@ -199,6 +205,8 @@ def _check_config(cfg: RunConfig, obj) -> None:
         raise ConfigurationError("a run needs at least one seed")
     if len(set(cfg.seeds)) != len(cfg.seeds):
         raise ConfigurationError(f"seeds must be distinct, got {list(cfg.seeds)}")
+    if min(cfg.seeds) < 0:
+        raise ConfigurationError(f"seeds must be >= 0, got {list(cfg.seeds)}")
     if cfg.trace_format not in data_io.TRACE_FORMATS:
         raise ConfigurationError(
             f"unknown trace format {cfg.trace_format!r}; "

@@ -95,6 +95,9 @@ def c_value(cfg: StepperConfig, k: int) -> float:
 def validate(cfg: StepperConfig, method: str) -> None:
     if method not in STEPPERS:
         raise ConfigurationError(f"unknown optimizer {method!r}")
+    for name, value in vars(cfg).items():
+        if not isinstance(value, str) and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
     if cfg.gamma_b <= 0:
         raise ConfigurationError("gamma_b must be positive")
     if cfg.c_schedule not in C_SCHEDULES:
@@ -110,6 +113,8 @@ def validate(cfg: StepperConfig, method: str) -> None:
             raise ConfigurationError("gamma_ell must be positive")
         if cfg.gamma_ell > cfg.gamma_b:
             raise ConfigurationError("gamma_ell must not exceed gamma_b")
+    if method not in POLYAK and cfg.eta <= 0:  # every other rule scales by eta
+        raise ConfigurationError("eta must be positive")
     if method in ("adam", "amsgrad") and not 0 < cfg.beta2 < 1:
         raise ConfigurationError("beta2 must be in (0, 1)")
     if method in ("adam", "amsgrad") and cfg.eps_adam <= 0:

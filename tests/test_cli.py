@@ -6,6 +6,9 @@ import pytest
 from polystep.cli import main
 
 
+ONE_SEED = ("--problem", "counterexample", "--seeds", "1")
+
+
 def run_cli(*args):
     return main(list(args))
 
@@ -104,12 +107,32 @@ class TestRun:
     @pytest.mark.parametrize("flags,message", [
         (("--problem", "counterexample", "--reference-tol", "0"), "reference_tol must be > 0"),
         (("--problem", "dataset", "--dataset", "/nonexistent"), "No such file"),
+        # stepper settings
+        ((*ONE_SEED, "--optimizer", "decsps", "--gamma-b", "nan"), "gamma_b must be finite"),
+        ((*ONE_SEED, "--optimizer", "sps_max", "--gamma-b", "nan"), "gamma_b must be finite"),
+        ((*ONE_SEED, "--c0", "nan"), "c0 must be finite"),
+        ((*ONE_SEED, "--optimizer", "decsps_ns", "--gamma-ell", "nan"), "gamma_ell must be finite"),
+        ((*ONE_SEED, "--optimizer", "adagrad_norm", "--b0", "nan"), "b0 must be finite"),
+        ((*ONE_SEED, "--lower-bound-value", "nan"), "lower_bound_value must be finite"),
+        ((*ONE_SEED, "--eta", "nan"), "eta must be finite"),
+        *(((*ONE_SEED, "--optimizer", opt, "--eta", "-1"), "eta must be positive")
+          for opt in ("sgd_constant", "sgd_decreasing", "adagrad_norm", "adam", "amsgrad")),
+        # problem and seed settings
+        (("--problem", "synthetic", "--n", "20", "--d", "3", "--lambda", "-1"), "lam must be"),
+        (("--problem", "synthetic", "--n", "20", "--d", "3", "--lambda", "nan"), "lam must be"),
+        (("--problem", "synthetic", "--n", "0"), "n and d must be >= 1"),
+        (("--problem", "fig1", "--d", "0"), "n and d must be >= 1"),
+        (("--problem", "fig1", "--n", "10", "--d", "3", "--f-floor", "inf"),
+         "f_floor must be finite"),
+        (("--problem", "synthetic", "--n", "20", "--d", "3", "--gen-seed", "-1"),
+         "gen_seed must be >= 0"),
+        (("--problem", "counterexample", "--seeds=-3,1"), "seeds must be >= 0"),
     ])
     def test_library_error_exits_2_with_one_line(self, tmp_path, capsys, flags, message):
         rc = run_cli("run", *flags, "--iters", "3", "--out", str(tmp_path / "out"))
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and message in err
+        assert err.count("\n") == 1 and message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exits_2_with_one_line(self, tmp_path, capsys):
@@ -141,6 +164,7 @@ class TestRun:
         ("1 1:0.5 2:1\n-1 1:1e400 2:-1\n", ":2: non-finite value '1:1e400'"),
         ("1\n-1\n1\n", ": no features"),
         ("1 1:0.5\n3 1:1\n1 1:2\n", ": cannot map label values [1.0, 3.0] to {-1, +1}"),
+        ("1 1:0.5 2:1\n", ": standardizing needs at least 2 rows"),
     ])
     def test_unusable_dataset_exits_2_with_one_line(self, tmp_path, capsys, content, message):
         data = tmp_path / "bad.svm"

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from polystep import data_io
 from polystep.core import stream
 from polystep.data_io import (
-    IterationRecord,
+    METRICS,
     LoadError,
+    Trace,
     load_delimited,
     load_libsvm,
     make_synthetic,
@@ -238,28 +239,58 @@ class TestSynthetic:
         np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def assert_same_trace(got, want):
+    """Equal seeds, and every column equal bit for bit, so -0.0 and nan count."""
+    assert got.seeds == want.seeds
+    for name in ("ks", *METRICS):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def make_trace(seeds, ks, values) -> Trace:
+    """A Trace over ``seeds`` x ``ks`` filled, metric by metric and row by
+    row, from the flat sequence ``values``."""
+    trace = Trace.empty(seeds, ks)
+    columns = np.array(values, dtype=np.float64).reshape(len(METRICS), len(seeds), len(ks))
+    for name, column in zip(METRICS, columns):
+        getattr(trace, name)[:] = column
+    return trace
+
+
+EXT = {"csv": "t.csv", "json-lines": "t.jsonl"}
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def traces(draw) -> Trace:
+    R, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.integers(0, 2**40), min_size=R, max_size=R, unique=True))
+    ks = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)))
+    value = finite | st.sampled_from(SPECIALS)
+    size = len(METRICS) * R * n
+    return make_trace(seeds, ks, draw(st.lists(value, min_size=size, max_size=size)))
 
 
 class TestTraces:
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
     def test_round_trip_exact(self, tmp_path, fmt):
         rng = stream(5)
-        recs = [
-            IterationRecord(s, k, rng.standard_normal() * 10.0 ** int(rng.integers(-8, 8)),
-                            rng.standard_normal(), abs(rng.standard_normal()),
-                            abs(rng.standard_normal()))
-            for s in range(3) for k in range(5)
-        ]
-        path = tmp_path / ("t.csv" if fmt == "csv" else "t.jsonl")
-        write_trace(recs, str(path), fmt)
+        values = rng.standard_normal(len(METRICS) * 3 * 5) * 10.0 ** rng.integers(-8, 8, 60)
+        values[:len(SPECIALS)] = SPECIALS
+        trace = make_trace((0, 1, 2), range(5), values)
+        path = tmp_path / EXT[fmt]
+        write_trace(trace, str(path), fmt)
         back = read_trace(str(path), fmt)
-        assert back == recs  # bit-exact floats after serialization
+        assert isinstance(back, Trace) and len(back) == 15
+        assert_same_trace(back, trace)  # bit-exact floats after serialization
 
     def test_csv_header(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_trace([], str(path), "csv")
+        write_trace(Trace.empty((), []), str(path), "csv")
         assert path.read_text().strip() == "seed,k,f_sub,f_sub_avg_iterate,dist_sq,gamma"
+        empty = read_trace(str(path), "csv")
+        assert empty.seeds == () and len(empty) == 0
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -267,14 +298,37 @@ class TestTraces:
         with pytest.raises(LoadError):
             read_trace(str(path), "csv")
 
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("seed,k,f_sub,f_sub_avg_iterate,dist_sq,gamma\n0,1,2\n")
+        with pytest.raises(LoadError, match="a row without 6 fields"):
+            read_trace(str(path), "csv")
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
-            write_trace([], str(tmp_path / "t.x"), "xml")
+            write_trace(Trace.empty((), []), str(tmp_path / "t.x"), "xml")
+
+    # the data rows of a 2-seed x 3-k trace, seed by seed, rearranged
+    @pytest.mark.parametrize("keep", [
+        [0, 2, 3, 4, 5],  # seed 0 misses a k
+        [0, 2, 3, 4],  # the seeds have different ks
+        [0, 3, 1, 4, 2, 5],  # the seeds interleave
+    ], ids=["missing_k", "different_ks", "interleaved"])
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_non_rectangular_file_rejected(self, tmp_path, fmt, keep):
+        path = tmp_path / EXT[fmt]
+        write_trace(make_trace((4, 9), [0, 5, 10], np.arange(24.0)), str(path), fmt)
+        lines = path.read_text().splitlines(keepends=True)
+        header = lines[:1] if fmt == "csv" else []
+        rows = lines[len(header):]
+        path.write_text("".join(header + [rows[i] for i in keep]))
+        with pytest.raises(LoadError, match="one block per seed") as err:
+            read_trace(str(path), fmt)
+        assert str(err.value).startswith(str(path))
 
     @settings(max_examples=50, deadline=None)
-    @given(f=finite, g=finite)
-    def test_round_trip_property(self, tmp_path_factory, f, g):
-        rec = IterationRecord(0, 1, f, g, abs(f), abs(g))
-        path = tmp_path_factory.mktemp("tr") / "t.csv"
-        write_trace([rec], str(path), "csv")
-        assert read_trace(str(path), "csv") == [rec]
+    @given(trace=traces(), fmt=st.sampled_from(["csv", "json-lines"]))
+    def test_round_trip_property(self, tmp_path_factory, trace, fmt):
+        path = tmp_path_factory.mktemp("tr") / EXT[fmt]
+        write_trace(trace, str(path), fmt)
+        assert_same_trace(read_trace(str(path), fmt), trace)

@@ -126,7 +126,8 @@ def test_halted_seeds_leave_the_others_unchanged(tmp_path):
     assert diagnostics == []
     assert group.aggregate.ks.tolist() == list(range(30))
     # x* = 1, the kink itself: some seeds but not all sit there at k=1
-    on_kink = {r.seed for r in group.records if r.k == 1 and r.dist_sq == 0.0}
+    on_kink = {seed for seed, dist_sq in zip(group.records.seeds, group.records.dist_sq[:, 1])
+               if dist_sq == 0.0}
     assert on_kink and on_kink != set(cfg.seeds)
 
 
@@ -245,12 +246,19 @@ def test_block_draws_match_per_step_sample_batch(B):
         np.testing.assert_array_equal(batches.rngs[r].random(8), ref.random(8))
 
 
-def _csv_module_bytes(records):
-    """The trace bytes the csv module writes for these records."""
+def _rows(trace):
+    """(seed, k, *metrics) per record, seed by seed, read off the columns one
+    element at a time."""
+    return [(seed, k, *(float(getattr(trace, m)[r, j]) for m in METRICS))
+            for r, seed in enumerate(trace.seeds) for j, k in enumerate(trace.ks.tolist())]
+
+
+def _csv_module_bytes(rows):
+    """The trace bytes the csv module writes for these rows."""
     buf = io.StringIO(newline="")
     w = csv.writer(buf)
     w.writerow(("seed", "k") + METRICS)
-    for r in records:
+    for r in rows:
         w.writerow([r[0], r[1]] + [f"{v:.17g}" for v in r[2:]])
     return buf.getvalue().encode()
 
@@ -263,13 +271,13 @@ def test_columnar_writer_matches_per_record_serialisation(tmp_path):
         values = [rng.standard_normal(3) * 10.0 ** rng.integers(-20, 20, 3) for _ in METRICS]
         values[j % 4][j % 3] = specials[j]
         trace.record(j, *values)
-    records = list(trace)
-    assert len(records) == len(trace) == 12
+    rows = _rows(trace)
+    assert len(rows) == len(trace) == 12
     write_trace(trace, str(tmp_path / "t.csv"), "csv")
-    assert (tmp_path / "t.csv").read_bytes() == _csv_module_bytes(records)
+    assert (tmp_path / "t.csv").read_bytes() == _csv_module_bytes(rows)
     write_trace(trace, str(tmp_path / "t.jsonl"), "json-lines")
-    want = "".join(json.dumps({"seed": r.seed, "k": r.k, "f_sub": r.f_sub,
-                               "f_sub_avg_iterate": r.f_sub_avg_iterate,
-                               "dist_sq": r.dist_sq, "gamma": r.gamma}) + "\n"
-                   for r in records)
+    want = "".join(json.dumps({"seed": seed, "k": k, "f_sub": f_sub,
+                               "f_sub_avg_iterate": f_sub_avg_iterate,
+                               "dist_sq": dist_sq, "gamma": gamma}) + "\n"
+                   for seed, k, f_sub, f_sub_avg_iterate, dist_sq, gamma in rows)
     assert (tmp_path / "t.jsonl").read_text() == want

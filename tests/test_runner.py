@@ -7,7 +7,7 @@ import pytest
 
 from polystep import objectives
 from polystep.core import stream
-from polystep.data_io import Trace, read_trace
+from polystep.data_io import METRICS, Trace, read_trace
 from polystep.objectives import ShiftedAbsoluteObjective, make_counterexample_1d
 from polystep.runner import (
     ProblemSpec,
@@ -104,8 +104,8 @@ class TestRunExperiment:
         cfg = counterexample_cfg(tmp_path)
         out = run_experiment(cfg)
         recs = read_trace(out.trace_path)
-        assert {r.seed for r in recs} == {0, 1}
-        assert max(r.k for r in recs) == 49
+        assert recs.seeds == (0, 1)
+        assert recs.ks.tolist() == list(range(50))
         manifest = json.loads(open(out.manifest_path).read())
         assert manifest["f_star"] == pytest.approx(2.0 / 3.0)
         assert manifest["diagnostics"] == []
@@ -115,14 +115,13 @@ class TestRunExperiment:
     def test_same_seed_same_x0_across_optimizers(self, tmp_path):
         a = run_experiment(counterexample_cfg(tmp_path, optimizer="decsps", label="a"))
         b = run_experiment(counterexample_cfg(tmp_path, optimizer="sgd_decreasing", label="b"))
-        ra = [r for r in a.records if r.seed == 0 and r.k == 0][0]
-        rb = [r for r in b.records if r.seed == 0 and r.k == 0][0]
-        assert ra.dist_sq == rb.dist_sq  # identical starting point
+        ra, rb = a.records.seeds.index(0), b.records.seeds.index(0)
+        assert a.records.ks[0] == b.records.ks[0] == 0
+        assert a.records.dist_sq[ra, 0] == b.records.dist_sq[rb, 0]  # identical starting point
 
     def test_record_every_thins_but_keeps_last(self, tmp_path):
         out = run_experiment(counterexample_cfg(tmp_path, record_every=7, K=50))
-        ks = sorted({r.k for r in out.records})
-        assert ks == [0, 7, 14, 21, 28, 35, 42, 49]
+        assert out.records.ks.tolist() == [0, 7, 14, 21, 28, 35, 42, 49]
 
     def test_suboptimality_decreases(self, tmp_path):
         out = run_experiment(counterexample_cfg(tmp_path, K=2000, record_every=100))
@@ -143,9 +142,10 @@ class TestRunExperiment:
         assert manifest["diagnostics"] == out.diagnostics
         assert [d["seed"] for d in out.diagnostics] == [0, 1]
         for d in out.diagnostics:
-            bad = [r for r in out.records if r.seed == d["seed"]
-                   and not np.isfinite(r[2:]).all()]
-            assert d["k"] == bad[0].k and d["reason"].startswith("non-finite ")
+            r = out.records.seeds.index(d["seed"])
+            finite = np.isfinite([getattr(out.records, m)[r] for m in METRICS]).all(axis=0)
+            bad = out.records.ks[~finite]
+            assert d["k"] == bad[0] and d["reason"].startswith("non-finite ")
         assert run_experiment(counterexample_cfg(tmp_path)).diagnostics == []
 
     def test_negative_stepsize_between_records_is_reported(self, tmp_path):
@@ -210,7 +210,9 @@ class TestRunExperiment:
         out = run_experiment(counterexample_cfg(tmp_path, trace_format="json-lines"))
         assert out.trace_path.endswith(".jsonl")
         recs = read_trace(out.trace_path, "json-lines")
-        assert recs == list(out.records)
+        assert recs.seeds == out.records.seeds
+        for name in ("ks", *METRICS):
+            assert getattr(recs, name).tobytes() == getattr(out.records, name).tobytes()
 
 
 def columnar(seeds, ks, rows):

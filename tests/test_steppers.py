@@ -65,6 +65,12 @@ class TestValidate:
         ("adam", {"beta2": 1.0}),
         ("amsgrad", {"eps_adam": 0.0}),
         ("adagrad_norm", {"b0": 0.0}),
+        *(("decsps", {name: np.nan}) for name in ("gamma_b", "gamma_ell", "c0", "eta", "b0",
+                                                  "beta2", "eps_adam", "lower_bound_value")),
+        ("sps_max", {"gamma_b": np.inf}),
+        ("sgd_constant", {"lower_bound_value": -np.inf}),
+        *((method, {"eta": 0.0}) for method in ("sgd_constant", "sgd_decreasing",
+                                                "adagrad_norm", "adam", "amsgrad")),
     ])
     def test_rejects(self, method, kwargs):
         with pytest.raises(ConfigurationError):
