@@ -3,8 +3,9 @@
 Subcommands:
   run        one (problem, optimizer) experiment over a seed set
   sweep      grid of runs varying one stepper hyperparameter
-  reference  solve the full-batch problem and export x*, f* and ||grad f(x*)||
-  verify     quick self-checks of the analytical oracles
+  reference  solve the full-batch problem and print x*, f* and ||grad f(x*)||
+             to stdout as one JSON object; it takes only the problem flags,
+             --reference-tol and --config
 
 Exit codes: 0 success; 2 a bad config or input, before any work; 3 a run that
 recorded inf or nan or took a negative stepsize, after writing every output.
@@ -15,17 +16,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
-import numpy as np
-
-from . import data_io, objectives, oracles, runner, steppers
-from .core import stream
+from . import data_io, objectives, runner, steppers
 from .steppers import ConfigurationError, StepperConfig
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_problem(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--problem", default="synthetic",
                    choices=["counterexample", "fig1", "synthetic", "dataset"])
@@ -38,6 +35,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--interpolated", action="store_true")
     p.add_argument("--f-floor", type=float, default=1.0)
     p.add_argument("--gen-seed", type=int, default=0)
+    p.add_argument("--reference-tol", type=float, default=1e-10)
+
+
+def _add_run(p: argparse.ArgumentParser) -> None:
     p.add_argument("--optimizer", default="decsps", choices=sorted(steppers.STEPPERS))
     p.add_argument("--batch-size", type=int, default=1)
     p.add_argument("--iters", type=int, default=1000)
@@ -53,7 +54,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f-star-policy", default="lower_bound", choices=steppers.F_STAR_POLICIES)
     p.add_argument("--lower-bound", default="zero", choices=steppers.LOWER_BOUND_POLICIES)
     p.add_argument("--lower-bound-value", type=float, default=0.0)
-    p.add_argument("--reference-tol", type=float, default=1e-10)
     p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--out", default="out")
     p.add_argument("--format", default="csv", choices=data_io.TRACE_FORMATS)
@@ -111,20 +111,23 @@ def _parse_args(parser: argparse.ArgumentParser, subcommands, argv) -> argparse.
             values = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigurationError(f"config file {args.config}: {e}") from e
-    actions = {a.dest: a for a in sub._actions}
-    known = vars(args).keys() - {"command", "config", "func"}
+    if not isinstance(values, dict):
+        raise ConfigurationError(
+            f"config file {args.config}: expected a JSON object, got {type(values).__name__}")
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, val in values.items():
         attr = key.replace("-", "_")
-        if attr not in known:
-            sub.error(f"unknown config key {key!r}")
+        if attr not in actions:
+            raise ConfigurationError(
+                f"unknown config key {key!r} for polystep {args.command}")
         defaults[attr] = _config_value(actions[attr], key, val)
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
-def _build_run_config(args) -> runner.RunConfig:
-    problem = runner.ProblemSpec(
+def _problem_spec(args) -> runner.ProblemSpec:
+    return runner.ProblemSpec(
         name=args.problem,
         lam=args.lam,
         label_sign=args.label_sign,
@@ -136,6 +139,9 @@ def _build_run_config(args) -> runner.RunConfig:
         f_floor=args.f_floor,
         gen_seed=args.gen_seed,
     )
+
+
+def _build_run_config(args) -> runner.RunConfig:
     stepper = StepperConfig(
         gamma_b=args.gamma_b,
         gamma_ell=args.gamma_ell,
@@ -149,7 +155,7 @@ def _build_run_config(args) -> runner.RunConfig:
         lower_bound_value=args.lower_bound_value,
     )
     return runner.RunConfig(
-        problem=problem,
+        problem=_problem_spec(args),
         optimizer=args.optimizer,
         stepper=stepper,
         B=args.batch_size,
@@ -209,58 +215,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_reference(args) -> int:
-    obj = runner.build_problem(_build_run_config(args).problem)
-    ref = objectives.solve_reference(obj, args.reference_tol)
-    payload = {
+    ref = objectives.solve_reference(runner.build_problem(_problem_spec(args)),
+                                     args.reference_tol)
+    print(json.dumps({
         "f_star": ref.f_star,
         "grad_norm": ref.grad_norm,
         "tol": ref.tol,
         "x_star": ref.x_star.tolist(),
-    }
-    if args.out and args.out != "-":
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "reference.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        print(f"reference written to {path} (f* = {ref.f_star:.12g})")
-    else:
-        json.dump(payload, sys.stdout)
+    }))
     return 0
-
-
-def _cmd_verify(_args) -> int:
-    """Fast oracle self-checks; exit 0 iff all pass."""
-    rng = stream(20240)
-    checks = []
-
-    A = rng.standard_normal(12).tolist()
-    eps = rng.standard_normal(12).tolist()
-    z_closed = oracles.variation_of_constants(A, eps, 1.3, 12)
-    z = 1.3
-    for j in range(12):
-        z = A[j] * z + eps[j]
-    checks.append(("variation_of_constants", abs(z_closed - z) <= 1e-12 * max(1.0, abs(z))))
-
-    max_obs, bound = oracles.bounded_recursion_check(
-        rng.uniform(0.1, 5.0, 64), rng.uniform(0.05, 1.0, 64), rng.uniform(0.1, 3.0, 64), 2000
-    )
-    checks.append(("recursion_bound", bool(np.all(max_obs <= bound * (1.0 + 1e-12)))))
-
-    samples = rng.gamma(2.0, 1.0, size=(200_000, 5))
-    mc = float(np.mean((samples**2).sum(1) / samples.sum(1) ** 2))
-    ident = oracles.gamma_moment_identity(5, 2.0)
-    checks.append(("gamma_moment", abs(mc - ident) / ident < 0.02))
-
-    obj = objectives.make_counterexample_1d()
-    sim = oracles.simulate_polyak_1d(obj, "sps", steps=200, n_runs=20_000, rng=rng)
-    mc_var = float(np.mean(sim["x"] ** 2))
-    checks.append(("bias_variance", abs(mc_var - oracles.sps_bias_variance(199, 1.0)) / oracles.sps_bias_variance(199, 1.0) < 0.05))
-
-    ok = True
-    for name, passed in checks:
-        print(f"{'PASS' if passed else 'FAIL'} {name}")
-        ok = ok and passed
-    return 0 if ok else 1
 
 
 def main(argv=None) -> int:
@@ -269,22 +232,21 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment")
-    _add_common(p_run)
+    _add_problem(p_run)
+    _add_run(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="hyperparameter sweep")
-    _add_common(p_sweep)
+    _add_problem(p_sweep)
+    _add_run(p_sweep)
     p_sweep.add_argument("--sweep-param", required=True,
                          choices=["c0", "gamma_b", "gamma_ell", "eta", "b0", "beta2"])
     p_sweep.add_argument("--sweep-values", required=True, help="comma-separated values")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_ref = sub.add_parser("reference", help="solve and export the reference solution")
-    _add_common(p_ref)
+    p_ref = sub.add_parser("reference", help="print the reference solution as JSON")
+    _add_problem(p_ref)
     p_ref.set_defaults(func=_cmd_reference)
-
-    p_verify = sub.add_parser("verify", help="oracle self-checks")
-    p_verify.set_defaults(func=_cmd_verify)
 
     try:
         args = _parse_args(parser, sub, argv)

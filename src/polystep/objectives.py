@@ -290,7 +290,7 @@ def full_grad(obj, x: Vector) -> Vector:
 
 
 def solve_reference(obj, tol: float = 1e-10, max_iter: int = 100) -> ReferenceSolution:
-    """Full-batch reference solution with ||grad f(x*)|| <= tol.
+    """Full-batch reference solution with ||grad f(x*)|| <= tol, a finite tol > 0.
 
     Quadratics use the direct linear solve; the 1-d absolute sum takes the
     median of the shifts. The logistic loss runs damped Newton with a
@@ -302,8 +302,8 @@ def solve_reference(obj, tol: float = 1e-10, max_iter: int = 100) -> ReferenceSo
     (every margin term z_i < 0): the loss along t x then falls to 0 as t
     grows, so no minimizer exists.
     """
-    if not tol > 0:
-        raise ConfigurationError(f"reference_tol must be > 0, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ConfigurationError(f"reference_tol must be > 0 and finite, got {tol}")
 
     if obj.kind == "quadratic":
         x_star, f_star = obj.batch_optimum(FULL_BATCH)

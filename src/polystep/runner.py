@@ -211,6 +211,13 @@ def _check_config(cfg: RunConfig, obj) -> None:
         raise ConfigurationError(
             f"unknown trace format {cfg.trace_format!r}; "
             f"expected one of {', '.join(data_io.TRACE_FORMATS)}")
+    # the nearest existing path on the way to out_dir must be a directory, or
+    # writing the outputs would fail after the whole run
+    existing = cfg.out_dir
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ConfigurationError(f"out_dir {cfg.out_dir!r}: {existing!r} is not a directory")
     if not 1 <= cfg.B <= obj.n:
         raise ConfigurationError(f"batch size {cfg.B} is not in [1, n={obj.n}]")
     # certify the Polyak target before any work: a batch-independent lower

@@ -127,6 +127,9 @@ class TestRun:
         (("--problem", "synthetic", "--n", "20", "--d", "3", "--gen-seed", "-1"),
          "gen_seed must be >= 0"),
         (("--problem", "counterexample", "--seeds=-3,1"), "seeds must be >= 0"),
+        # an infinite tolerance would stop the solve before its first step
+        (("--problem", "counterexample", "--reference-tol", "inf"),
+         "reference_tol must be > 0 and finite"),
     ])
     def test_library_error_exits_2_with_one_line(self, tmp_path, capsys, flags, message):
         rc = run_cli("run", *flags, "--iters", "3", "--out", str(tmp_path / "out"))
@@ -141,14 +144,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "absent.json" in err and "No such file" in err
 
-    def test_output_write_error_is_not_a_usage_error(self, tmp_path):
-        # an out path that is a file fails while writing, after the run: it
-        # surfaces as the OSError it is, not as a one-line exit 2
-        out = tmp_path / "taken"
-        out.write_text("")
-        with pytest.raises(OSError):
-            run_cli("run", "--problem", "counterexample", "--iters", "3", "--seeds", "1",
-                    "--out", str(out))
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_through_a_file_exits_2_before_any_work(self, tmp_path, capsys, out):
+        # writing the outputs would fail after the whole run
+        (tmp_path / "taken").write_text("kept")
+        rc = run_cli("run", "--problem", "counterexample", "--iters", "3", "--seeds", "1",
+                     "--out", str(tmp_path / out))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is not a directory" in err
+        assert (tmp_path / "taken").read_text() == "kept"
 
     def test_unreadable_dataset_exits_2_with_one_line(self, tmp_path, capsys):
         data = tmp_path / "bad.svm"
@@ -176,11 +181,17 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus_key": 1}))
-        with pytest.raises(SystemExit) as exc:
-            run_cli("run", "--config", str(cfg), "--out", str(tmp_path))
-        assert exc.value.code != 0
+        rc, _ = run_with_config(tmp_path, {"bogus_key": 1})
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown config key 'bogus_key'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_no_object_exits_2(self, tmp_path, capsys):
+        rc, _ = run_with_config(tmp_path, [1])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "expected a JSON object, got list" in err
 
     def test_unknown_optimizer_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -327,6 +338,16 @@ class TestSweep:
         assert err.count("\n") == 1 and "sweep values must be comma-separated numbers" in err
         assert not (tmp_path / "out").exists()
 
+    def test_out_file_exits_2_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        rc = run_cli("sweep", "--problem", "counterexample", "--iters", "3", "--seeds", "1",
+                     "--sweep-param", "c0", "--sweep-values", "0.5,1", "--out", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is not a directory" in err
+        assert out.read_text() == "kept"
+
     def test_zero_iterations_exits_2(self, tmp_path, capsys):
         rc = run_cli("sweep", "--problem", "counterexample", "--iters", "0",
                      "--sweep-param", "c0", "--sweep-values", "0.5,1", "--out", str(tmp_path))
@@ -338,20 +359,30 @@ class TestSweep:
 
 
 class TestReference:
-    def test_nonpositive_tolerance_exits_2(self, tmp_path, capsys):
-        rc = run_cli("reference", "--problem", "counterexample", "--reference-tol", "0",
-                     "--out", str(tmp_path / "out"))
+    def test_nonpositive_tolerance_exits_2(self, capsys):
+        rc = run_cli("reference", "--problem", "counterexample", "--reference-tol", "0")
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "reference_tol must be > 0" in err
 
-    def test_cached_reference(self, tmp_path, capsys):
-        rc = run_cli("reference", "--problem", "counterexample", "--out", str(tmp_path))
+    def test_infinite_tolerance_exits_2(self, tmp_path, capsys, monkeypatch):
+        # it used to stop before the first Newton step and print x* = 0
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli("reference", "--problem", "synthetic", "--n", "50", "--d", "3",
+                     "--lambda", "0.1", "--reference-tol", "inf")
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "reference_tol must be > 0 and finite" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_cached_reference(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli("reference", "--problem", "counterexample")
         assert rc == 0
-        data = json.load(open(tmp_path / "reference.json"))
+        data = json.loads(capsys.readouterr().out)
         assert data["f_star"] == pytest.approx(2.0 / 3.0)
         assert data["x_star"][0] == pytest.approx(1.0 / 3.0)
-
+        assert not list(tmp_path.iterdir())
 
     def test_absent_features_unregularized(self, tmp_path, capsys):
         # features 2 and 4 occur in no row: their columns are zero, so the
@@ -361,18 +392,29 @@ class TestReference:
         data = tmp_path / "gaps.svm"
         data.write_text("".join(f"{y} {p}\n" for p in points for y in (1, -1))
                         + "1 1:0.8 3:0.1 5:0.3\n-1 1:-0.4 3:0.7 5:-0.5\n1 1:0.2 3:-0.9 5:0.6\n")
-        rc = run_cli("reference", "--problem", "dataset", "--dataset", str(data),
-                     "--out", str(tmp_path / "out"))
-        assert rc == 0, capsys.readouterr().err
-        ref = json.loads((tmp_path / "out" / "reference.json").read_text())
+        rc = run_cli("reference", "--problem", "dataset", "--dataset", str(data))
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        ref = json.loads(out)
         assert ref["grad_norm"] <= ref["tol"]
         assert len(ref["x_star"]) == 5 and min(abs(ref["x_star"][j]) for j in (0, 2, 4)) > 0.1
         assert abs(ref["x_star"][1]) <= 1e-12 and abs(ref["x_star"][3]) <= 1e-12
 
+    @pytest.mark.parametrize("argv", [
+        ("reference", "--problem", "counterexample", "--iters", "5"),
+        ("reference", "--problem", "counterexample", "--out", "-"),
+        ("verify",),
+    ])
+    def test_flag_or_command_it_does_not_take_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
-class TestVerify:
-    def test_verify_passes(self, capsys):
-        assert run_cli("verify") == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") == 4
+    def test_run_only_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "counterexample", "iters": 5}))
+        rc = run_cli("reference", "--config", str(cfg))
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: unknown config key 'iters' for polystep reference\n"
