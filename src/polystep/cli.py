@@ -101,10 +101,17 @@ def _config_value(action: argparse.Action, key: str, val):
 def _parse_args(parser: argparse.ArgumentParser, subcommands, argv) -> argparse.Namespace:
     """Parse argv. The values of a --config file, checked like the flags they
     stand for, become the subcommand's defaults and argv is parsed again, so
-    argparse lets every flag given on the command line win over the file."""
+    argparse lets every flag given on the command line win over the file. A
+    required flag that the file sets need not be given; the first parse, which
+    only finds the file, requires none."""
+    required = [a for p in subcommands.choices.values() for a in p._actions if a.required]
+    for action in required:
+        action.required = False
     args = parser.parse_args(argv)
+    for action in required:
+        action.required = True
     if not getattr(args, "config", None):
-        return args
+        return parser.parse_args(argv)
     sub = subcommands.choices[args.command]
     try:
         with open(args.config) as fh:
@@ -122,6 +129,7 @@ def _parse_args(parser: argparse.ArgumentParser, subcommands, argv) -> argparse.
             raise ConfigurationError(
                 f"unknown config key {key!r} for polystep {args.command}")
         defaults[attr] = _config_value(actions[attr], key, val)
+        actions[attr].required = False
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 

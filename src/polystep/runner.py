@@ -13,6 +13,7 @@ one row.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -118,35 +119,76 @@ def build_problem(spec: ProblemSpec):
     raise ConfigurationError(f"unknown problem {spec.name!r}")
 
 
-BLOCK = 4096  # most B=1 indices drawn ahead per seed
+BLOCK = 4096  # B * B <= BLOCK: batches are drawn ahead, BLOCK // B per row at a time
+
+
+def _floyd_bounds(n: int, B: int) -> np.ndarray:
+    """The exclusive bounds of the draws ``Generator.choice(n, B,
+    replace=False)`` makes: j + 1 for j = n-B..n-1 (Floyd's sample), then
+    i + 1 for i = B-1..1 (the Fisher-Yates shuffle of the sample)."""
+    return np.concatenate([np.arange(n - B + 1, n + 1), np.arange(B, 1, -1)])
+
+
+def _replay_floyd(n: int, U: np.ndarray) -> np.ndarray:
+    """The batches ``choice`` builds from the draws U (M, 2B-1), one row of
+    draws per batch, built in place in U[:, :B] and returned as that view:
+    Floyd's algorithm keeps draw p unless an earlier position holds it, in
+    which case position p takes n-B+p, and the shuffle then swaps position i
+    with position U[:, B + (B-1-i)] for i = B-1..1. Each step acts on all M
+    batches at once."""
+    B = (U.shape[1] + 1) // 2
+    S = U[:, :B]
+    for p in range(1, B):
+        S[(S[:, :p] == S[:, p, None]).any(axis=1), p] = n - B + p
+    rows = np.arange(len(S))
+    for i, j in zip(range(B - 1, 0, -1), U[:, B:].T):
+        S[rows, j], S[:, i] = S[:, i].copy(), S[rows, j]
+    return S
 
 
 class SeedBatches:
     """Minibatches for R rows, row r drawing from ``rngs[r]`` alone.
 
-    For B=1, ``rng.integers(0, n, m)`` yields the same indices, and leaves
-    the stream in the same state, as m successive ``sample_batch`` calls, so
-    single indices are drawn ahead in blocks of ``block`` per row. A B>1
-    batch is one ``sample_batch`` call on its row's stream.
+    For B * B <= BLOCK, each row's next ``steps`` batches come from one
+    ``rng.integers(0, bounds)`` call, which makes the bounded draws that
+    ``steps`` calls of ``sample_batch`` (``Generator.choice(n, B,
+    replace=False)``) make, in their order, and so leaves the stream where
+    they leave it; ``_replay_floyd`` then rebuilds the batches from the draws.
+    (``choice`` takes its other branch, a partial shuffle of range(n), only
+    for n > 10000 and B > n // 50, so never for B <= 64.) Once per instance,
+    a probe on copies of row 0's stream checks that the replay gives what
+    ``sample_batch`` gives; if not, or if B is larger, every batch is one
+    ``sample_batch`` call on its row's stream.
     """
 
-    def __init__(self, rngs, n: int, B: int, block: int = BLOCK):
+    def __init__(self, rngs, n: int, B: int, steps: int = BLOCK):
         if not 1 <= B <= n:
             raise ValueError(f"SeedBatches: need 1 <= B <= n, got B={B}, n={n}")
-        self.rngs, self.n, self.B, self.block = list(rngs), n, B, block
-        self._ahead = np.empty((len(self.rngs), block if B == 1 else 0), dtype=np.int64)
-        self._used = block  # indices of the current block consumed, by every row
+        self.rngs, self.n, self.B = list(rngs), n, B
+        self.steps = max(1, min(steps, BLOCK // B))  # batches drawn ahead per row
+        self.replay = B * B <= BLOCK and np.array_equal(
+            self._replay(copy.deepcopy(self.rngs[:1]), 1)[0, 0],
+            sample_batch(copy.deepcopy(self.rngs[0]), n, B))
+        self._ahead = np.empty((len(self.rngs), 0, B), dtype=np.int64)
+        self._used = 0  # batches of the current block handed out
+
+    def _replay(self, rngs, steps: int) -> np.ndarray:
+        """The next ``steps`` batches of each of ``rngs``: an (R, steps, B) block."""
+        bounds = np.tile(_floyd_bounds(self.n, self.B), steps)
+        U = np.empty((len(rngs), len(bounds)), dtype=np.int64)
+        for r, rng in enumerate(rngs):
+            U[r] = rng.integers(0, bounds)
+        S = _replay_floyd(self.n, U.reshape(len(rngs) * steps, 2 * self.B - 1))
+        return S.reshape(len(rngs), steps, self.B)
 
     def draw(self) -> np.ndarray:
         """The next batch of every row: an (R, B) block."""
-        if self.B > 1:
+        if not self.replay:
             return np.stack([sample_batch(rng, self.n, self.B) for rng in self.rngs])
-        if self._used == self.block:
-            for r, rng in enumerate(self.rngs):
-                self._ahead[r] = rng.integers(0, self.n, size=self.block)
-            self._used = 0
+        if self._used == self._ahead.shape[1]:
+            self._ahead, self._used = self._replay(self.rngs, self.steps), 0
         self._used += 1
-        return self._ahead[:, [self._used - 1]]
+        return self._ahead[:, self._used - 1]
 
 
 def grid_lockstep(obj, groups, X0, K, B, rngs):
@@ -168,18 +210,18 @@ def grid_lockstep(obj, groups, X0, K, B, rngs):
     # may swap entries of STEPPERS in place (e.g. to time or count them)
     rules = [(STEPPERS[method], cfg, batch_target(cfg, method, obj)) for method, cfg, _ in groups]
     states = [init_state(cfg, method, obj.d, rows=size) for method, cfg, size in groups]
-    batches = SeedBatches(rngs, obj.n, B, block=min(K, BLOCK))
+    batches = SeedBatches(rngs, obj.n, B, steps=K)
     X = X0
     for k in range(K):
         S = batches.draw()
         F, G = obj.value_and_grad(S, X)
         g2 = np.vecdot(G, G)
-        steps = []
+        # fresh at every step: a caller may keep the X and gamma it was yielded
+        X_next, gamma = np.empty(X.shape), np.empty(len(X))
         for g, ((rule, cfg, target), a, b) in enumerate(zip(rules, bounds, bounds[1:])):
             m = None if target is None else target(S[a:b])
-            X_g, gamma_g, states[g] = rule(cfg, states[g], X[a:b], F[a:b], G[a:b], g2[a:b], m)
-            steps.append((X_g, gamma_g))
-        X_next, gamma = steps[0] if len(steps) == 1 else map(np.concatenate, zip(*steps))
+            X_next[a:b], gamma[a:b], states[g] = rule(
+                cfg, states[g], X[a:b], F[a:b], G[a:b], g2[a:b], m)
         yield k, X, gamma
         X = X_next
 

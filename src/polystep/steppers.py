@@ -4,7 +4,10 @@ Every rule is written once over R rows that advance together: iterates X of
 shape (R, d), batch values F (R,), gradients G (R, d), squared gradient norms
 g2 (R,), and a state whose scalars are (R,) arrays (``k`` is shared). A rule
 ``STEPPERS[method](cfg, state, X, F, G, g2, m) -> (X_next, gamma, state)``
-gets m, the Polyak target of each row's batch, from ``batch_target``. Where a
+gets m, the Polyak target of each row's batch, from ``batch_target``. It
+updates the state in place and returns it; the gamma it returns may be a
+buffer of that state, which the next call overwrites, so a caller that keeps
+gamma across calls copies it (``runner.grid_lockstep`` does). Where a
 row's gradient is zero, its Polyak ratio takes its limit +inf, so the cap
 binds and the row stays where it is (as in ``oracles.simulate_polyak_1d``).
 
@@ -33,7 +36,7 @@ of both rules hold exactly in floating point, not just up to roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -62,10 +65,10 @@ class StepperConfig:
     lower_bound_value: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepperState:
     """Per-row stepper state: the scalars are (R,) arrays, ``v``/``vhat``
-    are (R, d) and ``k`` is shared by all rows."""
+    are (R, d) and ``k`` is shared by all rows. The rules update it in place."""
 
     k: int = 0
     gamma_prev: np.ndarray | float = 0.0
@@ -132,7 +135,7 @@ def init_state(cfg: StepperConfig, method: str, d: int, rows: int = 1) -> Steppe
         accum=np.full(rows, cfg.b0**2),
     )
     if method in ("adam", "amsgrad"):
-        state = replace(state, v=np.zeros((rows, d)), vhat=np.zeros((rows, d)))
+        state.v, state.vhat = np.zeros((rows, d)), np.zeros((rows, d))
     return state
 
 
@@ -162,16 +165,20 @@ def _larger(a, b):
 def _ratio(num, den):
     """num / den per row, and +inf where den is zero: the limit of a Polyak
     ratio as the gradient norm goes to zero, which the rule's cap then clips."""
+    if np.count_nonzero(den) == len(den):
+        return num / den
     return np.divide(num, den, out=np.full(len(den), np.inf), where=den != 0)
 
 
-def _advance(state, gamma, **fields):
-    return replace(state, k=state.k + 1, gamma_prev=gamma, **fields)
+def _advance(state, gamma):
+    state.k += 1
+    state.gamma_prev = gamma
 
 
-def _descend(X, G, gamma, state, **fields):
-    """x - gamma g per row, gamma, and the state after the step."""
-    return X - gamma[:, None] * G, gamma, _advance(state, gamma, **fields)
+def _descend(X, G, gamma, state):
+    """x - gamma g per row, gamma, and the state moved on to step k + 1."""
+    _advance(state, gamma)
+    return X - gamma[:, None] * G, gamma, state
 
 
 def _sps_max(cfg, state, X, F, G, g2, m):
@@ -183,40 +190,52 @@ def _decsps(cfg, state, X, F, G, g2, m, floored=False):
     ratio = _ratio(F - m, g2)
     if floored:
         ratio = _larger(cfg.c0 * cfg.gamma_ell, ratio)
-    scaled = _smaller(ratio, state.scaled_prev)
-    return _descend(X, G, scaled / c_value(cfg, state.k), state, scaled_prev=scaled)
+    state.scaled_prev = _smaller(ratio, state.scaled_prev)
+    return _descend(X, G, state.scaled_prev / c_value(cfg, state.k), state)
+
+
+def _constant(state, value):
+    """The state's gamma_prev buffer, every entry set to value."""
+    state.gamma_prev.fill(value)
+    return state.gamma_prev
 
 
 def _sgd_constant(cfg, state, X, F, G, g2, m):
-    return _descend(X, G, np.full(len(X), cfg.eta), state)
+    return _descend(X, G, _constant(state, cfg.eta), state)
 
 
 def _sgd_decreasing(cfg, state, X, F, G, g2, m):
-    return _descend(X, G, np.full(len(X), cfg.eta / math.sqrt(state.k + 1)), state)
+    return _descend(X, G, _constant(state, cfg.eta / math.sqrt(state.k + 1)), state)
 
 
 def _adagrad_norm(cfg, state, X, F, G, g2, m):
-    b2 = state.accum + g2
-    return _descend(X, G, cfg.eta / np.sqrt(b2), state, accum=b2)
+    state.accum += g2
+    return _descend(X, G, cfg.eta / np.sqrt(state.accum), state)
 
 
-def _diagonal(cfg, state, X, G, eta, moment, **fields):
+def _diagonal(cfg, state, X, G, eta, moment):
     """x - eta g / (sqrt(moment) + eps); gamma is the mean per-coordinate stepsize."""
     denom = np.sqrt(moment) + cfg.eps_adam
     gamma = np.mean(eta / denom, axis=1)
-    return X - eta * G / denom, gamma, _advance(state, gamma, **fields)
+    _advance(state, gamma)
+    return X - eta * G / denom, gamma, state
+
+
+def _second_moment(cfg, state, G):
+    """v <- beta2 v + (1 - beta2) g * g, in place."""
+    state.v *= cfg.beta2
+    state.v += (1.0 - cfg.beta2) * G * G
+    return state.v
 
 
 def _adam(cfg, state, X, F, G, g2, m):
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * G * G
-    vhat = v / (1.0 - cfg.beta2 ** (state.k + 1))
-    return _diagonal(cfg, state, X, G, cfg.eta, vhat, v=v)
+    vhat = _second_moment(cfg, state, G) / (1.0 - cfg.beta2 ** (state.k + 1))
+    return _diagonal(cfg, state, X, G, cfg.eta, vhat)
 
 
 def _amsgrad(cfg, state, X, F, G, g2, m):
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * G * G
-    vhat = np.maximum(state.vhat, v)
-    return _diagonal(cfg, state, X, G, cfg.eta / math.sqrt(state.k + 1), vhat, v=v, vhat=vhat)
+    vhat = np.maximum(state.vhat, _second_moment(cfg, state, G), out=state.vhat)
+    return _diagonal(cfg, state, X, G, cfg.eta / math.sqrt(state.k + 1), vhat)
 
 
 STEPPERS = {

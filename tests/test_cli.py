@@ -348,6 +348,26 @@ class TestSweep:
         assert err.count("\n") == 1 and "is not a directory" in err
         assert out.read_text() == "kept"
 
+    @pytest.mark.parametrize("flags,rows", [((), 2), (("--sweep-values", "0.5,1,2"), 3)])
+    def test_config_sets_the_required_flags(self, tmp_path, flags, rows):
+        # the keys stand for --sweep-param and --sweep-values; a flag still wins
+        cfg = tmp_path / "sw.json"
+        cfg.write_text(json.dumps({"problem": "counterexample", "iters": 3, "seeds": 1,
+                                   "sweep_param": "c0", "sweep_values": "0.5,1"}))
+        rc = run_cli("sweep", "--config", str(cfg), *flags, "--out", str(tmp_path / "out"))
+        assert rc == 0
+        summary = (tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()
+        assert len(summary) == 1 + rows
+
+    def test_config_without_a_required_flag_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sw.json"
+        cfg.write_text(json.dumps({"problem": "counterexample", "sweep_param": "c0"}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert "required: --sweep-values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_iterations_exits_2(self, tmp_path, capsys):
         rc = run_cli("sweep", "--problem", "counterexample", "--iters", "0",
                      "--sweep-param", "c0", "--sweep-values", "0.5,1", "--out", str(tmp_path))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polystep import steppers
+from polystep import runner, steppers
 from polystep.core import sample_batch, stream
 from polystep.data_io import METRICS, Trace, make_synthetic, write_trace
 from polystep.objectives import (
@@ -26,6 +26,7 @@ from polystep.objectives import (
     make_random_strongly_convex,
 )
 from polystep.runner import (
+    BLOCK,
     ProblemSpec,
     RunConfig,
     SeedBatches,
@@ -230,20 +231,57 @@ def test_rules_are_looked_up_when_a_pass_starts(tmp_path, monkeypatch):
     assert Path(out.trace_path).read_bytes() == plain
 
 
-@pytest.mark.parametrize("B", [1, 3])
-def test_block_draws_match_per_step_sample_batch(B):
-    n, block = 7, 4
-    batches = SeedBatches([stream(10), stream(11)], n, B, block=block)
-    # every row at every draw, across three block ends
-    draws = [batches.draw() for _ in range(3 * block)]
-    assert all(S.shape == (2, B) for S in draws)
-    for r, seed in enumerate((10, 11)):
+@pytest.mark.parametrize("n,B,steps", [
+    (7, 1, 4), (2, 1, 4), (7, 3, 4),
+    (3, 3, 4), (10, 5, 4), (20, 20, 4),  # many collisions in Floyd's sample
+    (64, 64, 3), (200, 64, 3), (200, 65, 3),  # the largest replayed B, the smallest per-step one
+    (12000, 20, 4), (5000, 20, BLOCK),  # n > 10000; whole default blocks
+])
+def test_block_draws_match_per_step_sample_batch(n, B, steps):
+    seeds = (10, 11, 12)
+    batches = SeedBatches([stream(s) for s in seeds], n, B, steps=steps)
+    assert batches.replay == (B <= 64)
+    # every row at every draw, across two block ends
+    draws = [batches.draw() for _ in range(3 * batches.steps)]
+    assert all(S.shape == (len(seeds), B) for S in draws)
+    for r, seed in enumerate(seeds):
         ref = stream(seed)
         assert [S[r].tolist() for S in draws] == [sample_batch(ref, n, B).tolist()
                                                  for _ in draws]
         # each row used up whole blocks, so its stream is where per-step
         # draws leave it
-        np.testing.assert_array_equal(batches.rngs[r].random(8), ref.random(8))
+        np.testing.assert_equal(batches.rngs[r].bit_generator.state, ref.bit_generator.state)
+
+
+def test_a_sampler_the_replay_does_not_match_is_called_per_step(monkeypatch):
+    def permuted(rng, n, B):
+        return rng.permutation(n)[:B]
+
+    monkeypatch.setattr(runner, "sample_batch", permuted)
+    seeds, n, B = (3, 4), 9, 4
+    batches = SeedBatches([stream(s) for s in seeds], n, B, steps=4)
+    assert not batches.replay
+    draws = [batches.draw() for _ in range(10)]
+    for r, seed in enumerate(seeds):
+        ref = stream(seed)
+        assert [S[r].tolist() for S in draws] == [permuted(ref, n, B).tolist() for _ in draws]
+
+
+@pytest.mark.parametrize("method", OPTIMIZERS)
+def test_yielded_arrays_are_fresh_at_every_step(method):
+    # the rules update their state in place; what a step yields must not
+    # change afterwards, nor be shared with another step
+    obj = make_fig1_problem(stream(1), d=6, n=12)
+    X0 = stream(2).standard_normal((3, obj.d))
+    kept = [(X, gamma, X.copy(), gamma.copy()) for _, X, gamma in
+            lockstep(obj, method, StepperConfig(eta=0.05), X0, 12, 2,
+                     [stream(s) for s in range(3)])]
+    for X, gamma, X_then, gamma_then in kept:
+        assert X.tobytes() == X_then.tobytes()
+        assert gamma.tobytes() == gamma_then.tobytes()
+    for (X, gamma, *_), (X_next, gamma_next, *_) in zip(kept, kept[1:]):
+        assert not np.shares_memory(X, X_next)
+        assert not np.shares_memory(gamma, gamma_next)
 
 
 def _rows(trace):
