@@ -26,7 +26,7 @@ def _add_problem(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--problem", default="synthetic",
                    choices=["counterexample", "fig1", "synthetic", "dataset"])
-    p.add_argument("--dataset", help="path for --problem dataset")
+    p.add_argument("--dataset", type=str, help="path for --problem dataset")
     p.add_argument("--dataset-format", default="libsvm", choices=runner.DATASET_FORMATS)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--label-sign", default="standard", choices=["standard", "as_printed"])
@@ -55,7 +55,7 @@ def _add_run(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lower-bound", default="zero", choices=steppers.LOWER_BOUND_POLICIES)
     p.add_argument("--lower-bound-value", type=float, default=0.0)
     p.add_argument("--record-every", type=int, default=1)
-    p.add_argument("--out", default="out")
+    p.add_argument("--out", type=str, default="out")
     p.add_argument("--format", default="csv", choices=data_io.TRACE_FORMATS)
 
 
@@ -101,17 +101,10 @@ def _config_value(action: argparse.Action, key: str, val):
 def _parse_args(parser: argparse.ArgumentParser, subcommands, argv) -> argparse.Namespace:
     """Parse argv. The values of a --config file, checked like the flags they
     stand for, become the subcommand's defaults and argv is parsed again, so
-    argparse lets every flag given on the command line win over the file. A
-    required flag that the file sets need not be given; the first parse, which
-    only finds the file, requires none."""
-    required = [a for p in subcommands.choices.values() for a in p._actions if a.required]
-    for action in required:
-        action.required = False
+    argparse lets every flag given on the command line win over the file."""
     args = parser.parse_args(argv)
-    for action in required:
-        action.required = True
     if not getattr(args, "config", None):
-        return parser.parse_args(argv)
+        return args
     sub = subcommands.choices[args.command]
     try:
         with open(args.config) as fh:
@@ -129,7 +122,6 @@ def _parse_args(parser: argparse.ArgumentParser, subcommands, argv) -> argparse.
             raise ConfigurationError(
                 f"unknown config key {key!r} for polystep {args.command}")
         defaults[attr] = _config_value(actions[attr], key, val)
-        actions[attr].required = False
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -203,6 +195,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    missing = [flag for flag, value in (("--sweep-param", args.sweep_param),
+                                        ("--sweep-values", args.sweep_values)) if value is None]
+    if missing:
+        raise ConfigurationError(f"polystep sweep needs {' and '.join(missing)}")
     try:
         values = [float(v) for v in args.sweep_values.split(",")]
     except ValueError:
@@ -247,9 +243,9 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="hyperparameter sweep")
     _add_problem(p_sweep)
     _add_run(p_sweep)
-    p_sweep.add_argument("--sweep-param", required=True,
+    p_sweep.add_argument("--sweep-param",
                          choices=["c0", "gamma_b", "gamma_ell", "eta", "b0", "beta2"])
-    p_sweep.add_argument("--sweep-values", required=True, help="comma-separated values")
+    p_sweep.add_argument("--sweep-values", type=str, help="comma-separated values")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ref = sub.add_parser("reference", help="print the reference solution as JSON")
@@ -259,8 +255,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(parser, sub, argv)
         return args.func(args)
-    except (ConfigurationError, objectives.UnavailableExactMinimum, objectives.SingularSystem,
-            objectives.SolverFailure, data_io.LoadError) as e:
+    except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,9 +10,11 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from .core import ConfigurationError
 
-class LoadError(ValueError):
-    pass
+
+class LoadError(ConfigurationError):
+    """A dataset or trace file that cannot be read."""
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,7 @@ class Dataset:
 
 
 METRICS = ("f_sub", "f_sub_avg_iterate", "dist_sq", "gamma")
-TRACE_HEADER = ("seed", "k", "f_sub", "f_sub_avg_iterate", "dist_sq", "gamma")
+TRACE_HEADER = ("seed", "k", *METRICS)
 TRACE_FORMATS = {"csv": "csv", "json-lines": "jsonl"}  # format -> file extension
 
 
@@ -269,7 +271,7 @@ def make_synthetic(rng: np.random.Generator, n: int, d: int, name: str = "synthe
     return Dataset(X, y, name=name)
 
 
-_CSV_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g\r\n"  # the csv module's line ending
+_CSV_ROW = "%d,%d" + ",%.17g" * len(METRICS) + "\r\n"  # the csv module's line ending
 
 
 def write_trace(trace: Trace, path: str, fmt: str = "csv") -> None:

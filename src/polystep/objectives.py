@@ -30,20 +30,21 @@ import numpy as np
 from .core import ConfigurationError, MiniBatch, Vector
 
 
-class UnavailableExactMinimum(ValueError):
+class UnavailableExactMinimum(ConfigurationError):
     """Exact batch minimum is not computable for this objective/batch."""
 
 
-class UnsoundLowerBound(ValueError):
+class UnsoundLowerBound(ConfigurationError):
     """Requested lower-bound policy is not certified for this objective."""
 
 
-class SingularSystem(ValueError):
+class SingularSystem(ConfigurationError):
     """The batch normal equations are singular."""
 
 
-class SolverFailure(RuntimeError):
-    """Reference solver hit the iteration cap before reaching tolerance."""
+class SolverFailure(ConfigurationError):
+    """The reference solve cannot reach its tolerance: the iteration cap, a
+    stalled line search, or separable data without a minimizer."""
 
     def __init__(self, msg: str, grad_norm: float):
         super().__init__(msg)
@@ -103,7 +104,7 @@ class LogisticObjective:
     def __post_init__(self):
         _store_c_order(self, "features", "labels")
         if self.label_sign not in ("standard", "as_printed"):
-            raise ValueError(f"unknown label_sign {self.label_sign!r}")
+            raise ConfigurationError(f"unknown label_sign {self.label_sign!r}")
         if not np.isin(self.labels, (-1.0, 1.0)).all():
             raise ValueError("labels must be in {-1, +1}")
         if self.lam < 0:

@@ -1,15 +1,15 @@
 """Per-iteration stepsize rules.
 
-Every rule is written once over R rows that advance together: iterates X of
-shape (R, d), batch values F (R,), gradients G (R, d), squared gradient norms
-g2 (R,), and a state whose scalars are (R,) arrays (``k`` is shared). A rule
-``STEPPERS[method](cfg, state, X, F, G, g2, m) -> (X_next, gamma, state)``
-gets m, the Polyak target of each row's batch, from ``batch_target``. It
-updates the state in place and returns it; the gamma it returns may be a
-buffer of that state, which the next call overwrites, so a caller that keeps
-gamma across calls copies it (``runner.grid_lockstep`` does). Where a
-row's gradient is zero, its Polyak ratio takes its limit +inf, so the cap
-binds and the row stays where it is (as in ``oracles.simulate_polyak_1d``).
+Every rule is written once over R rows that advance together: batch values
+F (R,), gradients G (R, d), squared gradient norms g2 (R,), and a state whose
+scalars are (R,) arrays (``k`` is shared). A rule
+``STEPPERS[method](cfg, state, F, G, g2, m) -> (U, gamma)`` gets m, the
+Polyak target of each row's batch, from ``batch_target``. It advances the
+state in place and returns two fresh arrays: the update U (R, d), which the
+caller subtracts from the iterates, and the stepsizes gamma (R,), which the
+state keeps as ``gamma_prev`` but never writes into. Where a row's gradient
+is zero, its Polyak ratio takes its limit +inf, so the cap binds and U is
+zero (as in ``oracles.simulate_polyak_1d``).
 
 Implemented rules:
 
@@ -124,6 +124,8 @@ def validate(cfg: StepperConfig, method: str) -> None:
         raise ConfigurationError("eps_adam must be positive")
     if method == "adagrad_norm" and cfg.b0 <= 0:
         raise ConfigurationError("b0 must be positive")
+    if method == "adagrad_norm" and not 0 < cfg.b0 * cfg.b0 < math.inf:
+        raise ConfigurationError(f"b0 squared must be positive and finite, got b0={cfg.b0}")
 
 
 def init_state(cfg: StepperConfig, method: str, d: int, rows: int = 1) -> StepperState:
@@ -132,7 +134,7 @@ def init_state(cfg: StepperConfig, method: str, d: int, rows: int = 1) -> Steppe
         k=0,
         gamma_prev=np.full(rows, cfg.gamma_b),
         scaled_prev=np.full(rows, cfg.c0 * cfg.gamma_b),
-        accum=np.full(rows, cfg.b0**2),
+        accum=np.full(rows, cfg.b0 * cfg.b0),
     )
     if method in ("adam", "amsgrad"):
         state.v, state.vhat = np.zeros((rows, d)), np.zeros((rows, d))
@@ -170,55 +172,47 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.full(len(den), np.inf), where=den != 0)
 
 
-def _advance(state, gamma):
+def _advance(state, U, gamma):
+    """(U, gamma), with the state moved on to step k + 1."""
     state.k += 1
     state.gamma_prev = gamma
+    return U, gamma
 
 
-def _descend(X, G, gamma, state):
-    """x - gamma g per row, gamma, and the state moved on to step k + 1."""
-    _advance(state, gamma)
-    return X - gamma[:, None] * G, gamma, state
+def _descend(state, G, gamma):
+    """The update gamma g per row, and gamma."""
+    return _advance(state, gamma[:, None] * G, gamma)
 
 
-def _sps_max(cfg, state, X, F, G, g2, m):
-    gamma = _smaller(_ratio(F - m, c_value(cfg, state.k) * g2), cfg.gamma_b)
-    return _descend(X, G, gamma, state)
+def _sps_max(cfg, state, F, G, g2, m):
+    return _descend(state, G, _smaller(_ratio(F - m, c_value(cfg, state.k) * g2), cfg.gamma_b))
 
 
-def _decsps(cfg, state, X, F, G, g2, m, floored=False):
+def _decsps(cfg, state, F, G, g2, m, floored=False):
     ratio = _ratio(F - m, g2)
     if floored:
         ratio = _larger(cfg.c0 * cfg.gamma_ell, ratio)
     state.scaled_prev = _smaller(ratio, state.scaled_prev)
-    return _descend(X, G, state.scaled_prev / c_value(cfg, state.k), state)
+    return _descend(state, G, state.scaled_prev / c_value(cfg, state.k))
 
 
-def _constant(state, value):
-    """The state's gamma_prev buffer, every entry set to value."""
-    state.gamma_prev.fill(value)
-    return state.gamma_prev
+def _sgd_constant(cfg, state, F, G, g2, m):
+    return _descend(state, G, np.full(len(F), cfg.eta))
 
 
-def _sgd_constant(cfg, state, X, F, G, g2, m):
-    return _descend(X, G, _constant(state, cfg.eta), state)
+def _sgd_decreasing(cfg, state, F, G, g2, m):
+    return _descend(state, G, np.full(len(F), cfg.eta / math.sqrt(state.k + 1)))
 
 
-def _sgd_decreasing(cfg, state, X, F, G, g2, m):
-    return _descend(X, G, _constant(state, cfg.eta / math.sqrt(state.k + 1)), state)
-
-
-def _adagrad_norm(cfg, state, X, F, G, g2, m):
+def _adagrad_norm(cfg, state, F, G, g2, m):
     state.accum += g2
-    return _descend(X, G, cfg.eta / np.sqrt(state.accum), state)
+    return _descend(state, G, cfg.eta / np.sqrt(state.accum))
 
 
-def _diagonal(cfg, state, X, G, eta, moment):
-    """x - eta g / (sqrt(moment) + eps); gamma is the mean per-coordinate stepsize."""
+def _diagonal(cfg, state, G, eta, moment):
+    """The update eta g / (sqrt(moment) + eps); gamma is the mean per-coordinate stepsize."""
     denom = np.sqrt(moment) + cfg.eps_adam
-    gamma = np.mean(eta / denom, axis=1)
-    _advance(state, gamma)
-    return X - eta * G / denom, gamma, state
+    return _advance(state, eta * G / denom, np.mean(eta / denom, axis=1))
 
 
 def _second_moment(cfg, state, G):
@@ -228,14 +222,14 @@ def _second_moment(cfg, state, G):
     return state.v
 
 
-def _adam(cfg, state, X, F, G, g2, m):
+def _adam(cfg, state, F, G, g2, m):
     vhat = _second_moment(cfg, state, G) / (1.0 - cfg.beta2 ** (state.k + 1))
-    return _diagonal(cfg, state, X, G, cfg.eta, vhat)
+    return _diagonal(cfg, state, G, cfg.eta, vhat)
 
 
-def _amsgrad(cfg, state, X, F, G, g2, m):
+def _amsgrad(cfg, state, F, G, g2, m):
     vhat = np.maximum(state.vhat, _second_moment(cfg, state, G), out=state.vhat)
-    return _diagonal(cfg, state, X, G, cfg.eta / math.sqrt(state.k + 1), vhat)
+    return _diagonal(cfg, state, G, cfg.eta / math.sqrt(state.k + 1), vhat)
 
 
 STEPPERS = {

@@ -3,7 +3,10 @@ import time
 
 import pytest
 
+from polystep import objectives
 from polystep.cli import main
+from polystep.core import ConfigurationError
+from polystep.data_io import LoadError
 
 
 ONE_SEED = ("--problem", "counterexample", "--seeds", "1")
@@ -11,6 +14,15 @@ ONE_SEED = ("--problem", "counterexample", "--seeds", "1")
 
 def run_cli(*args):
     return main(list(args))
+
+
+@pytest.mark.parametrize("error", [
+    LoadError, objectives.SolverFailure, objectives.SingularSystem,
+    objectives.UnavailableExactMinimum, objectives.UnsoundLowerBound,
+])
+def test_every_input_error_is_a_configuration_error(error):
+    # the command line catches ConfigurationError alone
+    assert issubclass(error, ConfigurationError)
 
 
 def run_with_config(tmp_path, values, *flags):
@@ -88,6 +100,9 @@ class TestRun:
         ({"n": 2.5}, "'n' expects int"),
         ({"problem": 7}, "unknown problem 7"),
         ({"eta": 10**400}, "'eta' expects float"),
+        # a path is a string: the number 7 would open file descriptor 7
+        ({"problem": "dataset", "dataset": 7}, "'dataset' expects str"),
+        ({"out": 5}, "'out' expects str"),
     ])
     def test_config_value_checked_like_its_flag(self, tmp_path, capsys, values, message):
         values = {"problem": "fig1", "n": 5, "d": 2, "iters": 3, "seeds": 1, **values}
@@ -130,6 +145,9 @@ class TestRun:
         # an infinite tolerance would stop the solve before its first step
         (("--problem", "counterexample", "--reference-tol", "inf"),
          "reference_tol must be > 0 and finite"),
+        # b0 squared is adagrad_norm's first accumulator: it must not overflow or underflow
+        ((*ONE_SEED, "--optimizer", "adagrad_norm", "--b0", "1e200"), "b0 squared must be"),
+        ((*ONE_SEED, "--optimizer", "adagrad_norm", "--b0", "1e-200"), "b0 squared must be"),
     ])
     def test_library_error_exits_2_with_one_line(self, tmp_path, capsys, flags, message):
         rc = run_cli("run", *flags, "--iters", "3", "--out", str(tmp_path / "out"))
@@ -277,6 +295,11 @@ class TestRun:
         assert err.count("\n") == 1 and "linearly separable" in err and "--lambda" in err
         assert not (tmp_path / "out").exists()
 
+    def test_huge_b0_is_no_failure_for_a_rule_that_ignores_it(self, tmp_path, capsys):
+        rc = run_cli("run", "--problem", "counterexample", "--optimizer", "decsps",
+                     "--b0", "1e200", "--iters", "3", "--seeds", "1", "--out", str(tmp_path))
+        assert rc == 0 and capsys.readouterr().err == ""
+
     def test_landing_on_a_component_minimiser_is_no_failure(self, tmp_path, capsys):
         # gamma_0 = 0.25 / 0.5 lands some seeds exactly on x = 1, where one
         # component has a zero gradient: they stay there and keep recording
@@ -362,10 +385,32 @@ class TestSweep:
     def test_config_without_a_required_flag_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "sw.json"
         cfg.write_text(json.dumps({"problem": "counterexample", "sweep_param": "c0"}))
-        with pytest.raises(SystemExit) as exc:
-            run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "out"))
-        assert exc.value.code == 2
-        assert "required: --sweep-values" in capsys.readouterr().err
+        rc = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: polystep sweep needs --sweep-values\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--sweep-param", "c0"), "needs --sweep-values"),
+        (("--sweep-values", "0.5,1"), "needs --sweep-param"),
+        ((), "needs --sweep-param and --sweep-values"),
+    ])
+    def test_missing_required_flag_exits_2_with_one_line(self, tmp_path, capsys, flags, message):
+        rc = run_cli("sweep", "--problem", "counterexample", "--iters", "3", "--seeds", "1",
+                     *flags, "--out", str(tmp_path / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_sweep_values_that_are_no_string_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sw.json"
+        cfg.write_text(json.dumps({"problem": "counterexample", "sweep_param": "c0",
+                                   "sweep_values": 0.5}))
+        rc = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'sweep_values' expects str" in err
         assert not (tmp_path / "out").exists()
 
     def test_zero_iterations_exits_2(self, tmp_path, capsys):

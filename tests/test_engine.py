@@ -222,7 +222,7 @@ def test_rules_are_looked_up_when_a_pass_starts(tmp_path, monkeypatch):
     rule, calls = steppers.STEPPERS["decsps"], []
 
     def counting(*args):
-        calls.append(len(args[2]))  # rows in X
+        calls.append(len(args[2]))  # rows in F
         return rule(*args)
 
     monkeypatch.setitem(steppers.STEPPERS, "decsps", counting)

@@ -1,9 +1,13 @@
 import json
+import math
+import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polystep import objectives
 from polystep.core import stream
@@ -18,7 +22,15 @@ from polystep.runner import (
     iterate_run,
     run_experiment,
 )
-from polystep.steppers import ConfigurationError, StepperConfig, c_value
+from polystep.steppers import (
+    C_SCHEDULES,
+    F_STAR_POLICIES,
+    LOWER_BOUND_POLICIES,
+    STEPPERS,
+    ConfigurationError,
+    StepperConfig,
+    c_value,
+)
 
 
 def counterexample_cfg(tmp_path, **kwargs):
@@ -67,6 +79,10 @@ class TestBuildProblem:
     def test_unknown_problem(self):
         with pytest.raises(ConfigurationError):
             build_problem(ProblemSpec(name="mystery"))
+
+    def test_unknown_label_sign(self):
+        with pytest.raises(ConfigurationError, match="label_sign 'bogus'"):
+            build_problem(ProblemSpec(name="synthetic", n=10, d=2, label_sign="bogus"))
 
 
 class TestIterateRun:
@@ -282,3 +298,76 @@ class TestCompareGrid:
         b = counterexample_cfg(tmp_path, K=20)
         with pytest.raises(ConfigurationError):
             compare_grid([a, b])
+
+
+# a value far from ordinary: of any magnitude up to 1e+-300, zero or negative,
+# or not finite
+EXTREME = st.one_of(st.floats(-1e300, 1e300), st.sampled_from(
+    [0.0, -1.0, 1e-300, 1e-200, 1e200, 1e300, -1e300, math.inf, math.nan]))
+
+ORDINARY = {  # setting -> its ordinary values
+    "gamma_b": st.floats(0.5, 20.0), "gamma_ell": st.floats(1e-3, 0.5),
+    "c0": st.floats(0.1, 4.0), "eta": st.floats(1e-3, 10.0), "b0": st.floats(0.01, 10.0),
+    "beta2": st.floats(0.5, 0.999), "eps_adam": st.floats(1e-10, 1e-6),
+    "lower_bound_value": st.floats(-2.0, 2.0),
+    "f_floor": st.floats(0.0, 2.0), "lam": st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+    "K": st.integers(1, 20), "record_every": st.integers(1, 6),
+}
+
+
+@st.composite
+def small_run_configs(draw):
+    """A small run of any optimizer, policy and schedule on the
+    counterexample, fig1 or synthetic logistic: every setting ordinary,
+    except up to two that take an extreme value (a count takes 0 or -1)."""
+    v = {name: draw(values) for name, values in ORDINARY.items()}
+    for name in draw(st.lists(st.sampled_from(sorted(ORDINARY)), max_size=2)):
+        v[name] = draw(st.integers(-1, 0) if name in ("K", "record_every") else EXTREME)
+    problem = ProblemSpec(
+        draw(st.sampled_from(["counterexample", "fig1", "synthetic"])),
+        lam=v.pop("lam"), f_floor=v.pop("f_floor"),
+        label_sign=draw(st.sampled_from(["standard", "as_printed"])),
+        n=draw(st.integers(1, 12)), d=draw(st.integers(1, 3)),
+        interpolated=draw(st.booleans()), gen_seed=draw(st.integers(0, 3)))
+    K, record_every = v.pop("K"), v.pop("record_every")
+    stepper = StepperConfig(
+        c_schedule=draw(st.sampled_from(C_SCHEDULES)),
+        f_star_policy=draw(st.sampled_from(F_STAR_POLICIES)),
+        lower_bound_policy=draw(st.sampled_from(LOWER_BOUND_POLICIES)), **v)
+    return RunConfig(
+        problem, draw(st.sampled_from(sorted(STEPPERS))), stepper, B=draw(st.integers(1, 3)),
+        K=K, seeds=tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))),
+        trace_format=draw(st.sampled_from(["csv", "json-lines"])), record_every=record_every)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=small_run_configs())
+# b0 squared overflows: a rule that never reads it must still run
+@example(cfg=RunConfig(ProblemSpec("counterexample"), "decsps", StepperConfig(b0=1e200), K=3))
+def test_a_config_fails_cleanly_or_runs_with_every_failure_diagnosed(cfg):
+    # a random config raises a one-line ConfigurationError before writing
+    # anything, or runs; then every seed whose trace holds an inf or a nan,
+    # or that took a negative stepsize at any step, is in the diagnostics
+    took_negative = np.zeros(len(cfg.seeds), dtype=bool)
+    rule = STEPPERS[cfg.optimizer]
+
+    def watching(stepper, state, *args):
+        U, gamma = rule(stepper, state, *args)
+        took_negative[:] |= gamma < 0
+        return U, gamma
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = replace(cfg, out_dir=str(Path(tmp) / "out"))
+        STEPPERS[cfg.optimizer] = watching
+        try:
+            out = run_experiment(cfg)
+        except ConfigurationError as e:
+            assert "\n" not in str(e)
+            assert not Path(cfg.out_dir).exists()
+            return
+        finally:
+            STEPPERS[cfg.optimizer] = rule
+    values = np.stack([getattr(out.records, m) for m in METRICS])  # (metric, row, j)
+    failed = ~np.isfinite(values).all(axis=(0, 2)) | took_negative
+    assert {seed for seed, bad in zip(cfg.seeds, failed) if bad} == \
+        {d["seed"] for d in out.diagnostics}

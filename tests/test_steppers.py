@@ -27,13 +27,13 @@ from polystep.steppers import (
 
 def step(method, cfg, state, obj, S, x):
     """One rule call on one row: batch S at x, passed as (1, B) and (1, d)
-    arrays. Returns x_next (d,), gamma as a float and the next state."""
+    arrays. Returns x_next (d,), gamma as a float and the state, advanced in place."""
     S, X = np.asarray(S)[None], np.asarray(x, dtype=np.float64)[None]
     F, G = obj.value_and_grad(S, X)
     target = batch_target(cfg, method, obj)
     m = None if target is None else target(S)
-    X_next, gamma, state = STEPPERS[method](cfg, state, X, F, G, np.vecdot(G, G), m)
-    return X_next[0], float(gamma[0]), state
+    U, gamma = STEPPERS[method](cfg, state, F, G, np.vecdot(G, G), m)
+    return (X - U)[0], float(gamma[0]), state
 
 
 def drive(obj, method, cfg, x0, K, seeds=(0, 1, 2), B=1):
@@ -269,13 +269,13 @@ class TestSgdAndAdaptive:
 
     def test_amsgrad_vhat_monotone(self, monkeypatch):
         # the engine looks its rules up when a pass starts, so a wrapper
-        # swapped into STEPPERS sees every state the rule returns
+        # swapped into STEPPERS sees the state after every rule call
         rule, vhats = STEPPERS["amsgrad"], []
 
-        def recording(*args):
-            X_next, gamma, state = rule(*args)
+        def recording(cfg, state, *args):
+            out = rule(cfg, state, *args)
             vhats.append(state.vhat.copy())
-            return X_next, gamma, state
+            return out
 
         monkeypatch.setitem(STEPPERS, "amsgrad", recording)
         drive(self.obj, "amsgrad", StepperConfig(eta=0.1), self.x, 50, seeds=(11, 12, 13), B=2)
