@@ -1,5 +1,10 @@
 """Dataset loading (LIBSVM and delimited text), standardization, synthetic
-data generation, and trace serialization."""
+data generation, and trace serialization.
+
+Every float in a CSV output (trace, aggregate, sweep summary) is written by
+``write_csv`` exactly as Python's '%.17g' % x writes it, so it reads back to
+the same double. ``write_csv`` encodes a block of values at a time with
+numpy and formats only the values it cannot vouch for one at a time."""
 
 from __future__ import annotations
 
@@ -271,28 +276,182 @@ def make_synthetic(rng: np.random.Generator, n: int, d: int, name: str = "synthe
     return Dataset(X, y, name=name)
 
 
-_CSV_ROW = "%d,%d" + ",%.17g" * len(METRICS) + "\r\n"  # the csv module's line ending
+# -- CSV text -------------------------------------------------------------
+# Every float in a CSV output is written exactly as Python's '%.17g' % x
+# writes it, but a block of values at a time. For a finite nonzero x with
+# X = floor(log10|x|), t = |x| * 10**(16 - X) is formed by one long-double
+# multiply, so it is within about 0.011 of the exact value. N = round(t) is
+# then the correctly rounded 17-digit significand whenever 1e16 <= t,
+# N < 1e17 and t is more than 0.02 away from a half-integer. Every other
+# value takes the per-value path: 0, -0, inf, nan, the near-ties, a
+# significand that rounds up to 1e17, and integers whose last digits before
+# the point are zeros (10, 3e5): about 4 in 100 random values. On a platform
+# whose long double is no wider than a double, every value takes it.
+#
+# A value's text is laid out in six 8-byte words of cells, zero where a cell
+# is empty, and the empty cells are cut when a block is written:
+#   word 0     comma, sign, "0.000" (the lead of 1e-4 <= |x| < 1), digit 0
+#   words 1-4  digits 4i+1..4i+4, each after a cell for a point
+#   word 5     "e+308" (the exponent of the exponential form)
+# so each word comes from table lookups and ORs over whole blocks.
+
+_LONG = np.finfo(np.longdouble)
+# 64 significant bits bound the multiply's error, and the wider exponent
+# range holds 10**340, which scales the smallest subnormal
+_FAST_PATH = _LONG.nmant >= 63 and _LONG.maxexp > 1024
+
+_E_LO, _E_HI = 16 - 308, 16 + 324  # the powers 10**(16 - X) the doubles need
+# parsed from decimal text, so each is the correctly rounded long double
+_POW10 = (np.array([np.longdouble(f"1e{e}") for e in range(_E_LO, _E_HI + 1)])
+          if _FAST_PATH else None)
+_WORDS = 6  # words per float: 48 cells
+_TEN = 10 ** np.arange(18)
+
+
+def _words(texts, at: int = 0) -> np.ndarray:
+    """One word per text: its 8 bytes hold the text from byte ``at`` on,
+    zero elsewhere."""
+    cells = b"".join((b"\0" * at + t).ljust(8, b"\0") for t in texts)
+    return np.frombuffer(cells, np.uint64)
+
+
+def _group_words() -> np.ndarray:
+    """The digit words by group value g = 0..9999, the characters of
+    "%04d" % g at the odd bytes, and at g + 10000 the same with the
+    trailing zeros cut."""
+    cells = np.zeros((2, 10000, 8), np.uint8)
+    chars = cells[:, :, 1::2]  # chars[:, g, c]: character c of "%04d" % g
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for c in range(4):
+        chars[:, :, c] = np.tile(digits.repeat(10 ** (3 - c)), 10**c)
+    g = np.arange(10000, dtype=np.uint16)
+    kept = 4 - sum(g % 10**i == 0 for i in range(1, 5))  # up to the last nonzero
+    chars[1, np.arange(4) >= kept[:, None]] = 0
+    return cells.reshape(-1).view(np.uint64)
+
+
+_X = range(-324, 309)  # floor(log10|x|) of the finite nonzero doubles
+# word 0's lead and word 5, by X + 324
+_LEAD = _words([b"0." + b"0" * (-X - 1) if -4 <= X < 0 else b"" for X in _X], 2)
+_EXPONENT = _words([b"e%+03d" % X if X < -4 or X > 16 else b"" for X in _X])
+_GROUP = _group_words()
+# by p - 4i + 12: the point after digit p lies in word 1 + i when 4i <= p < 4i + 4
+_POINT = _words([b"\0" * (2 * j - 24) + b"." if 12 <= j < 16 else b"" for j in range(29)])
+_FIRST = _words([b"%d" % d for d in range(10)], 7)  # digit 0, the last byte of word 0
+_MINUS, _COMMA = _words([b"-"], 1)[0], _words([b","])[0]
+_BLANK_TO_EMPTY = bytes.maketrans(b" ", b"\0")
+
+
+def _float_words(values) -> np.ndarray:
+    """The text of each of ``values`` (1-D), one column each: a (6, m)
+    uint64 array whose column i holds a comma and then '%.17g' % values[i],
+    in memory order, with zero bytes among them."""
+    x = np.asarray(values, dtype=np.float64)
+    m = x.size
+    words = np.zeros((_WORDS, m), np.uint64)
+    a = np.abs(x)
+    fast = (a > 0) & (a < np.inf) & _FAST_PATH
+    if fast.any():
+        a[~fast] = 1.0
+        X = np.floor(np.log10(a)).astype(np.intp)
+        t = a.astype(np.longdouble) * _POW10.take(16 - _E_LO - X)
+        N = np.rint(t)
+        fast &= (t >= 1e16) & (N < 1e17) & (np.abs(t - N) < 0.48)
+        N[~fast] = 1e16  # any 17 digits, so that the slow values index the tables
+        N = N.astype(np.int64)
+        exponential = (X < -4) | (X > 16)
+        fixed = ~exponential & (X >= 0)
+        # an integer's zeros before the point would be cut with the trailing ones
+        fast &= ~fixed | (N % _TEN.take(17 - np.clip(X, 0, 16)) != 0)
+        point = np.where(fixed, X, 0)  # the digit it follows
+        point[(~exponential & (X < 0)) | (N % _TEN.take(16 - point) == 0)] = 16  # none
+        hi, lo = np.divmod(N, 10**8)
+        groups = [hi // 10000 % 10000, hi % 10000, lo // 10000, lo % 10000]
+        cut = np.ones(m, bool)  # every later group is zero
+        for g in groups[::-1]:
+            zero = g == 0
+            g += 10000 * cut
+            cut &= zero
+        np.bitwise_or(_LEAD.take(X + 324), _FIRST.take(hi // 10**8), out=words[0])
+        words[0] |= (x < 0) * _MINUS
+        for i, g in enumerate(groups):
+            np.bitwise_or(_GROUP.take(g), _POINT.take(point - 4 * i + 12), out=words[1 + i])
+        _EXPONENT.take(X + 324, out=words[5])
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # after the comma's cell, padded with blanks that become empty cells
+        text = (b" %-47.17g" * slow.size) % tuple(x[slow].tolist())
+        words[:, slow] = np.frombuffer(text.translate(_BLANK_TO_EMPTY), np.uint64).reshape(
+            slow.size, _WORDS).T
+    words[0] |= _COMMA
+    return words
+
+
+def _text_words(texts, sep: str) -> np.ndarray:
+    """(len(texts), w) words: row i holds sep + texts[i], zero-padded."""
+    encoded = [(sep + t).encode() for t in texts]
+    w = -(-max(map(len, encoded), default=0) // 8)
+    return np.frombuffer(b"".join(e.ljust(8 * w, b"\0") for e in encoded),
+                         np.uint64).reshape(len(encoded), w)
+
+
+_BLOCK_VALUES = 4096  # floats per block: about 1 MB of temporaries; larger blocks ran no faster
+
+
+def write_csv(fh, header, keys, floats, eol: str = "\n") -> None:
+    """Write the line ``header`` and then one line per row to the binary
+    file ``fh``: the row's text in each key column, then its value in each
+    float column exactly as '%.17g' % value writes it, comma separated.
+
+    ``keys`` lists one or more (texts, index) pairs: row i of the column
+    reads texts[index[i]], so each distinct text is encoded once. ``floats``
+    lists 1-D float arrays, one value per row. The rows are encoded and
+    written a block at a time."""
+    fh.write((",".join(header) + eol).encode())
+    tables = [_text_words(texts, "," if c else "") for c, (texts, _) in enumerate(keys)]
+    line_end = _words([eol.encode()])[0]
+    F, n = len(floats), len(floats[0])
+    width = sum(t.shape[1] for t in tables) + F * _WORDS + 1
+    step = max(1, _BLOCK_VALUES // F)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        block = np.empty((stop - start, width), np.uint64)
+        col = 0
+        for table, (_, index) in zip(tables, keys):
+            block[:, col:col + table.shape[1]] = table[index[start:stop]]
+            col += table.shape[1]
+        # row-major values, so the text of row r, float f is column r * F + f
+        values = np.stack([f[start:stop] for f in floats], axis=1).ravel()
+        words = _float_words(values)
+        block[:, col:-1].reshape(stop - start, F, _WORDS)[:] = (
+            words.reshape(_WORDS, stop - start, F).transpose(1, 2, 0))
+        block[:, -1] = line_end
+        fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def write_trace(trace: Trace, path: str, fmt: str = "csv") -> None:
     """Write a ``Trace``, one line per (seed, k) in file order, with
-    round-trip-exact decimal floats."""
-    n = len(trace.ks)
-    columns = [np.repeat(np.array(trace.seeds, dtype=np.int64), n).tolist(),
-               np.tile(trace.ks, len(trace.seeds)).tolist(),
-               *(getattr(trace, name).ravel().tolist() for name in METRICS)]
-    if fmt == "csv":
-        lines = (_CSV_ROW % row for row in zip(*columns))
-        header = ",".join(TRACE_HEADER) + "\r\n"
-    elif fmt == "json-lines":
-        lines = (json.dumps(dict(zip(TRACE_HEADER, row))) + "\n" for row in zip(*columns))
-        header = ""
-    else:
+    round-trip-exact decimal floats: '%.17g' in a CSV file, ``json.dumps``
+    in a JSON-lines file."""
+    if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}")
+    n = len(trace.ks)
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(header)
-            fh.writelines(lines)
+        if fmt == "csv":
+            rows = np.arange(len(trace))
+            with open(path, "wb") as fh:
+                write_csv(fh, TRACE_HEADER,
+                          [(["%d" % s for s in trace.seeds], rows // max(n, 1)),
+                           (["%d" % k for k in trace.ks.tolist()], rows % max(n, 1))],
+                          [getattr(trace, name).ravel() for name in METRICS],
+                          eol="\r\n")  # the csv module's line ending
+        else:
+            columns = [np.repeat(np.array(trace.seeds, dtype=np.int64), n).tolist(),
+                       np.tile(trace.ks, len(trace.seeds)).tolist(),
+                       *(getattr(trace, name).ravel().tolist() for name in METRICS)]
+            with open(path, "w", newline="") as fh:
+                fh.writelines(json.dumps(dict(zip(TRACE_HEADER, row))) + "\n"
+                              for row in zip(*columns))
     except OSError as e:
         raise OSError(f"writing trace {path}: {e}") from e
 

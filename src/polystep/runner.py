@@ -253,6 +253,10 @@ def _check_config(cfg: RunConfig, obj) -> None:
         raise ConfigurationError(
             f"unknown trace format {cfg.trace_format!r}; "
             f"expected one of {', '.join(data_io.TRACE_FORMATS)}")
+    # the label names the output files inside out_dir, so it is one file name
+    seps = {"/", os.sep, os.altsep} - {None}
+    if cfg.label in (".", "..") or any(sep in cfg.label for sep in seps):
+        raise ConfigurationError(f"label {cfg.label!r} is not a plain file name")
     # the nearest existing path on the way to out_dir must be a directory, or
     # writing the outputs would fail after the whole run
     existing = cfg.out_dir
@@ -396,19 +400,13 @@ def aggregate_records(records: Trace, label: str) -> Aggregate:
                      {m: getattr(records, m).std(axis=0) for m in METRICS})
 
 
-_AGG_ROW = "%d" + ",%.17g" * (2 * len(METRICS)) + "\n"
-
-
 def write_aggregate(agg: Aggregate, path: str) -> None:
-    cols = ["k"]
-    for m in METRICS:
-        cols += [f"mean_{m}", f"std_{m}"]
-    columns = [agg.ks.tolist()]
-    for m in METRICS:
-        columns += [agg.mean[m].tolist(), agg.std[m].tolist()]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.writelines(_AGG_ROW % row for row in zip(*columns))
+    """One line per recorded k: k, then the mean and std of each metric."""
+    header = ["k"] + [f"{stat}_{m}" for m in METRICS for stat in ("mean", "std")]
+    with open(path, "wb") as fh:
+        data_io.write_csv(fh, header,
+                          [(["%d" % k for k in agg.ks.tolist()], np.arange(len(agg.ks)))],
+                          [col for m in METRICS for col in (agg.mean[m], agg.std[m])])
 
 
 def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
@@ -453,11 +451,13 @@ def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
         })
     table.sort(key=lambda row: row["final_f_sub_avg_mean"])
     summary_path = os.path.join(first.out_dir, "sweep_summary.csv")
-    with open(summary_path, "w") as fh:
-        fh.write("label,optimizer,final_k,final_f_sub_avg_mean,final_f_sub_avg_2std\n")
-        for row in table:
-            fh.write(
-                f"{row['label']},{row['optimizer']},{row['final_k']},"
-                f"{row['final_f_sub_avg_mean']:.17g},{row['final_f_sub_avg_2std']:.17g}\n"
-            )
+    every = np.arange(len(table))
+    with open(summary_path, "wb") as fh:
+        data_io.write_csv(
+            fh, ("label", "optimizer", "final_k", "final_f_sub_avg_mean", "final_f_sub_avg_2std"),
+            [([row["label"] for row in table], every),
+             ([row["optimizer"] for row in table], every),
+             (["%d" % row["final_k"] for row in table], every)],
+            [np.array([row[name] for row in table])
+             for name in ("final_f_sub_avg_mean", "final_f_sub_avg_2std")])
     return table

@@ -1,8 +1,9 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polystep import data_io
@@ -332,3 +333,91 @@ class TestTraces:
         path = tmp_path_factory.mktemp("tr") / EXT[fmt]
         write_trace(trace, str(path), fmt)
         assert_same_trace(read_trace(str(path), fmt), trace)
+
+
+def format_floats(values) -> list[str]:
+    """The texts the CSV writers' block encoder makes of ``values``."""
+    words = data_io._float_words(np.asarray(values, dtype=np.float64))
+    return words.T.tobytes().translate(None, b"\0").decode().split(",")[1:]
+
+
+def percent_g(values) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def with_neighbours(values) -> np.ndarray:
+    """values, their negatives and the doubles on either side of each."""
+    v = np.asarray(values, dtype=np.float64)
+    v = np.concatenate([v, -v])
+    return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+
+
+def ties() -> np.ndarray:
+    """Doubles m * 2**-k whose exact decimal has 18 significant digits, the
+    last a 5: the 17-digit rounding is a tie, broken to the even digit."""
+    rng = np.random.default_rng(3)
+    out = [2.0**-25]
+    for k in range(3, 26):
+        lo, hi = -(-10**17 // 5**k), (10**18 - 1) // 5**k
+        for m in rng.integers(lo, min(hi, 2**53), 20).tolist():
+            m |= 1  # odd, so the last digit of m * 5**k is a 5
+            if m * 5**k < 10**18:
+                out.append(m / 2**k)
+    return np.array(out)
+
+
+class TestFloatText:
+    """The CSV writers' encoder writes exactly what '%.17g' % x writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    @example([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308,
+              1.7976931348623157e308])
+    def test_property(self, values):
+        assert format_floats(np.array(values)) == percent_g(values)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(16).integers(0, 2**64, 200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert format_floats(values) == percent_g(values)
+
+    def test_powers_of_two_and_ten(self):
+        values = with_neighbours([2.0**e for e in range(-1074, 1024)]
+                                 + [float(f"1e{e}") for e in range(-323, 309)])
+        assert format_floats(values) == percent_g(values)
+
+    def test_switch_between_fixed_and_exponential_form(self):
+        values = with_neighbours([1e-5, 1e-4, 1e16, 1e17, 9.99995e-5, 9.9999999999999995e16])
+        assert format_floats(values) == percent_g(values)
+
+    def test_ties_and_integers(self):
+        values = with_neighbours(np.concatenate(
+            [ties(), np.arange(-300.0, 301.0), 7.0 * 10.0 ** np.arange(17)]))
+        assert format_floats(values) == percent_g(values)
+
+    @pytest.mark.parametrize("shift", [-1e-12, 1e-12])
+    def test_exponent_one_off_takes_the_per_value_path(self, monkeypatch, shift):
+        # a log10 a few ulps off puts floor(log10|x|) one off near a power of
+        # ten; such values must be found and formatted one at a time
+        values = with_neighbours([float(f"1e{e}") for e in range(-300, 300)])
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        assert format_floats(values) == percent_g(values)
+
+    def test_per_value_path_alone(self, monkeypatch, tmp_path):
+        # a long double no wider than a double sends every value the per-value way
+        rng = np.random.default_rng(5)
+        values = with_neighbours(rng.standard_normal(500) * 10.0 ** rng.integers(-30, 30, 500))
+        values[:4] = [np.nan, np.inf, 0.0, -0.0]
+        trace = make_trace((0, 1), range(len(values) // 2), np.resize(values, 4 * len(values)))
+        write_trace(trace, str(tmp_path / "fast.csv"))
+        monkeypatch.setattr(data_io, "_FAST_PATH", False)
+        assert format_floats(values) == percent_g(values)
+        write_trace(trace, str(tmp_path / "slow.csv"))
+        assert (tmp_path / "slow.csv").read_bytes() == (tmp_path / "fast.csv").read_bytes()
+
+    @pytest.mark.skipif(not data_io._FAST_PATH, reason="no long double wider than a double")
+    def test_power_table_within_half_an_ulp(self):
+        for e, p in zip(range(data_io._E_LO, data_io._E_HI + 1), data_io._POW10):
+            exact = Fraction(10) ** e
+            assert abs(Fraction(*p.as_integer_ratio()) - exact) <= exact / 2**64, e

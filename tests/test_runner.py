@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from polystep.core import stream
 from polystep.data_io import METRICS, Trace, read_trace
 from polystep.objectives import ShiftedAbsoluteObjective, make_counterexample_1d
 from polystep.runner import (
+    Aggregate,
     ProblemSpec,
     RunConfig,
     aggregate_records,
@@ -21,6 +23,7 @@ from polystep.runner import (
     compare_grid,
     iterate_run,
     run_experiment,
+    write_aggregate,
 )
 from polystep.steppers import (
     C_SCHEDULES,
@@ -204,6 +207,14 @@ class TestRunExperiment:
             run_experiment(counterexample_cfg(tmp_path, trace_format="json"))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("label", ["a/b", "/abs", ".", "..", f"x{os.sep}y"])
+    def test_label_that_is_no_file_name_rejected_before_any_work(self, tmp_path, label):
+        cfg = counterexample_cfg(tmp_path / "out", label=label)
+        with pytest.raises(ConfigurationError, match="not a plain file name") as err:
+            run_experiment(cfg)
+        assert "\n" not in str(err.value)
+        assert not list(tmp_path.iterdir())
+
     def test_unsound_lower_bound_rejected_before_any_work(self, tmp_path):
         cfg = counterexample_cfg(tmp_path, problem=ProblemSpec("fig1", n=10, d=3, f_floor=-1.0))
         with pytest.raises(ConfigurationError, match="zero lower bound"):
@@ -257,6 +268,38 @@ class TestAggregate:
         assert agg.std["f_sub"].tolist() == [1.0, 2.0]
 
 
+def per_row_aggregate_bytes(agg) -> bytes:
+    """The _agg.csv bytes of one '%d' + ',%.17g' * 8 format per row."""
+    header = "k," + ",".join(f"mean_{m},std_{m}" for m in METRICS) + "\n"
+    columns = [agg.ks.tolist()]
+    for m in METRICS:
+        columns += [agg.mean[m].tolist(), agg.std[m].tolist()]
+    row = "%d" + ",%.17g" * (2 * len(METRICS)) + "\n"
+    return (header + "".join(row % r for r in zip(*columns))).encode()
+
+
+class TestAggregateFile:
+    @pytest.mark.parametrize("kwargs,shown", [
+        (dict(seeds=(4,)), [b",0,"]),  # one seed: every std is 0
+        (dict(K=1), []),
+        (dict(problem=ProblemSpec("fig1", n=10, d=3), optimizer="sgd_constant",
+              stepper=StepperConfig(eta=100.0), K=200, seeds=(0, 1, 2)), [b"inf", b"nan"]),
+    ], ids=["one_seed", "one_step", "diverging"])
+    def test_bytes_match_per_row_format(self, tmp_path, kwargs, shown):
+        out = run_experiment(counterexample_cfg(tmp_path, **kwargs))
+        data = Path(out.aggregate_path).read_bytes()
+        assert data == per_row_aggregate_bytes(out.aggregate)
+        assert all(text in data for text in shown)
+
+    def test_special_values(self, tmp_path):
+        values = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.1])
+        agg = Aggregate("t", np.array([0, 7, 10**12]), {m: np.roll(values, i)[:3] for i, m in
+                                                         enumerate(METRICS)},
+                        {m: np.roll(values, -i)[:3] for i, m in enumerate(METRICS)})
+        write_aggregate(agg, str(tmp_path / "a.csv"))
+        assert (tmp_path / "a.csv").read_bytes() == per_row_aggregate_bytes(agg)
+
+
 class TestCompareGrid:
     def test_sorted_summary(self, tmp_path):
         cfgs = [
@@ -266,7 +309,10 @@ class TestCompareGrid:
         table = compare_grid(cfgs)
         means = [row["final_f_sub_avg_mean"] for row in table]
         assert means == sorted(means)
-        assert (tmp_path / "sweep_summary.csv").exists()
+        want = "label,optimizer,final_k,final_f_sub_avg_mean,final_f_sub_avg_2std\n" + "".join(
+            f"{r['label']},{r['optimizer']},{r['final_k']},"
+            f"{r['final_f_sub_avg_mean']:.17g},{r['final_f_sub_avg_2std']:.17g}\n" for r in table)
+        assert (tmp_path / "sweep_summary.csv").read_text() == want
 
     def test_validates_before_reference_solve(self, tmp_path, monkeypatch):
         def no_solve(*args, **kwargs):
