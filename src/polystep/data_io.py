@@ -85,7 +85,7 @@ class Trace:
 
 
 def _remap_labels(path: str, raw: np.ndarray) -> np.ndarray:
-    vals = set(np.unique(raw).tolist())
+    vals = set(raw.tolist())
     if vals <= {-1.0, 1.0}:
         return raw.astype(np.float64)
     if vals <= {0.0, 1.0}:
@@ -101,150 +101,222 @@ def _dataset(path: str, name: str, X: np.ndarray, y: np.ndarray) -> Dataset:
     return Dataset(X, _remap_labels(path, y), name=name or path)
 
 
+def _read_bytes(path: str) -> bytes:
+    """The bytes of the file at ``path``, with CRLF and CR line ends made
+    newlines, as text mode would read them."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw
+
+
+def _text_lines(path: str, raw: bytes):
+    """(line number, line) for each line of ``raw``, decoded as UTF-8; a byte
+    that is not valid UTF-8 is a ``LoadError`` naming its line."""
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as e:
+        lineno = raw.count(b"\n", 0, e.start) + 1
+        raise LoadError(f"{path}:{lineno}: byte {raw[e.start]:#04x} is not valid UTF-8") from None
+    return enumerate(text.split("\n"), start=1)
+
+
 def load_libsvm(path: str, name: str = "") -> Dataset:
     """Parse `label idx:val ...` lines; 1-based indices are densified and
     d is the maximum index seen. A repeated index keeps its last value.
 
-    The whole text is parsed at once; a text that the one-pass parse cannot
-    vouch for goes to the line scan, which parses it alike or raises a
-    ``LoadError`` naming the line."""
-    with open(path) as fh:  # text mode: CRLF and CR line ends become newlines
-        parsed = _parse_libsvm(fh.read().encode())
+    The file is read as bytes and parsed a block of lines at a time. A text
+    that the block parse cannot vouch for goes to the line scan, which
+    parses it alike or raises a ``LoadError`` naming the line: a byte that
+    is not valid UTF-8 and an index too large for the platform's integers
+    are such errors. A feature matrix too large to allocate is a
+    ``LoadError`` naming its shape."""
+    raw = _read_bytes(path)
+    parsed = _parse_libsvm(raw)
     if parsed is None:
-        parsed = _scan_libsvm(path)
+        parsed = _scan_libsvm(path, raw)
+    del raw  # freed before the feature matrix is allocated
     labels, rows, idx, vals = parsed
     if not labels.size:
         raise LoadError(f"{path}: empty file")
-    X = np.zeros((labels.size, int(idx.max(initial=0))))
+    n, d = labels.size, int(idx.max(initial=0))
+    try:
+        X = np.zeros((n, d))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
+        raise LoadError(f"{path}: cannot allocate the {n}x{d} feature matrix") from None
     X[rows, idx - 1] = vals  # assigned in order: a repeated index keeps its last value
     return _dataset(path, name, X, labels)
 
 
-def _scan_libsvm(path: str):
-    """Line-by-line parse of a LIBSVM file, the reference for
-    ``_parse_libsvm``: (labels, rows, indices, values), or a ``LoadError``
-    naming the first bad line."""
+_INTP_MAX = np.iinfo(np.intp).max
+
+
+def _scan_libsvm(path: str, raw: bytes):
+    """Line-by-line parse of the text ``raw`` of a LIBSVM file, newline line
+    ends, the reference for ``_parse_libsvm``: (labels, rows, indices,
+    values), or a ``LoadError`` naming the first bad line of ``path``."""
     labels, rows, idx, vals = [], [], [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
+    for lineno, line in _text_lines(path, raw):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            label = float(parts[0])
+        except ValueError as e:
+            raise LoadError(f"{path}:{lineno}: bad label {parts[0]!r}") from e
+        if not math.isfinite(label):
+            raise LoadError(f"{path}:{lineno}: non-finite value {parts[0]!r}")
+        feats = {}
+        for tok in parts[1:]:
             try:
-                label = float(parts[0])
+                idx_s, val_s = tok.split(":")
+                i, val = int(idx_s), float(val_s)
             except ValueError as e:
-                raise LoadError(f"{path}:{lineno}: bad label {parts[0]!r}") from e
-            if not math.isfinite(label):
-                raise LoadError(f"{path}:{lineno}: non-finite value {parts[0]!r}")
-            feats = {}
-            for tok in parts[1:]:
-                try:
-                    idx_s, val_s = tok.split(":")
-                    i, val = int(idx_s), float(val_s)
-                except ValueError as e:
-                    raise LoadError(f"{path}:{lineno}: bad pair {tok!r}") from e
-                if i < 1:
-                    raise LoadError(f"{path}:{lineno}: index {i} is not 1-based")
-                if not math.isfinite(val):
-                    raise LoadError(f"{path}:{lineno}: non-finite value {tok!r}")
-                feats[i] = val
-            rows += [len(labels)] * len(feats)
-            idx += feats.keys()
-            vals += feats.values()
-            labels.append(label)
+                raise LoadError(f"{path}:{lineno}: bad pair {tok!r}") from e
+            if i < 1:
+                raise LoadError(f"{path}:{lineno}: index {i} is not 1-based")
+            if i > _INTP_MAX:
+                raise LoadError(f"{path}:{lineno}: index {i} is too large")
+            if not math.isfinite(val):
+                raise LoadError(f"{path}:{lineno}: non-finite value {tok!r}")
+            feats[i] = val
+        rows += [len(labels)] * len(feats)
+        idx += feats.keys()
+        vals += feats.values()
+        labels.append(label)
     return (np.array(labels), np.array(rows, dtype=np.intp), np.array(idx, dtype=np.intp),
             np.array(vals, dtype=np.float64))
 
 
-# The one-pass parse takes only texts made of these bytes; any other byte (a
+# The block parse takes only blocks made of these bytes; any other byte (a
 # letter other than e/E, a non-ASCII character, a separator other than space,
-# tab or newline) leaves the text to the line scan.
+# tab or newline) leaves the text to the line scan. Each block is checked on
+# its own: bytes.translate allocates its input's length before it shrinks,
+# and with glibc, freeing a whole-text temporary raises the mmap threshold
+# to its size, so that later arrays of a few MB come from the heap and stay
+# resident once freed (up to 8 MB more peak RSS in a benchmark-sized load).
 _LIBSVM_BYTES = b"0123456789+-.eE: \t\n"
-_TAB_TO_BLANK = bytes.maketrans(b"\t", b" ")
+_LIBSVM_BLOCK = 1 << 19  # bytes per block, extended to the end of its last line
+# the longest index the digit arithmetic builds: 18 digits on 64-bit intp
+_INDEX_DIGITS = len(str(_INTP_MAX)) - 1
+_TEN_POWERS = 10 ** np.arange(_INDEX_DIGITS, dtype=np.intp)
+_NO_LINES = (np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
 
 
 def _parse_libsvm(raw: bytes):
-    """One-pass parse of an encoded LIBSVM text with newline line ends: every
-    number through one ``np.fromstring``, placed by the token layout of the
-    bytes. Returns what ``_scan_libsvm`` returns, or None for a text it must
-    judge itself.
+    """Block parse of a LIBSVM text with newline line ends. Returns what
+    ``_scan_libsvm`` returns, or None for a text it must judge itself.
 
-    A text is taken only when every line is a colon-free label token followed
-    by tokens with exactly one colon each, every index is a run of digits,
-    every word parses and every number is finite."""
-    if raw.translate(None, _LIBSVM_BYTES):
+    Each block of whole lines is taken only when every line is a colon-free
+    label token followed by tokens with exactly one colon each, every index
+    is a run of 1 to ``_INDEX_DIGITS`` digits and not 0, every value is
+    nonempty, and every word parses to a finite number. An index is built
+    from its digits; the index and its colon are then blanked, a comma
+    ends each token, and the labels and values of the block go through one
+    ``np.fromstring``, which stops at any token that is not exactly one
+    number."""
+    n_pairs = raw.count(b":")  # one colon per pair in a text the blocks take
+    rows, idx, vals = np.empty(n_pairs, np.intp), np.empty(n_pairs, np.intp), np.empty(n_pairs)
+    labels, n_labels, done, start = [np.empty(0)], 0, 0, 0
+    while start < len(raw):
+        stop = raw.find(b"\n", start + _LIBSVM_BLOCK - 1) + 1 or len(raw)
+        block = _parse_block(raw[start:stop])
+        if block is None:
+            return None
+        block_labels, *pairs = block
+        at = slice(done, done + pairs[0].size)
+        rows[at], idx[at], vals[at] = pairs
+        rows[at] += n_labels
+        labels.append(block_labels)
+        n_labels, done, start = n_labels + block_labels.size, at.stop, stop
+    return np.concatenate(labels), rows, idx, vals
+
+
+def _parse_block(text: bytes):
+    """``_parse_libsvm`` of ``text``, whole lines, with row numbers counted
+    from its first line."""
+    if text.translate(None, _LIBSVM_BYTES):
         return None
-    b = np.frombuffer(raw, dtype=np.uint8)
-    sep = np.ones(b.size + 1, dtype=bool)  # sep[i + 1]: byte i is blank or newline
-    np.less_equal(b, ord(" "), out=sep[1:])
-    starts = np.flatnonzero(sep[:-1] > sep[1:])  # first byte of each token
-    del sep
-    line = np.searchsorted(np.flatnonzero(b == ord("\n")), starts)
-    first = np.diff(line, prepend=-1) != 0  # the label token of its line
+    b = np.frombuffer(text, np.uint8)
+    edge = np.ones(b.size + 2, bool)  # edge[i + 1]: byte i is blank or newline
+    np.less_equal(b, ord(" "), out=edge[1:-1])
+    bounds = np.flatnonzero(edge[1:] != edge[:-1])  # token t is b[bounds[2t]:bounds[2t + 1]]
+    starts, ends = bounds[0::2], bounds[1::2]
+    if not starts.size:
+        return _NO_LINES
+    # a token is its line's label when a newline comes between it and the
+    # token before; the first token of a block starts a line
+    label = np.zeros(starts.size + 1, bool)
+    label[np.searchsorted(starts, np.flatnonzero(b == ord("\n")))] = True
+    label[0] = True
+    label = label[:-1]
+    pair = ~label
+    pair_starts, pair_ends = starts[pair], ends[pair]
     colons = np.flatnonzero(b == ord(":"))
-    # one colon in every pair token, none in a label
-    if not np.array_equal(np.searchsorted(starts, colons, side="right") - 1,
-                          np.flatnonzero(~first)):
+    # colon t lies in pair token t, after a nonempty index and before a
+    # nonempty value: so every pair token holds one colon and no label holds one
+    if colons.size != pair_starts.size:
         return None
-    # with the digits dropped, an all-digit index leaves its colon next to
-    # the blank before its token (so does an empty index, which the count
-    # of numbers below catches)
-    if raw.translate(_TAB_TO_BLANK, b"0123456789").count(b" :") != colons.size:
+    n_digits = colons - pair_starts
+    longest = n_digits.max(initial=1)
+    if (n_digits.min(initial=1) < 1 or longest > _INDEX_DIGITS
+            or (colons + 1 >= pair_ends).any()):
         return None
-    n_tokens, n_words = starts.size, starts.size + colons.size
-    label_tokens = np.flatnonzero(first)
-    del b, starts, line, first, colons  # freed before the number parse allocates
-    try:
-        numbers = np.fromstring(raw.replace(b":", b" "), sep=" ")
+    idx = np.zeros(colons.size, np.intp)
+    numeric = b.copy()
+    for j in range(longest):  # digit j from the right, where the index has one
+        has = j < n_digits
+        at = colons - 1 - j * has  # else the index's last digit again
+        digit = b.take(at) - np.uint8(ord("0"))
+        if (digit[has] > 9).any():
+            return None
+        idx += digit * (has * _TEN_POWERS[j])
+        numeric[at] = ord(" ")
+    if idx.min(initial=1) < 1:
+        return None
+    numeric[colons] = ord(" ")
+    numeric[ends[:-1]] = ord(",")  # a comma after every token but the last
+    try:  # from bytes, whose closing NUL byte stops strtod at the last number
+        numbers = np.fromstring(numeric.tobytes(), sep=",")
     except ValueError:
         return None
-    del raw
-    # one number per label, two per pair: fewer means an empty index or value
-    if numbers.size != n_words or not np.isfinite(numbers).all():
+    if numbers.size != starts.size or not np.isfinite(numbers).all():
         return None
-    # a label's offset in numbers: one number per label before it, two per pair
-    label_at = 2 * label_tokens - np.arange(label_tokens.size)
-    labels = numbers[label_at]
-    pair_numbers = np.delete(numbers, label_at).reshape(-1, 2)
-    del numbers
-    idx = pair_numbers[:, 0].astype(np.intp)
-    if idx.size and idx.min() < 1:
-        return None
-    pairs_per_row = np.diff(label_tokens, append=n_tokens) - 1
-    rows = np.repeat(np.arange(label_tokens.size), pairs_per_row)
-    return labels, rows, idx, pair_numbers[:, 1]
+    rows = np.cumsum(label)[pair] - 1
+    return numbers[label], rows, idx, numbers[pair]
 
 
 def load_delimited(path: str, label_column: int = 0, name: str = "") -> Dataset:
     """Load a rectangular numeric table (comma or whitespace separated); one
-    optional header row is skipped."""
+    optional header row is skipped. The text is read as UTF-8; a byte that
+    is not valid UTF-8 is a ``LoadError`` naming its line."""
     rows = []
     width = None
     header_skipped = False
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    for lineno, line in _text_lines(path, _read_bytes(path)):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.replace(",", " ").split()
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            if not rows and not header_skipped:
+                header_skipped = True  # at most one header row
                 continue
-            cells = line.replace(",", " ").split()
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                if not rows and not header_skipped:
-                    header_skipped = True  # at most one header row
-                    continue
-                raise LoadError(f"{path}:{lineno}: non-numeric cell")
-            bad = [c for c, v in zip(cells, row) if not math.isfinite(v)]
-            if bad:
-                raise LoadError(f"{path}:{lineno}: non-finite value {bad[0]!r}")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise LoadError(
-                    f"{path}:{lineno}: ragged row ({len(row)} cells, expected {width})"
-                )
-            rows.append(row)
+            raise LoadError(f"{path}:{lineno}: non-numeric cell")
+        bad = [c for c, v in zip(cells, row) if not math.isfinite(v)]
+        if bad:
+            raise LoadError(f"{path}:{lineno}: non-finite value {bad[0]!r}")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise LoadError(
+                f"{path}:{lineno}: ragged row ({len(row)} cells, expected {width})"
+            )
+        rows.append(row)
     if not rows:
         raise LoadError(f"{path}: no data rows")
     table = np.array(rows)

@@ -291,7 +291,7 @@ def _run_pass(obj, reference, cfgs: list[RunConfig]) -> list[tuple[Trace, list[d
     X0 = np.array([scale * rng.standard_normal(obj.d) for scale, rng in zip(scales, rngs)])
     groups = [(c.optimizer, c.stepper, len(c.seeds)) for c in cfgs]
     # record every record_every-th step and the last
-    ks = np.union1d(np.arange(0, first.K, first.record_every), [first.K - 1])
+    ks = np.append(np.arange(0, first.K - 1, first.record_every), first.K - 1)
     records = Trace.empty(seeds, ks)
     record_at = ks.tolist()
     xbar_sum = np.zeros_like(X0)

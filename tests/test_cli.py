@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import polystep
 from polystep import objectives
 from polystep.cli import main
 from polystep.core import ConfigurationError
@@ -194,6 +199,24 @@ class TestRun:
         data.write_text(content)
         rc = run_cli("run", "--problem", "dataset", "--dataset", str(data), "--optimizer",
                      "decsps", "--iters", "5", "--seeds", "1", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {data}{message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content,fmt,message", [
+        (b"+1 1:0.5\xff 2:1\n-1 1:2\n", "libsvm", ":1: byte 0xff is not valid UTF-8"),
+        (b"y,a\n1,2\n0,3\xfe\n", "delimited", ":3: byte 0xfe is not valid UTF-8"),
+        (b"+1 1:0.5\n-1 100000000000000000000000:1\n", "libsvm",
+         ":2: index 100000000000000000000000 is too large"),
+        (b"+1 1:0.5\n-1 1000000000000000:1\n", "libsvm",
+         ": cannot allocate the 2x1000000000000000 feature matrix"),
+    ])
+    def test_undecodable_or_oversized_dataset_exits_2_with_one_line(
+            self, tmp_path, capsys, content, fmt, message):
+        data = tmp_path / "bad.data"
+        data.write_bytes(content)
+        rc = run_cli("run", "--problem", "dataset", "--dataset", str(data), "--dataset-format",
+                     fmt, "--iters", "5", "--seeds", "1", "--out", str(tmp_path / "out"))
         assert rc == 2
         assert capsys.readouterr().err == f"error: {data}{message}\n"
         assert not (tmp_path / "out").exists()
@@ -483,3 +506,28 @@ class TestReference:
         assert rc == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: unknown config key 'iters' for polystep reference\n"
+
+
+def test_a_run_and_a_dataset_load_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma takes about 10 ms to import, inside the timed span of a cold run
+    data = tmp_path / "d.svm"
+    data.write_text("1 1:0.5 2:1\n-1 1:-0.3 2:0.2\n")
+    code = "\n".join([
+        "import sys, numpy",
+        "if 'numpy.ma' in sys.modules:",
+        "    sys.exit(3)  # numpy itself loads it here",
+        "from polystep import data_io",
+        "from polystep.cli import main",
+        f"main(['run', '--problem', 'counterexample', '--iters', '20', '--seeds', '2',"
+        f" '--out', {str(tmp_path / 'out')!r}])",
+        f"data_io.load_libsvm({str(data)!r})",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    src = str(Path(polystep.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    if proc.returncode == 3:
+        pytest.skip("import numpy loads numpy.ma on this numpy")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

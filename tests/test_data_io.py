@@ -99,14 +99,19 @@ def libsvm_lines(draw) -> list[str]:
     return lines
 
 
-# Lines the one-pass parse must leave to the line scan. Most are errors; the
-# scan accepts `+1:`, `1_0` and the vertical tab. The pair of lines is bad
-# only together: its missing and extra numbers cancel in the file's total.
+# Lines the block parse must leave to the line scan. Most are errors; the
+# scan accepts `+1:`, `1_0`, the vertical tab and the 19-digit index. The
+# pair of lines is bad only together: its missing and extra numbers cancel
+# in the file's total; `1 3: 1:1-2` does so within one line. The last is a
+# byte that is not valid UTF-8.
 MUTATIONS = [
     ["1 3:"], ["1 :3"], ["1 1:2:3"], ["1 0:1"], ["1 1.5:2"], ["1 1e2:2"], ["1 +1:2"],
     ["1 2 3:4"], ["-1 :5", "1 2 3:4"], ["1 1:nan"], ["nan 1:2"], ["1 1:1e400"],
     ["1 1:2,5"], ["1 1:0x1p3"], ["1:2 3:4"], ["1:2 5"], ["1 1:1_0"], ["1 1:2\x0b2:3"],
+    ["1 1000000000000000000:2"], ["1 3: 1:1-2"], ["1 1:0.5\xff 2:1"],
 ]
+# the default block size, and blocks so small that each line is a block of its own
+BLOCKS = [data_io._LIBSVM_BLOCK, 3]
 
 
 def load_by_scan(path):
@@ -129,18 +134,26 @@ def assert_loads_like_scan(path):
     np.testing.assert_array_equal(got.labels, want.labels)
 
 
+def parse(path):
+    """The block parse of the file at ``path``, as ``load_libsvm`` runs it."""
+    return data_io._parse_libsvm(data_io._read_bytes(str(path)))
+
+
 class TestOnePassParse:
-    """The one-pass parse agrees with the line scan on every text: the same
-    dataset, or the same ``LoadError`` message and line."""
+    """The block parse agrees with the line scan on every text, at any block
+    size: the same dataset, or the same ``LoadError`` message and line."""
 
     @settings(max_examples=150, deadline=None)
-    @given(lines=libsvm_lines(), eol=st.sampled_from(["\n", "\r\n"]), last_eol=st.booleans())
+    @given(lines=libsvm_lines(), eol=st.sampled_from(["\n", "\r\n", "\r"]),
+           last_eol=st.booleans())
     def test_generated_files(self, tmp_path_factory, lines, eol, last_eol):
         text = eol.join(lines) + (eol if last_eol else "")
         path = tmp_path_factory.mktemp("svm") / "d.svm"
         path.write_bytes(text.encode())
-        assert data_io._parse_libsvm(path.read_text().encode()) is not None  # no fallback
-        assert_loads_like_scan(str(path))
+        for block in BLOCKS:
+            with mock.patch.object(data_io, "_LIBSVM_BLOCK", block):
+                assert parse(path) is not None  # no fallback
+                assert_loads_like_scan(str(path))
 
     @settings(max_examples=150, deadline=None)
     @given(lines=libsvm_lines(), bad=st.sampled_from(MUTATIONS), at=st.integers(0, 20))
@@ -148,9 +161,38 @@ class TestOnePassParse:
         at = min(at, len(lines))
         lines = lines[:at] + bad + lines[at:]
         path = tmp_path_factory.mktemp("svm") / "d.svm"
-        path.write_text("\n".join(lines) + "\n")
-        assert data_io._parse_libsvm(path.read_text().encode()) is None
-        assert_loads_like_scan(str(path))
+        # the generated lines are ASCII; latin-1 writes the mutation's \xff as one byte
+        path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        for block in BLOCKS:
+            with mock.patch.object(data_io, "_LIBSVM_BLOCK", block):
+                assert parse(path) is None
+                assert_loads_like_scan(str(path))
+
+    def test_every_mutation(self, tmp_path):
+        # hypothesis draws the first mutations most often; this takes each one
+        for i, bad in enumerate(MUTATIONS):
+            path = tmp_path / f"m{i}.svm"
+            path.write_bytes(("\n".join(["1 1:0.5 2:1", *bad, "-1 2:3"]) + "\n").encode("latin-1"))
+            for block in BLOCKS:
+                with mock.patch.object(data_io, "_LIBSVM_BLOCK", block):
+                    assert parse(path) is None, bad
+                    assert_loads_like_scan(str(path))
+
+    def test_dense_file_takes_the_block_parse(self, tmp_path):
+        # shaped like the benchmark's input: every index in order, '%.6g' values
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((300, 40)) * 10.0 ** rng.uniform(-3, 3, 40)
+        y = rng.choice([-1, 1], 300)
+        rows = [[f"{v:.6g}" for v in row] for row in X]
+        path = tmp_path / "dense.svm"
+        path.write_text("".join(f"{label:d} " + " ".join(f"{j}:{v}" for j, v in enumerate(row, 1))
+                                + "\n" for label, row in zip(y, rows)))
+        for block in BLOCKS + [4096]:  # 4096: a block edge every few lines
+            with mock.patch.object(data_io, "_LIBSVM_BLOCK", block), \
+                    mock.patch.object(data_io, "_scan_libsvm", side_effect=AssertionError):
+                ds = load_libsvm(str(path))
+            np.testing.assert_array_equal(ds.features, np.array(rows, dtype=float))
+            np.testing.assert_array_equal(ds.labels, y)
 
     def test_repeated_index_keeps_last_value(self, tmp_path):
         p = tmp_path / "d.svm"
