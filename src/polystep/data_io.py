@@ -102,13 +102,9 @@ def _dataset(path: str, name: str, X: np.ndarray, y: np.ndarray) -> Dataset:
 
 
 def _read_bytes(path: str) -> bytes:
-    """The bytes of the file at ``path``, with CRLF and CR line ends made
-    newlines, as text mode would read them."""
+    """The bytes of the file at ``path``, with newline line ends."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return raw
+        return b"".join(_line_blocks(fh))
 
 
 def _text_lines(path: str, raw: bytes):
@@ -126,26 +122,19 @@ def load_libsvm(path: str, name: str = "") -> Dataset:
     """Parse `label idx:val ...` lines; 1-based indices are densified and
     d is the maximum index seen. A repeated index keeps its last value.
 
-    The file is read as bytes and parsed a block of lines at a time. A text
-    that the block parse cannot vouch for goes to the line scan, which
-    parses it alike or raises a ``LoadError`` naming the line: a byte that
-    is not valid UTF-8 and an index too large for the platform's integers
-    are such errors. A feature matrix too large to allocate is a
-    ``LoadError`` naming its shape."""
-    raw = _read_bytes(path)
-    parsed = _parse_libsvm(raw)
-    if parsed is None:
-        parsed = _scan_libsvm(path, raw)
-    del raw  # freed before the feature matrix is allocated
-    labels, rows, idx, vals = parsed
+    The file is streamed: each block of lines read is made dense and
+    appended to one buffer, which is copied into the feature matrix at the
+    end, so peak memory is about twice the matrix. A file the block parse
+    cannot vouch for is read again by the line scan, which parses it alike
+    or raises a ``LoadError`` naming the line (a byte that is not valid
+    UTF-8 and an index too large for the platform's integers are such
+    errors). A feature matrix too large to allocate is a ``LoadError``
+    naming its shape."""
+    with open(path, "rb") as fh:
+        parsed = _parse_libsvm(fh)
+    labels, X = parsed or _scan_libsvm(path, _read_bytes(path))
     if not labels.size:
         raise LoadError(f"{path}: empty file")
-    n, d = labels.size, int(idx.max(initial=0))
-    try:
-        X = np.zeros((n, d))
-    except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
-        raise LoadError(f"{path}: cannot allocate the {n}x{d} feature matrix") from None
-    X[rows, idx - 1] = vals  # assigned in order: a repeated index keeps its last value
     return _dataset(path, name, X, labels)
 
 
@@ -154,8 +143,8 @@ _INTP_MAX = np.iinfo(np.intp).max
 
 def _scan_libsvm(path: str, raw: bytes):
     """Line-by-line parse of the text ``raw`` of a LIBSVM file, newline line
-    ends, the reference for ``_parse_libsvm``: (labels, rows, indices,
-    values), or a ``LoadError`` naming the first bad line of ``path``."""
+    ends, the reference for ``_parse_libsvm``: (labels, dense features), or
+    a ``LoadError`` naming the first bad line of ``path``."""
     labels, rows, idx, vals = [], [], [], []
     for lineno, line in _text_lines(path, raw):
         line = line.strip()
@@ -186,28 +175,34 @@ def _scan_libsvm(path: str, raw: bytes):
         idx += feats.keys()
         vals += feats.values()
         labels.append(label)
-    return (np.array(labels), np.array(rows, dtype=np.intp), np.array(idx, dtype=np.intp),
-            np.array(vals, dtype=np.float64))
+    n, d = len(labels), max(idx, default=0)
+    try:
+        X = np.zeros((n, d))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
+        raise LoadError(f"{path}: cannot allocate the {n}x{d} feature matrix") from None
+    X[rows, np.array(idx, dtype=np.intp) - 1] = vals
+    return np.array(labels), X
 
 
 # The block parse takes only blocks made of these bytes; any other byte (a
 # letter other than e/E, a non-ASCII character, a separator other than space,
-# tab or newline) leaves the text to the line scan. Each block is checked on
-# its own: bytes.translate allocates its input's length before it shrinks,
-# and with glibc, freeing a whole-text temporary raises the mmap threshold
-# to its size, so that later arrays of a few MB come from the heap and stay
-# resident once freed (up to 8 MB more peak RSS in a benchmark-sized load).
+# tab or newline) leaves the file to the line scan.
 _LIBSVM_BYTES = b"0123456789+-.eE: \t\n"
-_LIBSVM_BLOCK = 1 << 19  # bytes per block, extended to the end of its last line
+# bytes per read. The arrays of a block of typical lines then stay below
+# glibc's default mmap threshold (128 KB): freeing a larger one raises the
+# threshold, and later arrays of a few MB come from the heap and stay
+# resident once freed (a 6.5-MB load peaked 6 MB higher with 512-KB reads).
+_LIBSVM_BLOCK = 1 << 16
 # the longest index the digit arithmetic builds: 18 digits on 64-bit intp
 _INDEX_DIGITS = len(str(_INTP_MAX)) - 1
 _TEN_POWERS = 10 ** np.arange(_INDEX_DIGITS, dtype=np.intp)
 _NO_LINES = (np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
 
 
-def _parse_libsvm(raw: bytes):
-    """Block parse of a LIBSVM text with newline line ends. Returns what
-    ``_scan_libsvm`` returns, or None for a text it must judge itself.
+def _parse_libsvm(fh):
+    """Block parse of the LIBSVM file ``fh``, open in binary mode. Returns
+    what ``_scan_libsvm`` returns, or None for a file it must judge itself,
+    or whose feature matrix cannot be allocated.
 
     Each block of whole lines is taken only when every line is a colon-free
     label token followed by tokens with exactly one colon each, every index
@@ -217,26 +212,56 @@ def _parse_libsvm(raw: bytes):
     ends each token, and the labels and values of the block go through one
     ``np.fromstring``, which stops at any token that is not exactly one
     number."""
-    n_pairs = raw.count(b":")  # one colon per pair in a text the blocks take
-    rows, idx, vals = np.empty(n_pairs, np.intp), np.empty(n_pairs, np.intp), np.empty(n_pairs)
-    labels, n_labels, done, start = [np.empty(0)], 0, 0, 0
-    while start < len(raw):
-        stop = raw.find(b"\n", start + _LIBSVM_BLOCK - 1) + 1 or len(raw)
-        block = _parse_block(raw[start:stop])
+    # every block's dense rows go into one buffer: an array kept per block
+    # scatters the heap, and the matrix-sized arrays allocated later cannot
+    # reuse the space (4 MB more peak RSS in a set-up from a 6.5-MB file)
+    labels, shapes, dense = [], [], bytearray()
+    for text in _line_blocks(fh):
+        block = _parse_block(text)
         if block is None:
             return None
-        block_labels, *pairs = block
-        at = slice(done, done + pairs[0].size)
-        rows[at], idx[at], vals[at] = pairs
-        rows[at] += n_labels
-        labels.append(block_labels)
-        n_labels, done, start = n_labels + block_labels.size, at.stop, stop
-    return np.concatenate(labels), rows, idx, vals
+        y, rows, idx, vals = block
+        try:
+            chunk = np.zeros((y.size, idx.max(initial=0)))
+        except (MemoryError, ValueError):
+            return None
+        chunk[rows, idx - 1] = vals  # in order: a repeated index keeps its last value
+        dense += chunk.data
+        labels.append(y)
+        shapes.append(chunk.shape)
+    try:
+        X = np.zeros((sum(m for m, _ in shapes), max(w for _, w in shapes)))
+    except (MemoryError, ValueError):
+        return None
+    values, row, at = np.frombuffer(dense), 0, 0
+    for m, w in shapes:
+        X[row:row + m, :w] = values[at:at + m * w].reshape(m, w)
+        row, at = row + m, at + m * w
+    return np.concatenate(labels), X
+
+
+def _line_blocks(fh):
+    """The binary file ``fh`` in blocks of whole lines, with CRLF and CR
+    line ends made newlines as text mode reads them. It is read
+    ``_LIBSVM_BLOCK`` bytes at a time, and a block ends at the last line end
+    of a read, so a line longer than a read lengthens its block."""
+    head = []  # the line the reads before left unfinished
+    while True:
+        chunk = fh.read(_LIBSVM_BLOCK)
+        # a CR that ends a read may be the first half of a CRLF: it waits
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
+        if cut or not chunk:
+            yield b"".join([*head, chunk[:cut]]).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            head = []
+        if not chunk:
+            return
+        head.append(chunk[cut:])
 
 
 def _parse_block(text: bytes):
-    """``_parse_libsvm`` of ``text``, whole lines, with row numbers counted
-    from its first line."""
+    """(labels, rows, indices, values) of the whole lines ``text``, rows
+    counted from its first line, or None for a text the line scan must
+    judge."""
     if text.translate(None, _LIBSVM_BYTES):
         return None
     b = np.frombuffer(text, np.uint8)
@@ -330,11 +355,12 @@ def standardize(ds: Dataset) -> Dataset:
     deviation. Zero-variance columns pass through unchanged and are flagged."""
     if ds.n < 2:
         raise LoadError(f"{ds.name}: standardizing needs at least 2 rows")
-    mean = ds.features.mean(axis=0)
-    std = ds.features.std(axis=0)  # population convention (divide by n)
+    F = ds.features
+    std = F.std(axis=0)  # population convention (divide by n)
     constant = std == 0.0
-    safe = np.where(constant, 1.0, std)
-    X = np.where(constant, ds.features, (ds.features - mean) / safe)
+    X = F - F.mean(axis=0)  # the one new n x d array: F is left as it is
+    X /= np.where(constant, 1.0, std)
+    X[:, constant] = F[:, constant]
     return dc_replace(
         ds,
         features=X,
@@ -558,7 +584,7 @@ def read_trace(path: str, fmt: str = "csv") -> Trace:
     n = changes[0] + 1 if changes.size else seed.size  # records per seed
     seeds = seed[::n]
     shape = (seeds.size, n)
-    if (seed.size != seeds.size * n or np.unique(seeds).size != seeds.size
+    if (seed.size != seeds.size * n or len(set(seeds.tolist())) != seeds.size
             or (seed.reshape(shape) != seeds[:, None]).any()
             or (k.reshape(shape) != k[:n]).any()):
         raise LoadError(f"{path}: the rows are not one block per seed over one k schedule")

@@ -106,9 +106,9 @@ class LogisticObjective:
         if self.label_sign not in ("standard", "as_printed"):
             raise ConfigurationError(f"unknown label_sign {self.label_sign!r}")
         if not np.isin(self.labels, (-1.0, 1.0)).all():
-            raise ValueError("labels must be in {-1, +1}")
+            raise ConfigurationError("labels must be in {-1, +1}")
         if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+            raise ConfigurationError("lam must be >= 0")
 
     @property
     def n(self) -> int:

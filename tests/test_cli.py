@@ -509,9 +509,11 @@ class TestReference:
 
 
 def test_a_run_and_a_dataset_load_do_not_import_numpy_ma(tmp_path):
-    # numpy.ma takes about 10 ms to import, inside the timed span of a cold run
+    # numpy.ma takes about 10 ms to import, inside the timed span of a cold
+    # run; reading the run's trace back does not import it either
     data = tmp_path / "d.svm"
     data.write_text("1 1:0.5 2:1\n-1 1:-0.3 2:0.2\n")
+    out = tmp_path / "out"
     code = "\n".join([
         "import sys, numpy",
         "if 'numpy.ma' in sys.modules:",
@@ -519,8 +521,9 @@ def test_a_run_and_a_dataset_load_do_not_import_numpy_ma(tmp_path):
         "from polystep import data_io",
         "from polystep.cli import main",
         f"main(['run', '--problem', 'counterexample', '--iters', '20', '--seeds', '2',"
-        f" '--out', {str(tmp_path / 'out')!r}])",
+        f" '--out', {str(out)!r}])",
         f"data_io.load_libsvm({str(data)!r})",
+        f"assert len(data_io.read_trace({str(out / 'counterexample_decsps.csv')!r})) == 40",
         "print('numpy.ma' in sys.modules)",
     ])
     src = str(Path(polystep.__file__).resolve().parents[1])

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polystep import data_io
+from polystep import data_io, runner
 from polystep.core import stream
 from polystep.data_io import (
     METRICS,
@@ -110,13 +111,14 @@ MUTATIONS = [
     ["1 1:2,5"], ["1 1:0x1p3"], ["1:2 3:4"], ["1:2 5"], ["1 1:1_0"], ["1 1:2\x0b2:3"],
     ["1 1000000000000000000:2"], ["1 3: 1:1-2"], ["1 1:0.5\xff 2:1"],
 ]
-# the default block size, and blocks so small that each line is a block of its own
+# the default read size, and reads so small that nearly every line is a
+# block of its own and spans several reads
 BLOCKS = [data_io._LIBSVM_BLOCK, 3]
 
 
 def load_by_scan(path):
-    """``load_libsvm`` with every text sent to the line scan."""
-    with mock.patch.object(data_io, "_parse_libsvm", lambda raw: None):
+    """``load_libsvm`` with every file sent to the line scan."""
+    with mock.patch.object(data_io, "_parse_libsvm", lambda fh: None):
         return load_libsvm(path)
 
 
@@ -135,8 +137,28 @@ def assert_loads_like_scan(path):
 
 
 def parse(path):
-    """The block parse of the file at ``path``, as ``load_libsvm`` runs it."""
-    return data_io._parse_libsvm(data_io._read_bytes(str(path)))
+    """The block parse of the file at ``path``, as ``load_libsvm`` runs it;
+    checks first that the reader cuts the file into whole lines."""
+    with open(path, "rb") as fh:
+        blocks = list(data_io._line_blocks(fh))
+    # text mode's universal newlines; latin-1 maps each byte to one character
+    with open(path, encoding="latin-1") as fh:
+        assert b"".join(blocks) == fh.read().encode("latin-1")
+    assert all(block.endswith(b"\n") for block in blocks[:-1])
+    with open(path, "rb") as fh:
+        return data_io._parse_libsvm(fh)
+
+
+def write_dense(path, n, d=40):
+    """A file shaped like the benchmark's input: every index in order,
+    '%.6g' values over six decades. Returns its features and labels."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, d)
+    y = rng.choice([-1, 1], n)
+    rows = [[f"{v:.6g}" for v in row] for row in X]
+    path.write_text("".join(f"{label:d} " + " ".join(f"{j}:{v}" for j, v in enumerate(row, 1))
+                            + "\n" for label, row in zip(y, rows)))
+    return np.array(rows, dtype=float), y
 
 
 class TestOnePassParse:
@@ -179,20 +201,60 @@ class TestOnePassParse:
                     assert_loads_like_scan(str(path))
 
     def test_dense_file_takes_the_block_parse(self, tmp_path):
-        # shaped like the benchmark's input: every index in order, '%.6g' values
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((300, 40)) * 10.0 ** rng.uniform(-3, 3, 40)
-        y = rng.choice([-1, 1], 300)
-        rows = [[f"{v:.6g}" for v in row] for row in X]
         path = tmp_path / "dense.svm"
-        path.write_text("".join(f"{label:d} " + " ".join(f"{j}:{v}" for j, v in enumerate(row, 1))
-                                + "\n" for label, row in zip(y, rows)))
+        X, y = write_dense(path, 300)
         for block in BLOCKS + [4096]:  # 4096: a block edge every few lines
             with mock.patch.object(data_io, "_LIBSVM_BLOCK", block), \
                     mock.patch.object(data_io, "_scan_libsvm", side_effect=AssertionError):
                 ds = load_libsvm(str(path))
-            np.testing.assert_array_equal(ds.features, np.array(rows, dtype=float))
+            np.testing.assert_array_equal(ds.features, X)
             np.testing.assert_array_equal(ds.labels, y)
+
+    @pytest.mark.parametrize("text", [
+        b"1 1:0.5\r\n-1 2:3\r\n1 1:2\r\n",  # 8-byte reads split the first CRLF
+        b"1 1:0.5\r-1 2:3\r\r1 1:2",  # CR line ends, a blank line, no last line end
+        b"1 1:0.5 2:0.25 3:-1e-3 5:7\n\n-1 2:3",  # a line longer than most reads
+        b"\n \r\n\t\r\n\n",  # blank lines only: an empty file
+    ])
+    def test_every_read_size(self, tmp_path, text):
+        path = tmp_path / "d.svm"
+        path.write_bytes(text)
+        for block in range(1, len(text) + 2):
+            with mock.patch.object(data_io, "_LIBSVM_BLOCK", block):
+                assert parse(path) is not None
+                assert_loads_like_scan(str(path))
+        if not text.strip():
+            with pytest.raises(LoadError, match="empty file"):
+                load_libsvm(str(path))
+
+    def test_bad_line_in_a_late_block(self, tmp_path):
+        path = tmp_path / "dense.svm"
+        write_dense(path, 600)
+        lines = path.read_text().splitlines()
+        lines[570] = "1 1:0.5 2:x 3:1"
+        path.write_text("\n".join(lines) + "\n")
+        with open(path, "rb") as fh:
+            assert len(list(data_io._line_blocks(fh))) > 4  # line 571 is in a late block
+        with pytest.raises(LoadError) as err:
+            load_libsvm(str(path))
+        assert str(err.value) == f"{path}:571: bad pair '2:x'"
+        assert_loads_like_scan(str(path))
+
+    def test_peak_memory_is_about_twice_the_matrix(self, tmp_path):
+        # a file-sized temporary (the file is about 1.6 times the matrix)
+        # breaks the bound; the 1-MB allowance holds the temporaries of a block
+        path = tmp_path / "dense.svm"
+        X, _ = write_dense(path, 4000)
+        spec = runner.ProblemSpec("dataset", dataset_path=str(path))
+        for load in (lambda: load_libsvm(str(path)), lambda: runner.build_problem(spec)):
+            load()  # first-call imports and caches are not the load's
+            tracemalloc.start()
+            try:
+                load()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * X.nbytes + (1 << 20)
 
     def test_repeated_index_keeps_last_value(self, tmp_path):
         p = tmp_path / "d.svm"
@@ -262,6 +324,23 @@ class TestStandardize:
         out = standardize(ds)
         assert out.constant_columns == (1,)
         np.testing.assert_array_equal(out.features[:, 1], 7.0)
+
+    def test_input_unchanged_and_one_new_array(self):
+        ds = make_synthetic(stream(5), 2000, 50)
+        ds.features[:, 2] = -3.0
+        F = ds.features.copy()
+        standardize(ds)  # first-call imports and caches are not the call's
+        tracemalloc.start()
+        try:
+            out = standardize(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * F.nbytes  # the result, and no second n x d array
+        assert ds.features.tobytes() == F.tobytes()
+        std = F.std(axis=0)
+        want = np.where(std == 0, F, (F - F.mean(axis=0)) / np.where(std == 0, 1.0, std))
+        assert out.features.tobytes() == want.tobytes()
 
     def test_needs_two_rows(self):
         ds = make_synthetic(stream(2), 2, 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polystep.core import finite_diff_grad, stream
+from polystep.core import ConfigurationError, finite_diff_grad, stream
 from polystep.objectives import (
     LogisticObjective,
     QuadraticObjective,
@@ -79,8 +79,12 @@ class TestLogistic:
         assert info.mu_min == pytest.approx(0.3)
 
     def test_rejects_bad_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="labels must be in"):
             LogisticObjective(np.ones((2, 2)), np.array([0.0, 1.0]))
+
+    def test_rejects_negative_lam(self):
+        with pytest.raises(ConfigurationError, match="lam must be >= 0"):
+            LogisticObjective(np.ones((2, 2)), np.array([-1.0, 1.0]), lam=-0.1)
 
 
 def masked_sigmoid(t):
