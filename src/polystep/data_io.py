@@ -122,19 +122,24 @@ def load_libsvm(path: str, name: str = "") -> Dataset:
     """Parse `label idx:val ...` lines; 1-based indices are densified and
     d is the maximum index seen. A repeated index keeps its last value.
 
-    The file is streamed: each block of lines read is made dense and
-    appended to one buffer, which is copied into the feature matrix at the
-    end, so peak memory is about twice the matrix. A file the block parse
-    cannot vouch for is read again by the line scan, which parses it alike
-    or raises a ``LoadError`` naming the line (a byte that is not valid
-    UTF-8 and an index too large for the platform's integers are such
-    errors). A feature matrix too large to allocate is a ``LoadError``
-    naming its shape."""
+    The file is streamed, each block of lines kept as its dense rows or its
+    (row, index, value) triples, whichever is smaller: peak memory is at
+    most about twice the feature matrix, and near the matrix alone for a
+    sparse file. A file the block parse cannot vouch for goes to the line
+    scan, which parses it alike or raises a ``LoadError`` naming the line (a
+    byte that is not valid UTF-8, an index too large for the platform's
+    integers). A matrix too large to allocate is a ``LoadError`` too."""
     with open(path, "rb") as fh:
         parsed = _parse_libsvm(fh)
-    labels, X = parsed or _scan_libsvm(path, _read_bytes(path))
-    if not labels.size:
+    labels, d, pieces = parsed or _scan_libsvm(path, _read_bytes(path))
+    if not (n := labels.size):
         raise LoadError(f"{path}: empty file")
+    try:
+        X = np.zeros((n, d))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
+        raise LoadError(f"{path}: cannot allocate the {n}x{d} feature matrix") from None
+    for rows, cols, values in pieces:  # in order: a repeated index keeps its last value
+        X[rows, cols] = values
     return _dataset(path, name, X, labels)
 
 
@@ -143,8 +148,8 @@ _INTP_MAX = np.iinfo(np.intp).max
 
 def _scan_libsvm(path: str, raw: bytes):
     """Line-by-line parse of the text ``raw`` of a LIBSVM file, newline line
-    ends, the reference for ``_parse_libsvm``: (labels, dense features), or
-    a ``LoadError`` naming the first bad line of ``path``."""
+    ends, the reference for ``_parse_libsvm``: (labels, d, [(rows, columns,
+    values)]), or a ``LoadError`` naming the first bad line of ``path``."""
     labels, rows, idx, vals = [], [], [], []
     for lineno, line in _text_lines(path, raw):
         line = line.strip()
@@ -175,23 +180,16 @@ def _scan_libsvm(path: str, raw: bytes):
         idx += feats.keys()
         vals += feats.values()
         labels.append(label)
-    n, d = len(labels), max(idx, default=0)
-    try:
-        X = np.zeros((n, d))
-    except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
-        raise LoadError(f"{path}: cannot allocate the {n}x{d} feature matrix") from None
-    X[rows, np.array(idx, dtype=np.intp) - 1] = vals
-    return np.array(labels), X
+    return np.array(labels), max(idx, default=0), [(rows, np.array(idx, np.intp) - 1, vals)]
 
 
 # The block parse takes only blocks made of these bytes; any other byte (a
 # letter other than e/E, a non-ASCII character, a separator other than space,
 # tab or newline) leaves the file to the line scan.
 _LIBSVM_BYTES = b"0123456789+-.eE: \t\n"
-# bytes per read. The arrays of a block of typical lines then stay below
-# glibc's default mmap threshold (128 KB): freeing a larger one raises the
-# threshold, and later arrays of a few MB come from the heap and stay
-# resident once freed (a 6.5-MB load peaked 6 MB higher with 512-KB reads).
+# bytes per read: a block's arrays then stay below glibc's mmap threshold
+# (128 KB); freeing a larger one raises it, and later arrays of a few MB come
+# from the heap and stay resident (6 MB more peak with 512-KB reads)
 _LIBSVM_BLOCK = 1 << 16
 # the longest index the digit arithmetic builds: 18 digits on 64-bit intp
 _INDEX_DIGITS = len(str(_INTP_MAX)) - 1
@@ -200,44 +198,39 @@ _NO_LINES = (np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0
 
 
 def _parse_libsvm(fh):
-    """Block parse of the LIBSVM file ``fh``, open in binary mode. Returns
-    what ``_scan_libsvm`` returns, or None for a file it must judge itself,
-    or whose feature matrix cannot be allocated.
-
-    Each block of whole lines is taken only when every line is a colon-free
-    label token followed by tokens with exactly one colon each, every index
-    is a run of 1 to ``_INDEX_DIGITS`` digits and not 0, every value is
-    nonempty, and every word parses to a finite number. An index is built
-    from its digits; the index and its colon are then blanked, a comma
-    ends each token, and the labels and values of the block go through one
-    ``np.fromstring``, which stops at any token that is not exactly one
-    number."""
-    # every block's dense rows go into one buffer: an array kept per block
-    # scatters the heap, and the matrix-sized arrays allocated later cannot
-    # reuse the space (4 MB more peak RSS in a set-up from a 6.5-MB file)
-    labels, shapes, dense = [], [], bytearray()
+    """Block parse of the LIBSVM file ``fh``, open in binary mode: what
+    ``_scan_libsvm`` returns, or None for a file it must judge itself."""
+    # the blocks' values go into one buffer and the rows and columns of their
+    # triples into another: arrays kept per block scatter the heap, which the
+    # matrix-sized arrays allocated later cannot reuse (4 MB more peak RSS
+    # in a set-up from a 6.5-MB file)
+    labels, parts, values, ints, n, d = [], [], bytearray(), bytearray(), 0, 0
     for text in _line_blocks(fh):
         block = _parse_block(text)
         if block is None:
             return None
-        y, rows, idx, vals = block
-        try:
-            chunk = np.zeros((y.size, idx.max(initial=0)))
-        except (MemoryError, ValueError):
-            return None
-        chunk[rows, idx - 1] = vals  # in order: a repeated index keeps its last value
-        dense += chunk.data
+        y, rows, cols, vals = block
+        w = int(cols.max(initial=0))
+        cols -= 1
+        if y.size * w * vals.itemsize <= rows.nbytes + cols.nbytes + vals.nbytes:
+            dense = np.zeros((y.size, w))
+            dense[rows, cols] = vals  # in order: a repeated index keeps its last value
+            parts.append((slice(n, n + y.size), slice(0, w), dense.shape))
+            vals = dense
+        else:
+            ints += np.concatenate((rows + n, cols)).data
+            parts.append((None, None, vals.shape))
+        values += vals.data
         labels.append(y)
-        shapes.append(chunk.shape)
-    try:
-        X = np.zeros((sum(m for m, _ in shapes), max(w for _, w in shapes)))
-    except (MemoryError, ValueError):
-        return None
-    values, row, at = np.frombuffer(dense), 0, 0
-    for m, w in shapes:
-        X[row:row + m, :w] = values[at:at + m * w].reshape(m, w)
-        row, at = row + m, at + m * w
-    return np.concatenate(labels), X
+        n, d = n + y.size, max(d, w)
+    values, ints, pieces = np.frombuffer(values), np.frombuffer(ints, np.intp), []
+    for rows, cols, shape in parts:  # views of the buffers, block by block
+        if rows is None:  # triples: their rows, then their columns
+            (rows, cols), ints = ints[:2 * shape[0]].reshape(2, -1), ints[2 * shape[0]:]
+        size = math.prod(shape)
+        pieces.append((rows, cols, values[:size].reshape(shape)))
+        values = values[size:]
+    return np.concatenate(labels), d, pieces
 
 
 def _line_blocks(fh):
@@ -261,7 +254,13 @@ def _line_blocks(fh):
 def _parse_block(text: bytes):
     """(labels, rows, indices, values) of the whole lines ``text``, rows
     counted from its first line, or None for a text the line scan must
-    judge."""
+    judge. The text is taken only when every line is a colon-free label
+    token followed by tokens with exactly one colon each, every index is a
+    run of 1 to ``_INDEX_DIGITS`` digits and not 0, every value is nonempty,
+    and every word parses to a finite number. An index is built from its
+    digits; the index and its colon are then blanked, a comma ends each
+    token, and the labels and values go through one ``np.fromstring``,
+    which stops at any token that is not exactly one number."""
     if text.translate(None, _LIBSVM_BYTES):
         return None
     b = np.frombuffer(text, np.uint8)

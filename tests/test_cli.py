@@ -210,6 +210,9 @@ class TestRun:
          ":2: index 100000000000000000000000 is too large"),
         (b"+1 1:0.5\n-1 1000000000000000:1\n", "libsvm",
          ": cannot allocate the 2x1000000000000000 feature matrix"),
+        pytest.param(b"1 1:1 1000000000000:1\n" * 20000, "libsvm",
+                     ": cannot allocate the 20000x1000000000000 feature matrix",
+                     id="wide-sparse-file-many-blocks-long"),
     ])
     def test_undecodable_or_oversized_dataset_exits_2_with_one_line(
             self, tmp_path, capsys, content, fmt, message):

@@ -214,6 +214,7 @@ class TestOnePassParse:
         b"1 1:0.5\r\n-1 2:3\r\n1 1:2\r\n",  # 8-byte reads split the first CRLF
         b"1 1:0.5\r-1 2:3\r\r1 1:2",  # CR line ends, a blank line, no last line end
         b"1 1:0.5 2:0.25 3:-1e-3 5:7\n\n-1 2:3",  # a line longer than most reads
+        b"1 1:0.5 2:1\n-1 9:3 9:4\n1 30:2\n",  # blocks kept as triples, and dense ones
         b"\n \r\n\t\r\n\n",  # blank lines only: an empty file
     ])
     def test_every_read_size(self, tmp_path, text):
@@ -255,6 +256,22 @@ class TestOnePassParse:
             finally:
                 tracemalloc.stop()
             assert peak <= 2.5 * X.nbytes + (1 << 20)
+
+    def test_sparse_file_costs_its_pairs_not_its_rows(self, tmp_path):
+        # blocks kept as dense rows until the end would double the peak
+        path = tmp_path / "sparse.svm"
+        n, d = 100, 10000
+        path.write_text("".join(f"{1 - 2 * (i % 2)} 1:0.5 {d - i}:1\n" for i in range(n)))
+        load_libsvm(str(path))  # first-call imports and caches are not the load's
+        tracemalloc.start()
+        try:
+            ds = load_libsvm(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (n, d) and ds.features.sum() == 1.5 * n
+        np.testing.assert_array_equal(ds.features[np.arange(n), d - 1 - np.arange(n)], 1.0)
+        assert peak <= ds.features.nbytes + (1 << 20)
 
     def test_repeated_index_keeps_last_value(self, tmp_path):
         p = tmp_path / "d.svm"
