@@ -31,8 +31,6 @@ class Dataset:
     features: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,), values in {-1, +1}
     name: str = ""
-    standardized: bool = False
-    constant_columns: tuple[int, ...] = ()
 
     @property
     def n(self) -> int:
@@ -95,10 +93,10 @@ def _remap_labels(path: str, raw: np.ndarray) -> np.ndarray:
     raise LoadError(f"{path}: cannot map label values {sorted(vals)} to {{-1, +1}}")
 
 
-def _dataset(path: str, name: str, X: np.ndarray, y: np.ndarray) -> Dataset:
+def _dataset(path: str, X: np.ndarray, y: np.ndarray) -> Dataset:
     if X.shape[1] == 0:
         raise LoadError(f"{path}: no features")
-    return Dataset(X, _remap_labels(path, y), name=name or path)
+    return Dataset(X, _remap_labels(path, y), name=path)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -107,51 +105,79 @@ def _read_bytes(path: str) -> bytes:
         return b"".join(_line_blocks(fh))
 
 
-def _text_lines(path: str, raw: bytes):
-    """(line number, line) for each line of ``raw``, decoded as UTF-8; a byte
-    that is not valid UTF-8 is a ``LoadError`` naming its line."""
-    try:
-        text = raw.decode()
-    except UnicodeDecodeError as e:
-        lineno = raw.count(b"\n", 0, e.start) + 1
-        raise LoadError(f"{path}:{lineno}: byte {raw[e.start]:#04x} is not valid UTF-8") from None
-    return enumerate(text.split("\n"), start=1)
+def _text_lines(path: str, raw: bytes, first_line: int = 1):
+    """(line number, line) for each line of ``raw``, the first numbered
+    ``first_line``, decoded as UTF-8; a byte that is not valid UTF-8 is a
+    ``LoadError`` naming its line."""
+    for lineno, line in enumerate(raw.split(b"\n"), first_line):
+        try:
+            yield lineno, line.decode()
+        except UnicodeDecodeError as e:
+            raise LoadError(f"{path}:{lineno}: byte {line[e.start]:#04x} is not valid UTF-8") from None
 
 
-def load_libsvm(path: str, name: str = "") -> Dataset:
+def load_libsvm(path: str) -> Dataset:
     """Parse `label idx:val ...` lines; 1-based indices are densified and
     d is the maximum index seen. A repeated index keeps its last value.
 
     The file is streamed, each block of lines kept as its dense rows or its
     (row, index, value) triples, whichever is smaller: peak memory is at
     most about twice the feature matrix, and near the matrix alone for a
-    sparse file. A file the block parse cannot vouch for goes to the line
-    scan, which parses it alike or raises a ``LoadError`` naming the line (a
-    byte that is not valid UTF-8, an index too large for the platform's
-    integers). A matrix too large to allocate is a ``LoadError`` too."""
+    sparse file. A block the block parse cannot vouch for goes to the line
+    scan, that block alone, so the file is read once and the bound holds:
+    the scan parses it alike or raises a ``LoadError`` naming the first bad
+    line (a byte that is not valid UTF-8, an index too large for the
+    platform's integers). A matrix too large to allocate is a ``LoadError``
+    too."""
+    # the blocks' values go into one buffer and the rows and columns of their
+    # triples into another: arrays kept per block scatter the heap, which the
+    # matrix-sized arrays allocated later cannot reuse (4 MB more peak RSS
+    # in a set-up from a 6.5-MB file)
+    labels, parts, values, ints, n, d, first_line = [], [], bytearray(), bytearray(), 0, 0, 1
     with open(path, "rb") as fh:
-        parsed = _parse_libsvm(fh)
-    labels, d, pieces = parsed or _scan_libsvm(path, _read_bytes(path))
-    if not (n := labels.size):
+        for text in _line_blocks(fh):
+            y, rows, cols, vals = _parse_block(text) or _scan_block(path, text, first_line)
+            first_line += text.count(b"\n")
+            w = int(cols.max(initial=0))
+            cols -= 1
+            if y.size * w * vals.itemsize <= rows.nbytes + cols.nbytes + vals.nbytes:
+                dense = np.zeros((y.size, w))
+                dense[rows, cols] = vals  # in order: a repeated index keeps its last value
+                parts.append((slice(n, n + y.size), slice(0, w), dense.shape))
+                vals = dense
+            else:
+                ints += np.concatenate((rows + n, cols)).data
+                parts.append((None, None, vals.shape))
+            values += vals.data
+            labels.append(y)
+            n, d = n + y.size, max(d, w)
+    labels = np.concatenate(labels)
+    if not n:
         raise LoadError(f"{path}: empty file")
     try:
         X = np.zeros((n, d))
     except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
         raise LoadError(f"{path}: cannot allocate the {n}x{d} feature matrix") from None
-    for rows, cols, values in pieces:  # in order: a repeated index keeps its last value
-        X[rows, cols] = values
-    return _dataset(path, name, X, labels)
+    values, ints = np.frombuffer(values), np.frombuffer(ints, np.intp)
+    for rows, cols, shape in parts:  # views of the buffers, block by block, in order
+        if rows is None:  # triples: their rows, then their columns
+            (rows, cols), ints = ints[:2 * shape[0]].reshape(2, -1), ints[2 * shape[0]:]
+        size = math.prod(shape)
+        X[rows, cols] = values[:size].reshape(shape)
+        values = values[size:]
+    return _dataset(path, X, labels)
 
 
 _INTP_MAX = np.iinfo(np.intp).max
 
 
-def _scan_libsvm(path: str, raw: bytes):
-    """Line-by-line parse of the text ``raw`` of a LIBSVM file, newline line
-    ends, the reference for ``_parse_libsvm``: (labels, d, [(rows, columns,
-    values)]), or a ``LoadError`` naming the first bad line of ``path``."""
+def _scan_block(path: str, text: bytes, first_line: int):
+    """Line-by-line parse of the whole lines ``text``, newline line ends,
+    whose first line is line ``first_line`` of ``path``; the reference for
+    ``_parse_block``: what it returns, or a ``LoadError`` naming the first
+    bad line."""
     labels, rows, idx, vals = [], [], [], []
-    for lineno, line in _text_lines(path, raw):
+    for lineno, line in _text_lines(path, text, first_line):
         line = line.strip()
         if not line:
             continue
@@ -180,12 +206,13 @@ def _scan_libsvm(path: str, raw: bytes):
         idx += feats.keys()
         vals += feats.values()
         labels.append(label)
-    return np.array(labels), max(idx, default=0), [(rows, np.array(idx, np.intp) - 1, vals)]
+    return (np.array(labels, float), np.array(rows, np.intp), np.array(idx, np.intp),
+            np.array(vals, float))
 
 
 # The block parse takes only blocks made of these bytes; any other byte (a
 # letter other than e/E, a non-ASCII character, a separator other than space,
-# tab or newline) leaves the file to the line scan.
+# tab or newline) leaves the block to the line scan.
 _LIBSVM_BYTES = b"0123456789+-.eE: \t\n"
 # bytes per read: a block's arrays then stay below glibc's mmap threshold
 # (128 KB); freeing a larger one raises it, and later arrays of a few MB come
@@ -195,42 +222,6 @@ _LIBSVM_BLOCK = 1 << 16
 _INDEX_DIGITS = len(str(_INTP_MAX)) - 1
 _TEN_POWERS = 10 ** np.arange(_INDEX_DIGITS, dtype=np.intp)
 _NO_LINES = (np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
-
-
-def _parse_libsvm(fh):
-    """Block parse of the LIBSVM file ``fh``, open in binary mode: what
-    ``_scan_libsvm`` returns, or None for a file it must judge itself."""
-    # the blocks' values go into one buffer and the rows and columns of their
-    # triples into another: arrays kept per block scatter the heap, which the
-    # matrix-sized arrays allocated later cannot reuse (4 MB more peak RSS
-    # in a set-up from a 6.5-MB file)
-    labels, parts, values, ints, n, d = [], [], bytearray(), bytearray(), 0, 0
-    for text in _line_blocks(fh):
-        block = _parse_block(text)
-        if block is None:
-            return None
-        y, rows, cols, vals = block
-        w = int(cols.max(initial=0))
-        cols -= 1
-        if y.size * w * vals.itemsize <= rows.nbytes + cols.nbytes + vals.nbytes:
-            dense = np.zeros((y.size, w))
-            dense[rows, cols] = vals  # in order: a repeated index keeps its last value
-            parts.append((slice(n, n + y.size), slice(0, w), dense.shape))
-            vals = dense
-        else:
-            ints += np.concatenate((rows + n, cols)).data
-            parts.append((None, None, vals.shape))
-        values += vals.data
-        labels.append(y)
-        n, d = n + y.size, max(d, w)
-    values, ints, pieces = np.frombuffer(values), np.frombuffer(ints, np.intp), []
-    for rows, cols, shape in parts:  # views of the buffers, block by block
-        if rows is None:  # triples: their rows, then their columns
-            (rows, cols), ints = ints[:2 * shape[0]].reshape(2, -1), ints[2 * shape[0]:]
-        size = math.prod(shape)
-        pieces.append((rows, cols, values[:size].reshape(shape)))
-        values = values[size:]
-    return np.concatenate(labels), d, pieces
 
 
 def _line_blocks(fh):
@@ -312,9 +303,9 @@ def _parse_block(text: bytes):
     return numbers[label], rows, idx, numbers[pair]
 
 
-def load_delimited(path: str, label_column: int = 0, name: str = "") -> Dataset:
-    """Load a rectangular numeric table (comma or whitespace separated); one
-    optional header row is skipped. The text is read as UTF-8; a byte that
+def load_delimited(path: str) -> Dataset:
+    """Load a rectangular numeric table (comma or whitespace separated), the
+    label in its first column; one optional header row is skipped. The text is read as UTF-8; a byte that
     is not valid UTF-8 is a ``LoadError`` naming its line."""
     rows = []
     width = None
@@ -344,14 +335,12 @@ def load_delimited(path: str, label_column: int = 0, name: str = "") -> Dataset:
     if not rows:
         raise LoadError(f"{path}: no data rows")
     table = np.array(rows)
-    y = table[:, label_column]
-    X = np.delete(table, label_column, axis=1)
-    return _dataset(path, name, X, y)
+    return _dataset(path, np.delete(table, 0, axis=1), table[:, 0])
 
 
 def standardize(ds: Dataset) -> Dataset:
     """Center each feature column and divide by its population standard
-    deviation. Zero-variance columns pass through unchanged and are flagged."""
+    deviation. Zero-variance columns pass through unchanged."""
     if ds.n < 2:
         raise LoadError(f"{ds.name}: standardizing needs at least 2 rows")
     F = ds.features
@@ -360,21 +349,16 @@ def standardize(ds: Dataset) -> Dataset:
     X = F - F.mean(axis=0)  # the one new n x d array: F is left as it is
     X /= np.where(constant, 1.0, std)
     X[:, constant] = F[:, constant]
-    return dc_replace(
-        ds,
-        features=X,
-        standardized=True,
-        constant_columns=tuple(np.flatnonzero(constant).tolist()),
-    )
+    return dc_replace(ds, features=X)
 
 
-def make_synthetic(rng: np.random.Generator, n: int, d: int, name: str = "synthetic") -> Dataset:
+def make_synthetic(rng: np.random.Generator, n: int, d: int) -> Dataset:
     """i.i.d. standard-normal features with uniformly random +-1 labels."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     X = rng.standard_normal((n, d))
     y = rng.choice([-1.0, 1.0], size=n)
-    return Dataset(X, y, name=name)
+    return Dataset(X, y, name="synthetic")
 
 
 # -- CSV text -------------------------------------------------------------

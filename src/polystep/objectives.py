@@ -107,8 +107,8 @@ class LogisticObjective:
             raise ConfigurationError(f"unknown label_sign {self.label_sign!r}")
         if not np.isin(self.labels, (-1.0, 1.0)).all():
             raise ConfigurationError("labels must be in {-1, +1}")
-        if self.lam < 0:
-            raise ConfigurationError("lam must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise ConfigurationError(f"lam must be >= 0 and finite, got {self.lam}")
 
     @property
     def n(self) -> int:

@@ -100,11 +100,11 @@ def libsvm_lines(draw) -> list[str]:
     return lines
 
 
-# Lines the block parse must leave to the line scan. Most are errors; the
-# scan accepts `+1:`, `1_0`, the vertical tab and the 19-digit index. The
-# pair of lines is bad only together: its missing and extra numbers cancel
-# in the file's total; `1 3: 1:1-2` does so within one line. The last is a
-# byte that is not valid UTF-8.
+# Lines whose block the block parse must leave to the line scan. Most are
+# errors; the scan accepts `+1:`, `1_0`, the vertical tab and the 19-digit
+# index. The pair of lines is bad only together: its missing and extra
+# numbers cancel in the block's total; `1 3: 1:1-2` does so within one
+# line. The last is a byte that is not valid UTF-8.
 MUTATIONS = [
     ["1 3:"], ["1 :3"], ["1 1:2:3"], ["1 0:1"], ["1 1.5:2"], ["1 1e2:2"], ["1 +1:2"],
     ["1 2 3:4"], ["-1 :5", "1 2 3:4"], ["1 1:nan"], ["nan 1:2"], ["1 1:1e400"],
@@ -117,8 +117,8 @@ BLOCKS = [data_io._LIBSVM_BLOCK, 3]
 
 
 def load_by_scan(path):
-    """``load_libsvm`` with every file sent to the line scan."""
-    with mock.patch.object(data_io, "_parse_libsvm", lambda fh: None):
+    """``load_libsvm`` with every block sent to the line scan."""
+    with mock.patch.object(data_io, "_parse_block", lambda text: None):
         return load_libsvm(path)
 
 
@@ -136,17 +136,17 @@ def assert_loads_like_scan(path):
     np.testing.assert_array_equal(got.labels, want.labels)
 
 
-def parse(path):
-    """The block parse of the file at ``path``, as ``load_libsvm`` runs it;
-    checks first that the reader cuts the file into whole lines."""
+def refused_blocks(path):
+    """The blocks of the file at ``path`` that the block parse refuses, as
+    ``load_libsvm`` reads them; checks first that the reader cuts the file
+    into whole lines."""
     with open(path, "rb") as fh:
         blocks = list(data_io._line_blocks(fh))
     # text mode's universal newlines; latin-1 maps each byte to one character
     with open(path, encoding="latin-1") as fh:
         assert b"".join(blocks) == fh.read().encode("latin-1")
     assert all(block.endswith(b"\n") for block in blocks[:-1])
-    with open(path, "rb") as fh:
-        return data_io._parse_libsvm(fh)
+    return [block for block in blocks if data_io._parse_block(block) is None]
 
 
 def write_dense(path, n, d=40):
@@ -174,7 +174,7 @@ class TestOnePassParse:
         path.write_bytes(text.encode())
         for block in BLOCKS:
             with mock.patch.object(data_io, "_LIBSVM_BLOCK", block):
-                assert parse(path) is not None  # no fallback
+                assert not refused_blocks(path)  # no block scanned
                 assert_loads_like_scan(str(path))
 
     @settings(max_examples=150, deadline=None)
@@ -187,7 +187,7 @@ class TestOnePassParse:
         path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
         for block in BLOCKS:
             with mock.patch.object(data_io, "_LIBSVM_BLOCK", block):
-                assert parse(path) is None
+                assert refused_blocks(path)
                 assert_loads_like_scan(str(path))
 
     def test_every_mutation(self, tmp_path):
@@ -197,7 +197,7 @@ class TestOnePassParse:
             path.write_bytes(("\n".join(["1 1:0.5 2:1", *bad, "-1 2:3"]) + "\n").encode("latin-1"))
             for block in BLOCKS:
                 with mock.patch.object(data_io, "_LIBSVM_BLOCK", block):
-                    assert parse(path) is None, bad
+                    assert refused_blocks(path), bad
                     assert_loads_like_scan(str(path))
 
     def test_dense_file_takes_the_block_parse(self, tmp_path):
@@ -205,7 +205,7 @@ class TestOnePassParse:
         X, y = write_dense(path, 300)
         for block in BLOCKS + [4096]:  # 4096: a block edge every few lines
             with mock.patch.object(data_io, "_LIBSVM_BLOCK", block), \
-                    mock.patch.object(data_io, "_scan_libsvm", side_effect=AssertionError):
+                    mock.patch.object(data_io, "_scan_block", side_effect=AssertionError):
                 ds = load_libsvm(str(path))
             np.testing.assert_array_equal(ds.features, X)
             np.testing.assert_array_equal(ds.labels, y)
@@ -222,7 +222,7 @@ class TestOnePassParse:
         path.write_bytes(text)
         for block in range(1, len(text) + 2):
             with mock.patch.object(data_io, "_LIBSVM_BLOCK", block):
-                assert parse(path) is not None
+                assert not refused_blocks(path)
                 assert_loads_like_scan(str(path))
         if not text.strip():
             with pytest.raises(LoadError, match="empty file"):
@@ -241,21 +241,57 @@ class TestOnePassParse:
         assert str(err.value) == f"{path}:571: bad pair '2:x'"
         assert_loads_like_scan(str(path))
 
+    def test_first_bad_line_is_named_at_any_read_size(self, tmp_path):
+        # a byte that is not valid UTF-8 on a later line, in the same block
+        # or another, does not hide the bad line before it
+        svm, csv = tmp_path / "d.svm", tmp_path / "d.csv"
+        svm.write_bytes(b"1 1:0.5\n-1 1:x\n1 1:0.5\xff\n")
+        csv.write_bytes(b"1,0.5\n-1,x\n1,0.5\xff\n")
+        for block in BLOCKS:
+            with mock.patch.object(data_io, "_LIBSVM_BLOCK", block):
+                for load, path, message in ((load_libsvm, svm, ":2: bad pair '1:x'"),
+                                            (load_delimited, csv, ":2: non-numeric cell")):
+                    with pytest.raises(LoadError) as err:
+                        load(str(path))
+                    assert str(err.value) == str(path) + message
+
+    def test_only_refused_blocks_are_scanned(self, tmp_path):
+        path = tmp_path / "dense.svm"
+        write_dense(path, 600)
+        lines = path.read_text().splitlines()
+        lines[570] = "1 1:1_0 2:1"  # the line scan reads 1_0 as 10
+        path.write_text("\n".join(lines) + "\n")
+        with open(path, "rb") as fh:
+            assert len(list(data_io._line_blocks(fh))) > 4  # line 571 is in a late block
+        assert len(refused_blocks(path)) == 1
+        with mock.patch.object(data_io, "_scan_block", wraps=data_io._scan_block) as scan:
+            ds = load_libsvm(str(path))
+        assert scan.call_count == 1
+        assert ds.features[570, :3].tolist() == [10.0, 1.0, 0.0]
+        want = load_by_scan(str(path))
+        assert ds.features.tobytes() == want.features.tobytes()
+        assert ds.labels.tobytes() == want.labels.tobytes()
+
     def test_peak_memory_is_about_twice_the_matrix(self, tmp_path):
         # a file-sized temporary (the file is about 1.6 times the matrix)
-        # breaks the bound; the 1-MB allowance holds the temporaries of a block
-        path = tmp_path / "dense.svm"
+        # breaks the bound; the 1-MB allowance holds the temporaries of a
+        # block, the line scan's of a refused one too
+        path, refused = tmp_path / "dense.svm", tmp_path / "refused.svm"
         X, _ = write_dense(path, 4000)
-        spec = runner.ProblemSpec("dataset", dataset_path=str(path))
-        for load in (lambda: load_libsvm(str(path)), lambda: runner.build_problem(spec)):
-            load()  # first-call imports and caches are not the load's
-            tracemalloc.start()
-            try:
-                load()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 2.5 * X.nbytes + (1 << 20)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3900] = "1 1:1_0\n"  # a late line that only the line scan takes
+        refused.write_text("".join(lines))
+        for p in (path, refused):
+            spec = runner.ProblemSpec("dataset", dataset_path=str(p))
+            for load in (lambda: load_libsvm(str(p)), lambda: runner.build_problem(spec)):
+                load()  # first-call imports and caches are not the load's
+                tracemalloc.start()
+                try:
+                    load()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 2.5 * X.nbytes + (1 << 20), p.name
 
     def test_sparse_file_costs_its_pairs_not_its_rows(self, tmp_path):
         # blocks kept as dense rows until the end would double the peak
@@ -317,13 +353,6 @@ class TestDelimited:
             load_delimited(str(p))
         assert str(err.value) == str(p) + message
 
-    def test_label_column_selection(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("0.5,1,2\n1.5,-1,3\n")
-        ds = load_delimited(str(p), label_column=1)
-        np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
-        np.testing.assert_array_equal(ds.features, [[0.5, 2.0], [1.5, 3.0]])
-
 
 class TestStandardize:
     def test_zero_mean_unit_population_std(self):
@@ -331,7 +360,6 @@ class TestStandardize:
         out = standardize(ds)
         np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-12)
-        assert out.standardized and out.constant_columns == ()
 
     def test_constant_column_passthrough(self):
         ds = make_synthetic(stream(1), 20, 3)
@@ -339,7 +367,6 @@ class TestStandardize:
         X[:, 1] = 7.0
         ds = type(ds)(X, ds.labels)
         out = standardize(ds)
-        assert out.constant_columns == (1,)
         np.testing.assert_array_equal(out.features[:, 1], 7.0)
 
     def test_input_unchanged_and_one_new_array(self):

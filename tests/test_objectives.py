@@ -82,9 +82,10 @@ class TestLogistic:
         with pytest.raises(ConfigurationError, match="labels must be in"):
             LogisticObjective(np.ones((2, 2)), np.array([0.0, 1.0]))
 
-    def test_rejects_negative_lam(self):
+    @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+    def test_rejects_negative_or_nonfinite_lam(self, lam):
         with pytest.raises(ConfigurationError, match="lam must be >= 0"):
-            LogisticObjective(np.ones((2, 2)), np.array([-1.0, 1.0]), lam=-0.1)
+            LogisticObjective(np.ones((2, 2)), np.array([-1.0, 1.0]), lam=lam)
 
 
 def masked_sigmoid(t):
