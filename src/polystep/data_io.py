@@ -305,8 +305,9 @@ def _parse_block(text: bytes):
 
 def load_delimited(path: str) -> Dataset:
     """Load a rectangular numeric table (comma or whitespace separated), the
-    label in its first column; one optional header row is skipped. The text is read as UTF-8; a byte that
-    is not valid UTF-8 is a ``LoadError`` naming its line."""
+    label in its first column; one optional header row is skipped. The text
+    is read as UTF-8; a byte that is not valid UTF-8 is a ``LoadError``
+    naming its line."""
     rows = []
     width = None
     header_skipped = False

@@ -116,9 +116,19 @@ MUTATIONS = [
 BLOCKS = [data_io._LIBSVM_BLOCK, 3]
 
 
+def whole_text(path):
+    """The bytes of the file at ``path`` with the line ends text mode's
+    universal newlines give; latin-1 maps each byte to one character."""
+    with open(path, encoding="latin-1") as fh:
+        return fh.read().encode("latin-1")
+
+
 def load_by_scan(path):
-    """``load_libsvm`` with every block sent to the line scan."""
-    with mock.patch.object(data_io, "_parse_block", lambda text: None):
+    """``load_libsvm`` with the whole file one block, sent to the line scan:
+    a reference that shares no block boundary, row offset or line offset
+    with the load under test."""
+    with mock.patch.object(data_io, "_parse_block", lambda text: None), \
+            mock.patch.object(data_io, "_line_blocks", lambda fh: [whole_text(path)]):
         return load_libsvm(path)
 
 
@@ -142,9 +152,7 @@ def refused_blocks(path):
     into whole lines."""
     with open(path, "rb") as fh:
         blocks = list(data_io._line_blocks(fh))
-    # text mode's universal newlines; latin-1 maps each byte to one character
-    with open(path, encoding="latin-1") as fh:
-        assert b"".join(blocks) == fh.read().encode("latin-1")
+    assert b"".join(blocks) == whole_text(path)
     assert all(block.endswith(b"\n") for block in blocks[:-1])
     return [block for block in blocks if data_io._parse_block(block) is None]
 
