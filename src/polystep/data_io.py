@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -93,19 +94,7 @@ def _remap_labels(path: str, raw: np.ndarray) -> np.ndarray:
     raise LoadError(f"{path}: cannot map label values {sorted(vals)} to {{-1, +1}}")
 
 
-def _dataset(path: str, X: np.ndarray, y: np.ndarray) -> Dataset:
-    if X.shape[1] == 0:
-        raise LoadError(f"{path}: no features")
-    return Dataset(X, _remap_labels(path, y), name=path)
-
-
-def _read_bytes(path: str) -> bytes:
-    """The bytes of the file at ``path``, with newline line ends."""
-    with open(path, "rb") as fh:
-        return b"".join(_line_blocks(fh))
-
-
-def _text_lines(path: str, raw: bytes, first_line: int = 1):
+def _text_lines(path: str, raw: bytes, first_line: int):
     """(line number, line) for each line of ``raw``, the first numbered
     ``first_line``, decoded as UTF-8; a byte that is not valid UTF-8 is a
     ``LoadError`` naming its line."""
@@ -120,15 +109,22 @@ def load_libsvm(path: str) -> Dataset:
     """Parse `label idx:val ...` lines; 1-based indices are densified and
     d is the maximum index seen. A repeated index keeps its last value.
 
-    The file is streamed, each block of lines kept as its dense rows or its
-    (row, index, value) triples, whichever is smaller: peak memory is at
-    most about twice the feature matrix, and near the matrix alone for a
-    sparse file. A block the block parse cannot vouch for goes to the line
-    scan, that block alone, so the file is read once and the bound holds:
-    the scan parses it alike or raises a ``LoadError`` naming the first bad
-    line (a byte that is not valid UTF-8, an index too large for the
-    platform's integers). A matrix too large to allocate is a ``LoadError``
-    too."""
+    A block the block parse cannot vouch for goes to the line scan, that
+    block alone, so the file is read once and ``_load_blocks``'s memory
+    bound holds: the scan parses it alike or raises a ``LoadError`` naming
+    the first bad line (a byte that is not valid UTF-8, an index too large
+    for the platform's integers)."""
+    return _load_blocks(path, lambda text, first_line: (
+        _parse_block(text) or _scan_block(path, text, first_line)), "empty file")
+
+
+def _load_blocks(path: str, parse, empty: str) -> Dataset:
+    """The dataset in the file at ``path``, streamed in blocks of whole
+    lines that ``parse(text, first_line)`` turns into (labels, rows, 1-based
+    indices, values). Each block is kept as its dense rows or its triples,
+    whichever is smaller, until they fill the feature matrix: peak memory is
+    at most about twice the matrix, and near the matrix alone for a sparse
+    file. No rows is the ``LoadError`` ``empty``."""
     # the blocks' values go into one buffer and the rows and columns of their
     # triples into another: arrays kept per block scatter the heap, which the
     # matrix-sized arrays allocated later cannot reuse (4 MB more peak RSS
@@ -136,7 +132,7 @@ def load_libsvm(path: str) -> Dataset:
     labels, parts, values, ints, n, d, first_line = [], [], bytearray(), bytearray(), 0, 0, 1
     with open(path, "rb") as fh:
         for text in _line_blocks(fh):
-            y, rows, cols, vals = _parse_block(text) or _scan_block(path, text, first_line)
+            y, rows, cols, vals = parse(text, first_line)
             first_line += text.count(b"\n")
             w = int(cols.max(initial=0))
             cols -= 1
@@ -153,7 +149,7 @@ def load_libsvm(path: str) -> Dataset:
             n, d = n + y.size, max(d, w)
     labels = np.concatenate(labels)
     if not n:
-        raise LoadError(f"{path}: empty file")
+        raise LoadError(f"{path}: {empty}")
     try:
         X = np.zeros((n, d))
     except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
@@ -165,7 +161,9 @@ def load_libsvm(path: str) -> Dataset:
         size = math.prod(shape)
         X[rows, cols] = values[:size].reshape(shape)
         values = values[size:]
-    return _dataset(path, X, labels)
+    if not d:
+        raise LoadError(f"{path}: no features")
+    return Dataset(X, _remap_labels(path, labels), name=path)
 
 
 _INTP_MAX = np.iinfo(np.intp).max
@@ -307,36 +305,39 @@ def load_delimited(path: str) -> Dataset:
     """Load a rectangular numeric table (comma or whitespace separated), the
     label in its first column; one optional header row is skipped. The text
     is read as UTF-8; a byte that is not valid UTF-8 is a ``LoadError``
-    naming its line."""
-    rows = []
-    width = None
-    header_skipped = False
-    for lineno, line in _text_lines(path, _read_bytes(path)):
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.replace(",", " ").split()
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            if not rows and not header_skipped:
-                header_skipped = True  # at most one header row
+    naming its line. The table streams through ``_load_blocks`` as LIBSVM
+    files do, in dense blocks, so peak memory is at most about twice the
+    feature matrix."""
+    width, header = 0, True  # the table's width, and whether a header row may still come
+
+    def parse(text: bytes, first_line: int):
+        nonlocal width, header
+        labels, values = [], []
+        for lineno, line in _text_lines(path, text, first_line):
+            line = line.strip()
+            if not line:
                 continue
-            raise LoadError(f"{path}:{lineno}: non-numeric cell")
-        bad = [c for c, v in zip(cells, row) if not math.isfinite(v)]
-        if bad:
-            raise LoadError(f"{path}:{lineno}: non-finite value {bad[0]!r}")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise LoadError(
-                f"{path}:{lineno}: ragged row ({len(row)} cells, expected {width})"
-            )
-        rows.append(row)
-    if not rows:
-        raise LoadError(f"{path}: no data rows")
-    table = np.array(rows)
-    return _dataset(path, np.delete(table, 0, axis=1), table[:, 0])
+            cells = line.replace(",", " ").split()
+            first, header = header, False
+            try:
+                row = [float(c) for c in cells]
+            except ValueError:
+                if first:
+                    continue  # at most one header row
+                raise LoadError(f"{path}:{lineno}: non-numeric cell")
+            bad = [c for c, v in zip(cells, row) if not math.isfinite(v)]
+            if bad:
+                raise LoadError(f"{path}:{lineno}: non-finite value {bad[0]!r}")
+            width = width or len(row)
+            if len(row) != width:
+                raise LoadError(f"{path}:{lineno}: ragged row ({len(row)} cells, "
+                                f"expected {width})")
+            labels.append(row[0])
+            values += row[1:]
+        rows, cols = np.indices((len(labels), max(width - 1, 0))).reshape(2, -1)
+        return np.array(labels, float), rows, cols + 1, np.array(values, float)
+
+    return _load_blocks(path, parse, "no data rows")
 
 
 def standardize(ds: Dataset) -> Dataset:
@@ -543,24 +544,33 @@ def write_trace(trace: Trace, path: str, fmt: str = "csv") -> None:
 
 
 def read_trace(path: str, fmt: str = "csv") -> Trace:
-    """The ``Trace`` that ``write_trace`` wrote to ``path``. A file whose rows
-    are not one contiguous block per seed, every block over the same ks, is
-    a ``LoadError``."""
+    """The ``Trace`` that ``write_trace`` wrote to ``path``. A row that does
+    not parse is a ``LoadError`` naming its line, and so is a file whose
+    rows are not one contiguous block per seed, every block over the same
+    ks."""
     if fmt == "csv":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != TRACE_HEADER:
                 raise LoadError(f"{path}: unexpected header {header}")
-            rows = list(reader)
-        if any(len(r) != len(TRACE_HEADER) for r in rows):
+            lines = [(reader.line_num, r) for r in reader]
+        if any(len(r) != len(TRACE_HEADER) for _, r in lines):
             raise LoadError(f"{path}: a row without {len(TRACE_HEADER)} fields")
-        rows = [(int(r[0]), int(r[1]), *map(float, r[2:])) for r in rows]
+        parse = lambda r: (int(r[0]), int(r[1]), *map(float, r[2:]))
     elif fmt == "json-lines":
         with open(path) as fh:
-            rows = [tuple(d[name] for name in TRACE_HEADER) for d in map(json.loads, fh)]
+            lines = list(enumerate(fh, 1))
+        fields = operator.itemgetter(*TRACE_HEADER)
+        parse = lambda line: fields(json.loads(line))
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
+    rows = []
+    for lineno, line in lines:
+        try:
+            rows.append(parse(line))
+        except (ValueError, KeyError, TypeError) as e:  # ValueError: a bad number or bad JSON
+            raise LoadError(f"{path}:{lineno}: unreadable row ({type(e).__name__}: {e})") from None
     if not rows:
         return Trace.empty((), np.empty(0, dtype=np.int64))
     seed, k, *values = (np.array(c) for c in zip(*rows))

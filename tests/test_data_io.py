@@ -361,6 +361,50 @@ class TestDelimited:
             load_delimited(str(p))
         assert str(err.value) == str(p) + message
 
+    # a block carries the table's width and whether a header may still come
+    # to the next: each text loads alike, or fails on the same line, at
+    # every read size, from one line per block to the whole file in one
+    @pytest.mark.parametrize("text,want", [
+        (b"label,f1,f2\r\n1,0.5,2\r\n\r\n-1,1.5,3\r\n", ([[0.5, 2], [1.5, 3]], [1, -1])),
+        (b"\n \r\nlabel f1\r1 0.5\r\r-1\t-2\r1,3", ([[0.5], [-2], [3]], [1, -1, 1])),
+        (b"1,0.5,2\n-1,1.5,3\n\n1,2,3\n-1,2\n", ":5: ragged row (2 cells, expected 3)"),
+        (b"1,0.5,2\n-1,1.5,3\n\n1,x,3\n", ":4: non-numeric cell"),
+        (b"label,f1\n\n", ": no data rows"),
+        (b"y\n1\n-1\n", ": no features"),
+    ])
+    def test_every_read_size(self, tmp_path, text, want):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        for block in range(1, len(text) + 2):
+            with mock.patch.object(data_io, "_LIBSVM_BLOCK", block):
+                if isinstance(want, str):
+                    with pytest.raises(LoadError) as err:
+                        load_delimited(str(path))
+                    assert str(err.value) == str(path) + want, block
+                else:
+                    ds = load_delimited(str(path))
+                    assert (ds.features.tolist(), ds.labels.tolist()) == want, block
+
+    def test_peak_memory_is_about_twice_the_matrix(self, tmp_path):
+        # a file-sized temporary or a Python float per cell breaks the bound;
+        # the 1-MB allowance holds the temporaries of a block
+        X, y = write_dense(tmp_path / "dense.svm", 4000)
+        path = tmp_path / "dense.csv"
+        path.write_text("label," + ",".join(f"f{j}" for j in range(X.shape[1])) + "\n"
+                        + "".join(f"{label:d}," + ",".join(f"{v:.6g}" for v in row) + "\n"
+                                  for label, row in zip(y, X)))
+        np.testing.assert_array_equal(load_delimited(str(path)).features, X)
+        spec = runner.ProblemSpec("dataset", dataset_path=str(path), dataset_format="delimited")
+        for load in (lambda: load_delimited(str(path)), lambda: runner.build_problem(spec)):
+            load()  # first-call imports and caches are not the load's
+            tracemalloc.start()
+            try:
+                load()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * X.nbytes + (1 << 20)
+
 
 class TestStandardize:
     def test_zero_mean_unit_population_std(self):
@@ -477,6 +521,21 @@ class TestTraces:
         path.write_text("seed,k,f_sub,f_sub_avg_iterate,dist_sq,gamma\n0,1,2\n")
         with pytest.raises(LoadError, match="a row without 6 fields"):
             read_trace(str(path), "csv")
+
+    @pytest.mark.parametrize("fmt,row", [
+        ("csv", "0,0,1,2,3,x"),  # a cell that is not a number
+        ("json-lines", '{"seed": 0, "k": 0}'),  # missing fields
+        ("json-lines", "[1,2]"),  # not an object
+        ("json-lines", '{"seed": 0,'),  # not JSON
+    ], ids=["csv_cell", "json_fields", "json_list", "json_syntax"])
+    def test_bad_row_names_its_line(self, tmp_path, fmt, row):
+        path = tmp_path / EXT[fmt]
+        write_trace(make_trace((0,), [0, 1], np.arange(8.0)), str(path), fmt)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines) + row + "\n")
+        with pytest.raises(LoadError) as err:
+            read_trace(str(path), fmt)
+        assert str(err.value).startswith(f"{path}:{len(lines) + 1}: unreadable row (")
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
