@@ -7,6 +7,12 @@ Subcommands:
              to stdout as one JSON object; it takes only the problem flags,
              --reference-tol and --config
 
+Each flag that sets a field of ``ProblemSpec``, ``RunConfig`` or
+``StepperConfig`` takes its default and type from it. The CLI declares three
+things of its own: the flags not named after their field (``_KEYS``), the
+fields with no flag (``_NO_FLAG``), and --seeds, --config and the sweep flags;
+``_FLAG_ARGS`` gives what no field states (choices, two defaults, help).
+
 Exit codes: 0 success; 2 a bad config or input, before any work; 3 a run that
 recorded inf or nan or took a negative stepsize, after writing every output.
 """
@@ -19,44 +25,61 @@ import json
 import sys
 
 from . import data_io, objectives, runner, steppers
+from .runner import ProblemSpec, RunConfig
 from .steppers import ConfigurationError, StepperConfig
+
+# field -> config-file key (the flag's dest) where the flag is not named after
+# its field; the flag is the key with "-" for "_", but lam's flag is --lambda
+_KEYS = {"name": "problem", "dataset_path": "dataset", "B": "batch_size", "K": "iters",
+         "lower_bound_policy": "lower_bound", "out_dir": "out", "trace_format": "format"}
+# the nested configs, the seeds (--seeds) and the fields left at their defaults
+_NO_FLAG = {"problem", "stepper", "seeds", "eps_adam", "x0_scale", "label"}
+# what a field does not state: its choices, a default where it has none, help
+_FLAG_ARGS = {
+    "name": dict(default="synthetic", choices=runner.PROBLEMS),
+    "dataset_path": dict(help="path for --problem dataset"),
+    "dataset_format": dict(choices=runner.DATASET_FORMATS),
+    "label_sign": dict(choices=objectives.LABEL_SIGNS),
+    "optimizer": dict(default="decsps", choices=sorted(steppers.STEPPERS)),
+    "c_schedule": dict(choices=steppers.C_SCHEDULES),
+    "f_star_policy": dict(choices=steppers.F_STAR_POLICIES),
+    "lower_bound_policy": dict(choices=steppers.LOWER_BOUND_POLICIES),
+    "trace_format": dict(choices=data_io.TRACE_FORMATS),
+}
+# the flags of reference, besides --config
+_PROBLEM_FIELDS = {f.name for f in dataclasses.fields(ProblemSpec)} | {"reference_tol"}
+
+
+def _add_fields(p: argparse.ArgumentParser, cls, problem: bool) -> None:
+    """A flag, with the field's default, for each field of ``cls`` that has
+    one and is, or is not, a problem field, as ``problem`` says. A bool field
+    gets an on/off flag, a field with choices takes its strings as they are,
+    and any other converts to the type its annotation names (float, int or
+    else str)."""
+    for f in dataclasses.fields(cls):
+        if f.name in _NO_FLAG or (f.name in _PROBLEM_FIELDS) != problem:
+            continue
+        key = _KEYS.get(f.name, f.name)
+        kw = {"default": f.default, **_FLAG_ARGS.get(f.name, {})}
+        if f.type == "bool":
+            kw["action"] = "store_true"
+        elif "choices" not in kw:
+            kw["type"] = {"float": float, "int": int}.get(f.type, str)
+        p.add_argument("--lambda" if key == "lam" else "--" + key.replace("_", "-"),
+                       dest=key, **kw)
 
 
 def _add_problem(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--problem", default="synthetic",
-                   choices=["counterexample", "fig1", "synthetic", "dataset"])
-    p.add_argument("--dataset", type=str, help="path for --problem dataset")
-    p.add_argument("--dataset-format", default="libsvm", choices=runner.DATASET_FORMATS)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--label-sign", default="standard", choices=["standard", "as_printed"])
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--d", type=int, default=100)
-    p.add_argument("--interpolated", action="store_true")
-    p.add_argument("--f-floor", type=float, default=1.0)
-    p.add_argument("--gen-seed", type=int, default=0)
-    p.add_argument("--reference-tol", type=float, default=1e-10)
+    _add_fields(p, ProblemSpec, problem=True)
+    _add_fields(p, RunConfig, problem=True)
 
 
 def _add_run(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--optimizer", default="decsps", choices=sorted(steppers.STEPPERS))
-    p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--seeds", default="5",
+    _add_fields(p, RunConfig, problem=False)
+    p.add_argument("--seeds", default=str(len(RunConfig.seeds)),  # the default 0..4 as its count
                    help="seed count N (seeds 0..N-1) or comma-separated list")
-    p.add_argument("--gamma-b", type=float, default=10.0)
-    p.add_argument("--gamma-ell", type=float, default=0.01)
-    p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--c-schedule", default="sqrt", choices=steppers.C_SCHEDULES)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--b0", type=float, default=0.1)
-    p.add_argument("--beta2", type=float, default=0.99)
-    p.add_argument("--f-star-policy", default="lower_bound", choices=steppers.F_STAR_POLICIES)
-    p.add_argument("--lower-bound", default="zero", choices=steppers.LOWER_BOUND_POLICIES)
-    p.add_argument("--lower-bound-value", type=float, default=0.0)
-    p.add_argument("--record-every", type=int, default=1)
-    p.add_argument("--out", type=str, default="out")
-    p.add_argument("--format", default="csv", choices=data_io.TRACE_FORMATS)
+    _add_fields(p, StepperConfig, problem=False)
 
 
 def _parse_seeds(spec) -> tuple[int, ...]:
@@ -126,46 +149,16 @@ def _parse_args(parser: argparse.ArgumentParser, subcommands, argv) -> argparse.
     return parser.parse_args(argv)
 
 
-def _problem_spec(args) -> runner.ProblemSpec:
-    return runner.ProblemSpec(
-        name=args.problem,
-        lam=args.lam,
-        label_sign=args.label_sign,
-        dataset_path=args.dataset,
-        dataset_format=args.dataset_format,
-        n=args.n,
-        d=args.d,
-        interpolated=args.interpolated,
-        f_floor=args.f_floor,
-        gen_seed=args.gen_seed,
-    )
+def _from_flags(cls, args, **given):
+    """A ``cls`` whose fields with a flag take the flag's value in ``args``;
+    the other fields are ``given`` or keep their defaults."""
+    return cls(**{f.name: getattr(args, _KEYS.get(f.name, f.name))
+                  for f in dataclasses.fields(cls) if f.name not in _NO_FLAG}, **given)
 
 
-def _build_run_config(args) -> runner.RunConfig:
-    stepper = StepperConfig(
-        gamma_b=args.gamma_b,
-        gamma_ell=args.gamma_ell,
-        c0=args.c0,
-        c_schedule=args.c_schedule,
-        eta=args.eta,
-        b0=args.b0,
-        beta2=args.beta2,
-        f_star_policy=args.f_star_policy,
-        lower_bound_policy=args.lower_bound,
-        lower_bound_value=args.lower_bound_value,
-    )
-    return runner.RunConfig(
-        problem=_problem_spec(args),
-        optimizer=args.optimizer,
-        stepper=stepper,
-        B=args.batch_size,
-        K=args.iters,
-        seeds=_parse_seeds(args.seeds),
-        reference_tol=args.reference_tol,
-        out_dir=args.out,
-        trace_format=args.format,
-        record_every=args.record_every,
-    )
+def _run_config(args) -> RunConfig:
+    return _from_flags(RunConfig, args, problem=_from_flags(ProblemSpec, args),
+                       stepper=_from_flags(StepperConfig, args), seeds=_parse_seeds(args.seeds))
 
 
 def _report_divergence(runs) -> int:
@@ -187,7 +180,7 @@ def _report_divergence(runs) -> int:
 
 
 def _cmd_run(args) -> int:
-    out = runner.run_experiment(_build_run_config(args))
+    out = runner.run_experiment(_run_config(args))
     print(f"trace: {out.trace_path}")
     print(f"aggregate: {out.aggregate_path}")
     print(f"manifest: {out.manifest_path}")
@@ -204,7 +197,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigurationError(
             f"sweep values must be comma-separated numbers, got {args.sweep_values!r}") from None
-    base = _build_run_config(args)
+    base = _run_config(args)
     cfgs = []
     for v in values:
         stepper = dataclasses.replace(base.stepper, **{args.sweep_param: v})
@@ -219,7 +212,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_reference(args) -> int:
-    ref = objectives.solve_reference(runner.build_problem(_problem_spec(args)),
+    ref = objectives.solve_reference(runner.build_problem(_from_flags(ProblemSpec, args)),
                                      args.reference_tol)
     print(json.dumps({
         "f_star": ref.f_star,

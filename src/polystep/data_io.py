@@ -332,6 +332,8 @@ def load_delimited(path: str) -> Dataset:
             if len(row) != width:
                 raise LoadError(f"{path}:{lineno}: ragged row ({len(row)} cells, "
                                 f"expected {width})")
+            if not row:  # a row of commas alone, before the width is known
+                raise LoadError(f"{path}:{lineno}: no features")
             labels.append(row[0])
             values += row[1:]
         rows, cols = np.indices((len(labels), max(width - 1, 0))).reshape(2, -1)
@@ -543,13 +545,23 @@ def write_trace(trace: Trace, path: str, fmt: str = "csv") -> None:
         raise OSError(f"writing trace {path}: {e}") from e
 
 
+def _trace_row(seed, k, *metrics) -> tuple:
+    """A trace row as the CSV and JSON-lines readers both give it: seed and
+    k are 64-bit integers (no bools) and the metrics numbers, as floats."""
+    if not all(type(v) is int and -2**63 <= v < 2**63 for v in (seed, k)):
+        raise ValueError(f"seed and k must be 64-bit integers, got {seed!r} and {k!r}")
+    if not all(type(v) in (int, float) for v in metrics):
+        raise ValueError(f"metrics must be numbers, got {metrics!r}")
+    return (seed, k, *map(float, metrics))
+
+
 def read_trace(path: str, fmt: str = "csv") -> Trace:
     """The ``Trace`` that ``write_trace`` wrote to ``path``. A row that does
     not parse is a ``LoadError`` naming its line, and so is a file whose
     rows are not one contiguous block per seed, every block over the same
     ks."""
     if fmt == "csv":
-        with open(path, newline="") as fh:
+        with open(path, newline="", errors="replace") as fh:  # a bad byte: an unreadable row
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != TRACE_HEADER:
@@ -557,19 +569,19 @@ def read_trace(path: str, fmt: str = "csv") -> Trace:
             lines = [(reader.line_num, r) for r in reader]
         if any(len(r) != len(TRACE_HEADER) for _, r in lines):
             raise LoadError(f"{path}: a row without {len(TRACE_HEADER)} fields")
-        parse = lambda r: (int(r[0]), int(r[1]), *map(float, r[2:]))
+        parse = lambda r: _trace_row(int(r[0]), int(r[1]), *map(float, r[2:]))
     elif fmt == "json-lines":
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:
             lines = list(enumerate(fh, 1))
         fields = operator.itemgetter(*TRACE_HEADER)
-        parse = lambda line: fields(json.loads(line))
+        parse = lambda line: _trace_row(*fields(json.loads(line)))
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
     rows = []
     for lineno, line in lines:
         try:
             rows.append(parse(line))
-        except (ValueError, KeyError, TypeError) as e:  # ValueError: a bad number or bad JSON
+        except (ValueError, KeyError, TypeError, OverflowError) as e:  # a bad number or JSON
             raise LoadError(f"{path}:{lineno}: unreadable row ({type(e).__name__}: {e})") from None
     if not rows:
         return Trace.empty((), np.empty(0, dtype=np.int64))

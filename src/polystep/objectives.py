@@ -84,6 +84,9 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+LABEL_SIGNS = ("standard", "as_printed")
+
+
 @dataclass(frozen=True)
 class LogisticObjective:
     """Regularized binary logistic loss over n datapoints.
@@ -96,14 +99,14 @@ class LogisticObjective:
     features: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,), values in {-1, +1}
     lam: float = 0.0
-    label_sign: str = "standard"  # standard | as_printed
+    label_sign: str = "standard"  # one of LABEL_SIGNS
 
     kind = "logistic"
     nonnegative = True  # logaddexp >= 0 and the L2 term is >= 0
 
     def __post_init__(self):
         _store_c_order(self, "features", "labels")
-        if self.label_sign not in ("standard", "as_printed"):
+        if self.label_sign not in LABEL_SIGNS:
             raise ConfigurationError(f"unknown label_sign {self.label_sign!r}")
         if not np.isin(self.labels, (-1.0, 1.0)).all():
             raise ConfigurationError("labels must be in {-1, +1}")

@@ -35,9 +35,9 @@ from .steppers import (
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    name: str  # counterexample | fig1 | synthetic | dataset
+    name: str  # one of PROBLEMS
     lam: float = 0.0
-    label_sign: str = "standard"
+    label_sign: str = "standard"  # one of objectives.LABEL_SIGNS
     dataset_path: str | None = None
     dataset_format: str = "libsvm"  # one of DATASET_FORMATS
     n: int = 500
@@ -81,6 +81,7 @@ class RunOutput:
     diagnostics: list[dict]  # per seed, a non-finite record and a negative stepsize
 
 
+PROBLEMS = ("counterexample", "fig1", "synthetic", "dataset")
 DATASET_FORMATS = ("libsvm", "delimited")
 
 

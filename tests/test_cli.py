@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from polystep import objectives
 from polystep.cli import main
 from polystep.core import ConfigurationError
 from polystep.data_io import LoadError
+from polystep.runner import ProblemSpec, RunConfig
+from polystep.steppers import StepperConfig
 
 
 ONE_SEED = ("--problem", "counterexample", "--seeds", "1")
@@ -57,6 +60,19 @@ class TestRun:
         assert rc == 0
         manifest = json.load(open(tmp_path / "counterexample_decsps_manifest.json"))
         assert manifest["seeds"] == [3, 7]
+
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        # a flag left out takes its config field's default
+        rc = run_cli("run", "--problem", "counterexample", "--out", str(tmp_path))
+        assert rc == 0
+        manifest = json.load(open(tmp_path / "counterexample_decsps_manifest.json"))
+        assert manifest["problem"] == asdict(ProblemSpec("counterexample"))
+        assert manifest["stepper"] == asdict(StepperConfig())
+        defaults = RunConfig(ProblemSpec("counterexample"), "decsps")
+        for name in ("B", "K", "record_every", "trace_format", "reference_tol", "x0_scale",
+                     "label"):
+            assert manifest[name] == getattr(defaults, name), name
+        assert manifest["seeds"] == list(defaults.seeds)
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,16 +1,19 @@
+import json
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polystep import data_io, runner
 from polystep.core import stream
 from polystep.data_io import (
     METRICS,
+    TRACE_HEADER,
     LoadError,
     Trace,
     load_delimited,
@@ -353,6 +356,10 @@ class TestDelimited:
         ("1,0.5,2\n-1,1e400,3\n", ":2: non-finite value '1e400'"),
         ("1\n-1\n", ": no features"),
         ("1,0.5\n3,1\n1,2\n", ": cannot map label values [1.0, 3.0] to {-1, +1}"),
+        # a row of commas alone has no cells, before the width is known
+        (",\n", ":1: no features"),
+        (",,\n1,2\n", ":1: no features"),
+        ("a,b\n,\n1,2\n", ":2: no features"),
     ])
     def test_rejects_nonfinite_values_and_no_features(self, tmp_path, content, message):
         p = tmp_path / "d.csv"
@@ -476,6 +483,12 @@ def make_trace(seeds, ks, values) -> Trace:
 
 
 EXT = {"csv": "t.csv", "json-lines": "t.jsonl"}
+
+
+def json_row(**values) -> str:
+    """A JSON-lines trace row: seed 0, k 2 and every metric 1.0, but for ``values``."""
+    return json.dumps({**dict(zip(TRACE_HEADER, (0, 2, 1.0, 1.0, 1.0, 1.0))), **values})
+
 SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -527,7 +540,18 @@ class TestTraces:
         ("json-lines", '{"seed": 0, "k": 0}'),  # missing fields
         ("json-lines", "[1,2]"),  # not an object
         ("json-lines", '{"seed": 0,'),  # not JSON
-    ], ids=["csv_cell", "json_fields", "json_list", "json_syntax"])
+        # seed and k are integers and the metrics numbers, in either format
+        ("csv", "99999999999999999999,2,1,1,1,1"),
+        ("json-lines", json_row(f_sub="x")),
+        ("json-lines", json_row(seed=[0])),
+        ("json-lines", json_row(k=None)),
+        ("json-lines", json_row(seed=True)),
+        ("json-lines", json_row(k=0.5)),
+        ("json-lines", json_row(gamma=False)),
+        ("json-lines", json_row(gamma=10**400)),
+    ], ids=["csv_cell", "json_fields", "json_list", "json_syntax", "csv_huge_seed",
+            "json_string_metric", "json_list_seed", "json_null_k", "json_bool_seed",
+            "json_float_k", "json_bool_metric", "json_huge_metric"])
     def test_bad_row_names_its_line(self, tmp_path, fmt, row):
         path = tmp_path / EXT[fmt]
         write_trace(make_trace((0,), [0, 1], np.arange(8.0)), str(path), fmt)
@@ -536,6 +560,14 @@ class TestTraces:
         with pytest.raises(LoadError) as err:
             read_trace(str(path), fmt)
         assert str(err.value).startswith(f"{path}:{len(lines) + 1}: unreadable row (")
+
+    def test_json_integer_metrics_load_as_floats(self, tmp_path):
+        path = tmp_path / EXT["json-lines"]
+        path.write_text("".join(json_row(k=k, f_sub=3, gamma=k) + "\n" for k in (0, 1)))
+        trace = read_trace(str(path), "json-lines")
+        assert trace.ks.dtype == np.int64 and trace.ks.tolist() == [0, 1]
+        assert all(getattr(trace, name).dtype == np.float64 for name in METRICS)
+        assert trace.f_sub.tolist() == [[3.0, 3.0]] and trace.gamma.tolist() == [[0.0, 1.0]]
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -653,3 +685,67 @@ class TestFloatText:
         for e, p in zip(range(data_io._E_LO, data_io._E_HI + 1), data_io._POW10):
             exact = Fraction(10) ** e
             assert abs(Fraction(*p.as_integer_ratio()) - exact) <= exact / 2**64, e
+
+
+# What a reader may be handed: small pieces of numbers, separators, line ends
+# and junk, a byte that is not valid UTF-8 among them.
+READER_BYTES = [b"0", b"1", b"2", b"-", b"+", b".", b"e", b",", b":", b" ", b"\t", b"\n",
+                b"\r", b"x", b"\xff", b"nan", b"1e400"]
+# the cells of a trace row, each written as is into a CSV or JSON-lines row
+TRACE_CELLS = [b"0", b"1", b"-1", b"2.5", b"1e400", b"99999999999999999999", b"nan",
+               b"NaN", b"true", b"null", b'"x"', b"[0]", b"x", b"", b"\xff"]
+
+
+@st.composite
+def reader_files(draw) -> tuple[str, bytes]:
+    """(reader, file bytes): a dataset from ``READER_BYTES``, or a trace whose
+    rows, after a CSV file's header, are 5 to 7 cells from ``TRACE_CELLS``."""
+    reader = draw(st.sampled_from(["delimited", "libsvm", "csv", "json-lines"]))
+    if reader in ("delimited", "libsvm"):
+        text = b"".join(draw(st.lists(st.sampled_from(READER_BYTES), max_size=40)))
+        # an index of 6 or more digits is a valid file whose matrix may take
+        # gigabytes; the allocation failure has its own test
+        assume(not re.search(rb"\d{6,}:", text))
+        return reader, text
+    rows = draw(st.lists(st.lists(st.sampled_from(TRACE_CELLS), min_size=5, max_size=7),
+                         max_size=4))
+    if reader == "csv":
+        lines = [",".join(TRACE_HEADER).encode()] + [b",".join(r) for r in rows]
+    else:
+        keys = [*TRACE_HEADER, "extra"]
+        lines = [b"{" + b", ".join(b'"%s": %s' % (k.encode(), v) for k, v in zip(keys, r))
+                 + b"}" for r in rows]
+    return reader, b"".join(line + draw(st.sampled_from([b"\n", b"\r\n"])) for line in lines)
+
+
+# reader -> its call on a path
+READERS = {"delimited": load_delimited, "libsvm": load_libsvm,
+           "csv": lambda path: read_trace(path, "csv"),
+           "json-lines": lambda path: read_trace(path, "json-lines")}
+
+
+@settings(max_examples=400, deadline=None)
+@given(file=reader_files())
+@example(file=("delimited", b",\n"))
+@example(file=("json-lines", json_row(f_sub="x").encode()))
+@example(file=("json-lines", json_row(seed=[0]).encode()))
+@example(file=("json-lines", json_row(k=None).encode()))
+def test_every_file_loads_clean_values_or_fails_with_one_load_error(tmp_path_factory, file):
+    # a dataset loads as finite float64 features with +-1 labels; a trace as
+    # integer seeds and ks and float64 metrics; anything else is a LoadError
+    reader, text = file
+    path = tmp_path_factory.mktemp("reader") / "file"
+    path.write_bytes(text)
+    try:
+        got = READERS[reader](str(path))
+    except LoadError:
+        return
+    if isinstance(got, Trace):
+        assert all(type(s) is int for s in got.seeds) and got.ks.dtype == np.int64
+        for name in METRICS:
+            column = getattr(got, name)
+            assert column.dtype == np.float64 and column.shape == (len(got.seeds), len(got.ks))
+    else:
+        assert got.features.dtype == np.float64 and np.isfinite(got.features).all()
+        assert got.features.shape == (got.n, got.d) and min(got.n, got.d) >= 1
+        assert set(got.labels.tolist()) <= {-1.0, 1.0}
