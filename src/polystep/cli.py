@@ -7,11 +7,11 @@ Subcommands:
              to stdout as one JSON object; it takes only the problem flags,
              --reference-tol and --config
 
-Each flag that sets a field of ``ProblemSpec``, ``RunConfig`` or
-``StepperConfig`` takes its default and type from it. The CLI declares three
-things of its own: the flags not named after their field (``_KEYS``), the
-fields with no flag (``_NO_FLAG``), and --seeds, --config and the sweep flags;
-``_FLAG_ARGS`` gives what no field states (choices, two defaults, help).
+Each flag that sets a config field takes its default, type and choices from
+it, and each config built from the flags is checked (``core.check_fields``)
+before any work. The CLI declares the flags not named after their field
+(``_KEYS``), the fields with no flag (``_NO_FLAG``), what no field states
+(``_FLAG_ARGS``) and --seeds, --config and the sweep flags.
 
 Exit codes: 0 success; 2 a bad config or input, before any work; 3 a run that
 recorded inf or nan or took a negative stepsize, after writing every output.
@@ -24,28 +24,24 @@ import dataclasses
 import json
 import sys
 
-from . import data_io, objectives, runner, steppers
+from . import objectives, runner
+from .core import ConfigurationError, check_fields
 from .runner import ProblemSpec, RunConfig
-from .steppers import ConfigurationError, StepperConfig
+from .steppers import StepperConfig
 
 # field -> config-file key (the flag's dest) where the flag is not named after
 # its field; the flag is the key with "-" for "_", but lam's flag is --lambda
 _KEYS = {"name": "problem", "dataset_path": "dataset", "B": "batch_size", "K": "iters",
          "lower_bound_policy": "lower_bound", "out_dir": "out", "trace_format": "format"}
 # the nested configs, the seeds (--seeds) and the fields left at their defaults
-_NO_FLAG = {"problem", "stepper", "seeds", "eps_adam", "x0_scale", "label"}
-# what a field does not state: its choices, a default where it has none, help
+_NO_FLAG = {"problem", "stepper", "seeds", "eps_adam", "x0_scale", "label", "f_star_policy"}
+# what a field does not state: a default where it has none, help
 _FLAG_ARGS = {
-    "name": dict(default="synthetic", choices=runner.PROBLEMS),
+    "name": dict(default="synthetic"),
     "dataset_path": dict(help="path for --problem dataset"),
-    "dataset_format": dict(choices=runner.DATASET_FORMATS),
-    "label_sign": dict(choices=objectives.LABEL_SIGNS),
-    "optimizer": dict(default="decsps", choices=sorted(steppers.STEPPERS)),
-    "c_schedule": dict(choices=steppers.C_SCHEDULES),
-    "f_star_policy": dict(choices=steppers.F_STAR_POLICIES),
-    "lower_bound_policy": dict(choices=steppers.LOWER_BOUND_POLICIES),
-    "trace_format": dict(choices=data_io.TRACE_FORMATS),
+    "optimizer": dict(default="decsps"),
 }
+_SWEEP_PARAMS = ("c0", "gamma_b", "gamma_ell", "eta", "b0", "beta2")
 # the flags of reference, besides --config
 _PROBLEM_FIELDS = {f.name for f in dataclasses.fields(ProblemSpec)} | {"reference_tol"}
 
@@ -53,8 +49,8 @@ _PROBLEM_FIELDS = {f.name for f in dataclasses.fields(ProblemSpec)} | {"referenc
 def _add_fields(p: argparse.ArgumentParser, cls, problem: bool) -> None:
     """A flag, with the field's default, for each field of ``cls`` that has
     one and is, or is not, a problem field, as ``problem`` says. A bool field
-    gets an on/off flag, a field with choices takes its strings as they are,
-    and any other converts to the type its annotation names (float, int or
+    gets an on/off flag, a field with choices takes one of its strings as it
+    is, and any other converts to the type its annotation names (float, int or
     else str)."""
     for f in dataclasses.fields(cls):
         if f.name in _NO_FLAG or (f.name in _PROBLEM_FIELDS) != problem:
@@ -63,7 +59,9 @@ def _add_fields(p: argparse.ArgumentParser, cls, problem: bool) -> None:
         kw = {"default": f.default, **_FLAG_ARGS.get(f.name, {})}
         if f.type == "bool":
             kw["action"] = "store_true"
-        elif "choices" not in kw:
+        elif "choices" in f.metadata:
+            kw["choices"] = f.metadata["choices"]
+        else:
             kw["type"] = {"float": float, "int": int}.get(f.type, str)
         p.add_argument("--lambda" if key == "lam" else "--" + key.replace("_", "-"),
                        dest=key, **kw)
@@ -99,26 +97,22 @@ def _parse_seeds(spec) -> tuple[int, ...]:
 def _config_value(action: argparse.Action, key: str, val):
     """A config-file value checked as its flag would check it: a ``store_true``
     flag takes only a JSON bool; otherwise the flag's ``type`` converts a
-    string and must give back any other value unchanged (so 2.5 is no int),
-    and the result must be one of the flag's ``choices``."""
+    string and must give back any other value unchanged (so 2.5 is no int).
+    ``_from_flags`` and ``_cmd_sweep`` check a choice, whose flag has no type."""
     if isinstance(action, argparse._StoreTrueAction):
         if not isinstance(val, bool):
             raise ConfigurationError(f"config key {key!r} must be true or false, got {val!r}")
         return val
-    if action.type is not None:
-        try:
-            converted = action.type(val)
-            if isinstance(val, bool) or not isinstance(val, str) and converted != val:
-                raise ValueError
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigurationError(
-                f"config key {key!r} expects {action.type.__name__}, got {val!r}") from None
-        val = converted
-    if action.choices is not None and val not in action.choices:
+    if action.type is None:
+        return val
+    try:
+        converted = action.type(val)
+        if isinstance(val, bool) or not isinstance(val, str) and converted != val:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(
-            f"unknown {action.dest.replace('_', ' ')} {val!r}; "
-            f"expected one of {', '.join(map(str, action.choices))}")
-    return val
+            f"config key {key!r} expects {action.type.__name__}, got {val!r}") from None
+    return converted
 
 
 def _parse_args(parser: argparse.ArgumentParser, subcommands, argv) -> argparse.Namespace:
@@ -150,10 +144,12 @@ def _parse_args(parser: argparse.ArgumentParser, subcommands, argv) -> argparse.
 
 
 def _from_flags(cls, args, **given):
-    """A ``cls`` whose fields with a flag take the flag's value in ``args``;
-    the other fields are ``given`` or keep their defaults."""
-    return cls(**{f.name: getattr(args, _KEYS.get(f.name, f.name))
-                  for f in dataclasses.fields(cls) if f.name not in _NO_FLAG}, **given)
+    """A ``cls`` whose fields with a flag take the flag's value in ``args``, the
+    others ``given`` or their defaults, checked against its field declarations."""
+    config = cls(**{f.name: getattr(args, _KEYS.get(f.name, f.name))
+                    for f in dataclasses.fields(cls) if f.name not in _NO_FLAG}, **given)
+    check_fields(config)
+    return config
 
 
 def _run_config(args) -> RunConfig:
@@ -192,6 +188,9 @@ def _cmd_sweep(args) -> int:
                                         ("--sweep-values", args.sweep_values)) if value is None]
     if missing:
         raise ConfigurationError(f"polystep sweep needs {' and '.join(missing)}")
+    if args.sweep_param not in _SWEEP_PARAMS:  # a config-file value; argparse checks the flag
+        raise ConfigurationError(f"unknown sweep param {args.sweep_param!r}; "
+                                 f"expected one of {', '.join(_SWEEP_PARAMS)}")
     try:
         values = [float(v) for v in args.sweep_values.split(",")]
     except ValueError:
@@ -236,8 +235,7 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="hyperparameter sweep")
     _add_problem(p_sweep)
     _add_run(p_sweep)
-    p_sweep.add_argument("--sweep-param",
-                         choices=["c0", "gamma_b", "gamma_ell", "eta", "b0", "beta2"])
+    p_sweep.add_argument("--sweep-param", choices=_SWEEP_PARAMS)
     p_sweep.add_argument("--sweep-values", type=str, help="comma-separated values")
     p_sweep.set_defaults(func=_cmd_sweep)
 

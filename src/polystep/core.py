@@ -1,4 +1,4 @@
-"""Vector types, seeded random streams, minibatch sampling and finite differences.
+"""Vector types, random streams, minibatch sampling, finite differences, config checks.
 
 Vectors are plain 1-d float64 numpy arrays. Random streams are built on the
 Philox counter-based generator, so a given ``(seed, run_index)`` pair
@@ -7,6 +7,8 @@ reproduces the exact same draw sequence on every platform.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
@@ -21,6 +23,20 @@ class NonFiniteValue(ValueError):
 
 class ConfigurationError(ValueError):
     """Invalid or inconsistent configuration."""
+
+
+def check_fields(config) -> None:
+    """Check each field of the dataclass ``config``: a field with ``choices`` metadata holds
+    one of them (named by its ``setting`` metadata, else its name); a float is finite."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        choices = f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            setting = f.metadata.get("setting", f.name.replace("_", " "))
+            raise ConfigurationError(
+                f"unknown {setting} {value!r}; expected one of {', '.join(choices)}")
+        if f.type == "float" and not math.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")
 
 
 def stream(seed: int, run_index: int = 0) -> np.random.Generator:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import data_io, objectives
-from .core import sample_batch, stream
+from .core import check_fields, sample_batch, stream
 from .data_io import METRICS, Trace
 from .steppers import (
     STEPPERS,
@@ -33,13 +33,17 @@ from .steppers import (
 )
 
 
+PROBLEMS = ("counterexample", "fig1", "synthetic", "dataset")
+DATASET_FORMATS = ("libsvm", "delimited")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
-    name: str  # one of PROBLEMS
+    name: str = field(metadata={"choices": PROBLEMS, "setting": "problem"})
     lam: float = 0.0
-    label_sign: str = "standard"  # one of objectives.LABEL_SIGNS
+    label_sign: str = field(default="standard", metadata={"choices": objectives.LABEL_SIGNS})
     dataset_path: str | None = None
-    dataset_format: str = "libsvm"  # one of DATASET_FORMATS
+    dataset_format: str = field(default="libsvm", metadata={"choices": DATASET_FORMATS})
     n: int = 500
     d: int = 100
     interpolated: bool = False
@@ -50,14 +54,14 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class RunConfig:
     problem: ProblemSpec
-    optimizer: str
+    optimizer: str = field(metadata={"choices": tuple(sorted(STEPPERS))})
     stepper: StepperConfig = StepperConfig()
     B: int = 1
     K: int = 1000
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     reference_tol: float = 1e-10
     out_dir: str = "out"
-    trace_format: str = "csv"
+    trace_format: str = field(default="csv", metadata={"choices": tuple(data_io.TRACE_FORMATS)})
     record_every: int = 1
     x0_scale: float = 1.0
     label: str = ""
@@ -81,19 +85,10 @@ class RunOutput:
     diagnostics: list[dict]  # per seed, a non-finite record and a negative stepsize
 
 
-PROBLEMS = ("counterexample", "fig1", "synthetic", "dataset")
-DATASET_FORMATS = ("libsvm", "delimited")
-
-
 def build_problem(spec: ProblemSpec):
-    if spec.dataset_format not in DATASET_FORMATS:
-        raise ConfigurationError(
-            f"unknown dataset format {spec.dataset_format!r}; "
-            f"expected one of {', '.join(DATASET_FORMATS)}")
-    if not 0 <= spec.lam < np.inf:
+    check_fields(spec)
+    if spec.lam < 0:
         raise ConfigurationError(f"lam must be finite and >= 0, got {spec.lam}")
-    if not np.isfinite(spec.f_floor):
-        raise ConfigurationError(f"f_floor must be finite, got {spec.f_floor}")
     if spec.gen_seed < 0:
         raise ConfigurationError(f"gen_seed must be >= 0, got {spec.gen_seed}")
     if spec.name in ("fig1", "synthetic") and min(spec.n, spec.d) < 1:
@@ -107,17 +102,15 @@ def build_problem(spec: ProblemSpec):
     if spec.name == "synthetic":
         ds = data_io.make_synthetic(stream(spec.gen_seed), spec.n, spec.d)
         return objectives.LogisticObjective(ds.features, ds.labels, spec.lam, spec.label_sign)
-    if spec.name == "dataset":
-        if spec.dataset_path is None:
-            raise ConfigurationError("dataset problem needs a dataset path")
-        load = data_io.load_libsvm if spec.dataset_format == "libsvm" else data_io.load_delimited
-        try:
-            ds = load(spec.dataset_path)
-        except OSError as e:
-            raise data_io.LoadError(f"cannot read dataset: {e}") from e
-        ds = data_io.standardize(ds)
-        return objectives.LogisticObjective(ds.features, ds.labels, spec.lam, spec.label_sign)
-    raise ConfigurationError(f"unknown problem {spec.name!r}")
+    if spec.dataset_path is None:  # the dataset problem, the one name left
+        raise ConfigurationError("dataset problem needs a dataset path")
+    load = data_io.load_libsvm if spec.dataset_format == "libsvm" else data_io.load_delimited
+    try:
+        ds = load(spec.dataset_path)
+    except OSError as e:
+        raise data_io.LoadError(f"cannot read dataset: {e}") from e
+    ds = data_io.standardize(ds)
+    return objectives.LogisticObjective(ds.features, ds.labels, spec.lam, spec.label_sign)
 
 
 BLOCK = 4096  # B * B <= BLOCK: batches are drawn ahead, BLOCK // B per row at a time
@@ -239,6 +232,7 @@ def iterate_run(obj, method, cfg, x0, K, B, rng):
 
 
 def _check_config(cfg: RunConfig, obj) -> None:
+    check_fields(cfg)
     validate(cfg.stepper, cfg.optimizer)
     if cfg.K < 1:
         raise ConfigurationError(f"iteration count K must be >= 1, got {cfg.K}")
@@ -250,10 +244,6 @@ def _check_config(cfg: RunConfig, obj) -> None:
         raise ConfigurationError(f"seeds must be distinct, got {list(cfg.seeds)}")
     if min(cfg.seeds) < 0:
         raise ConfigurationError(f"seeds must be >= 0, got {list(cfg.seeds)}")
-    if cfg.trace_format not in data_io.TRACE_FORMATS:
-        raise ConfigurationError(
-            f"unknown trace format {cfg.trace_format!r}; "
-            f"expected one of {', '.join(data_io.TRACE_FORMATS)}")
     # the label names the output files inside out_dir, so it is one file name
     seps = {"/", os.sep, os.altsep} - {None}
     if cfg.label in (".", "..") or any(sep in cfg.label for sep in seps):

@@ -41,7 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ConfigurationError
+from .core import ConfigurationError, check_fields
 from .objectives import lower_bound
 
 
@@ -55,13 +55,15 @@ class StepperConfig:
     gamma_b: float = 10.0
     gamma_ell: float = 0.01  # decsps_ns stepsize floor
     c0: float = 1.0
-    c_schedule: str = "sqrt"  # constant | sqrt | linear_half
+    c_schedule: str = field(default="sqrt", metadata={"choices": C_SCHEDULES})
     eta: float = 1.0  # sgd / adagrad / adam scale
     b0: float = 0.1  # adagrad_norm initial accumulator
     beta2: float = 0.99
     eps_adam: float = 1e-8
-    f_star_policy: str = "lower_bound"  # sps_max: exact | lower_bound
-    lower_bound_policy: str = "zero"  # zero | exact | constant
+    # sps_max only; "exact" is lower_bound_policy="exact". No flag: kept for the
+    # quadratic_grid sps_max row of benchmarks/workloads.py (ROADMAP item 1).
+    f_star_policy: str = field(default="lower_bound", metadata={"choices": F_STAR_POLICIES})
+    lower_bound_policy: str = field(default="zero", metadata={"choices": LOWER_BOUND_POLICIES})
     lower_bound_value: float = 0.0
 
 
@@ -98,17 +100,9 @@ def c_value(cfg: StepperConfig, k: int) -> float:
 def validate(cfg: StepperConfig, method: str) -> None:
     if method not in STEPPERS:
         raise ConfigurationError(f"unknown optimizer {method!r}")
-    for name, value in vars(cfg).items():
-        if not isinstance(value, str) and not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
+    check_fields(cfg)
     if cfg.gamma_b <= 0:
         raise ConfigurationError("gamma_b must be positive")
-    if cfg.c_schedule not in C_SCHEDULES:
-        raise ConfigurationError(f"unknown c_schedule {cfg.c_schedule!r}")
-    if cfg.f_star_policy not in F_STAR_POLICIES:
-        raise ConfigurationError(f"unknown f_star_policy {cfg.f_star_policy!r}")
-    if cfg.lower_bound_policy not in LOWER_BOUND_POLICIES:
-        raise ConfigurationError(f"unknown lower-bound policy {cfg.lower_bound_policy!r}")
     if method in POLYAK and cfg.c0 <= 0:
         raise ConfigurationError("c0 must be positive")
     if method == "decsps_ns":

@@ -21,6 +21,7 @@ from polystep.objectives import (
     solve_reference,
 )
 from polystep.oracles import (
+    bias_fixed_point,
     bounded_recursion_check,
     d_max_bound,
     estimate_sigma2,
@@ -28,8 +29,8 @@ from polystep.oracles import (
     simulate_polyak_1d,
     variation_of_constants,
 )
-from polystep.data_io import make_synthetic
-from polystep.runner import iterate_run, lockstep
+from polystep.data_io import make_synthetic, read_trace
+from polystep.runner import ProblemSpec, RunConfig, compare_grid, iterate_run, lockstep
 from polystep.steppers import StepperConfig, c_value
 
 
@@ -289,3 +290,35 @@ def test_criterion_12_gradient_correctness():
             worst = max(worst, rel)
     _verdict(12, "analytic gradients match finite differences", worst <= 1e-6,
              f"worst rel err {worst:.2e}")
+
+
+def test_criterion_13_decsps_reaches_x_star_where_sps_stays_biased(tmp_path):
+    # through the harness: compare_grid runs both rules and writes their
+    # traces, which are read back. With c_k = sqrt(k+1) and the zero bound,
+    # single-sample sps_max on the counterexample settles at the unweighted
+    # offset mean (bias_fixed_point), so its squared distance to x* stays
+    # near (x* - bias)^2, while decsps converges to x*.
+    obj = make_counterexample_1d()
+    bias_sq = (solve_reference(obj).x_star[0] - bias_fixed_point(obj)) ** 2  # 1/9
+    K, seeds = 20_000, tuple(range(20))
+    cfgs = [RunConfig(ProblemSpec("counterexample"), opt, StepperConfig(), B=1, K=K,
+                      seeds=seeds, record_every=K // 20, out_dir=str(tmp_path))
+            for opt in ("sps_max", "decsps")]
+    traces = {row["optimizer"]: read_trace(row["trace"], "csv") for row in compare_grid(cfgs)}
+    assert all(t.seeds == seeds and t.ks[-1] == K - 1 for t in traces.values())
+
+    def final(opt, metric):
+        """The mean over seeds of the last record, and its standard error."""
+        v = getattr(traces[opt], metric)[:, -1]
+        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
+
+    (sps, sps_se), (dec, dec_se) = final("sps_max", "dist_sq"), final("decsps", "dist_sq")
+    (sps_f, sps_f_se), (dec_f, dec_f_se) = (final("sps_max", "f_sub_avg_iterate"),
+                                            final("decsps", "f_sub_avg_iterate"))
+    ok = (abs(sps - bias_sq) <= 3 * sps_se  # sps_max keeps its bias
+          and dec + 3 * dec_se <= bias_sq / 10  # decsps ends ten times closer to x*
+          and dec_f + 3 * dec_f_se <= sps_f - 3 * sps_f_se)  # and with a smaller average gap
+    _verdict(13, "decsps reaches x*, sps_max stays at its bias", ok,
+             f"dist_sq sps {sps:.3e}+-{sps_se:.1e} vs (x*-bias)^2 {bias_sq:.3e}, "
+             f"decsps {dec:.3e}+-{dec_se:.1e}; f_sub_avg sps {sps_f:.2e}+-{sps_f_se:.1e} "
+             f"decsps {dec_f:.2e}+-{dec_f_se:.1e}")

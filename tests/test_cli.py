@@ -106,6 +106,9 @@ class TestRun:
         ({}, ("--seeds", "abc"), "seeds must be a count or a list of integers"),
         ({"seeds": "2.5"}, (), "seeds must be a count or a list of integers"),
         ({"seeds": [1.5, 2]}, (), "seeds must be a count or a list of integers"),
+        # a choice is checked before the (missing) dataset file is opened
+        ({"problem": "dataset", "dataset": "absent.svm", "lower_bound": "bogus"}, (),
+         "error: unknown lower bound policy 'bogus'; expected one of zero, exact, constant\n"),
     ])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, values, flags, message):
         values = {"problem": "counterexample", "iters": 3, **values}
@@ -124,6 +127,8 @@ class TestRun:
         # a path is a string: the number 7 would open file descriptor 7
         ({"problem": "dataset", "dataset": 7}, "'dataset' expects str"),
         ({"out": 5}, "'out' expects str"),
+        # a list is no choice (it was an unhashable-type traceback)
+        ({"format": ["csv"]}, "unknown trace format ['csv']; expected one of csv, json-lines"),
     ])
     def test_config_value_checked_like_its_flag(self, tmp_path, capsys, values, message):
         values = {"problem": "fig1", "n": 5, "d": 2, "iters": 3, "seeds": 1, **values}
@@ -165,7 +170,7 @@ class TestRun:
         (("--problem", "counterexample", "--seeds=-3,1"), "seeds must be >= 0"),
         # an infinite tolerance would stop the solve before its first step
         (("--problem", "counterexample", "--reference-tol", "inf"),
-         "reference_tol must be > 0 and finite"),
+         "reference_tol must be finite"),
         # b0 squared is adagrad_norm's first accumulator: it must not overflow or underflow
         ((*ONE_SEED, "--optimizer", "adagrad_norm", "--b0", "1e200"), "b0 squared must be"),
         ((*ONE_SEED, "--optimizer", "adagrad_norm", "--b0", "1e-200"), "b0 squared must be"),
@@ -266,7 +271,7 @@ class TestRun:
 
     def test_exact_policy_logistic_batch_errors(self, tmp_path, capsys):
         rc = run_cli("run", "--problem", "synthetic", "--n", "20", "--d", "3",
-                     "--optimizer", "sps_max", "--f-star-policy", "exact",
+                     "--optimizer", "sps_max", "--lower-bound", "exact",
                      "--batch-size", "2", "--iters", "5", "--out", str(tmp_path))
         assert rc == 2
         assert "exact batch minimum" in capsys.readouterr().err
@@ -443,6 +448,17 @@ class TestSweep:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_sweep_param_outside_its_choices_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sw.json"
+        cfg.write_text(json.dumps({"problem": "counterexample", "sweep_param": "c_schedule",
+                                   "sweep_values": "0.5"}))
+        rc = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: unknown sweep param 'c_schedule'; "
+            "expected one of c0, gamma_b, gamma_ell, eta, b0, beta2\n")
         assert not (tmp_path / "out").exists()
 
     def test_config_sweep_values_that_are_no_string_exit_2(self, tmp_path, capsys):

@@ -84,7 +84,7 @@ class TestBuildProblem:
             build_problem(ProblemSpec(name="mystery"))
 
     def test_unknown_label_sign(self):
-        with pytest.raises(ConfigurationError, match="label_sign 'bogus'"):
+        with pytest.raises(ConfigurationError, match="unknown label sign 'bogus'"):
             build_problem(ProblemSpec(name="synthetic", n=10, d=2, label_sign="bogus"))
 
 
@@ -196,6 +196,11 @@ class TestRunExperiment:
         ("optimizer", "bogus", "unknown optimizer 'bogus'"),
         ("seeds", (3, 3), "seeds must be distinct"),
         ("reference_tol", 0.0, "reference_tol must be > 0"),
+        # fig1 never reads the label sign, and a nan x0 scale made every record nan
+        ("problem", ProblemSpec("fig1", n=5, d=2, label_sign="bogus"),
+         "unknown label sign 'bogus'; expected one of standard, as_printed"),
+        ("x0_scale", math.nan, "x0_scale must be finite, got nan"),
+        ("x0_scale", math.inf, "x0_scale must be finite, got inf"),
     ])
     def test_bad_value_rejected_before_any_work(self, tmp_path, field, value, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -232,6 +237,23 @@ class TestRunExperiment:
         )
         with pytest.raises(ConfigurationError):
             run_experiment(cfg)
+
+    def test_exact_target_on_the_absolute_sum(self, tmp_path):
+        # a one-term batch of |x - s_i| has minimum 0, so the exact Polyak
+        # target is the zero bound; a larger batch has no closed-form minimum
+        obj = ShiftedAbsoluteObjective(np.array([-2.0, -0.5, 0.3, 1.0, 2.5]))
+
+        def run(policy, B):
+            return run_experiment(RunConfig(
+                problem=ProblemSpec("shifted_absolute"), optimizer="decsps_ns",
+                stepper=StepperConfig(lower_bound_policy=policy), B=B, K=40, seeds=(0, 1, 2),
+                out_dir=str(tmp_path / f"{policy}_{B}")), obj=obj)
+
+        exact, zero = run("exact", 1), run("zero", 1)
+        assert Path(exact.trace_path).read_bytes() == Path(zero.trace_path).read_bytes()
+        with pytest.raises(ConfigurationError, match="exact batch minimum only for B=1"):
+            run("exact", 2)
+        assert not (tmp_path / "exact_2").exists()
 
     def test_json_lines_format(self, tmp_path):
         out = run_experiment(counterexample_cfg(tmp_path, trace_format="json-lines"))
