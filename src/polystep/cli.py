@@ -8,10 +8,10 @@ Subcommands:
              --reference-tol and --config
 
 Each flag that sets a config field takes its default, type and choices from
-it, and each config built from the flags is checked (``core.check_fields``)
-before any work. The CLI declares the flags not named after their field
-(``_KEYS``), the fields with no flag (``_NO_FLAG``), what no field states
-(``_FLAG_ARGS``) and --seeds, --config and the sweep flags.
+it. The library checks the configs built from the flags, each setting that
+needs no problem before any dataset is read. The CLI declares the flags not
+named after their field (``_KEYS``), the fields with no flag (``_NO_FLAG``),
+what no field states (``_FLAG_ARGS``) and --seeds, --config and the sweep flags.
 
 Exit codes: 0 success; 2 a bad config or input, before any work; 3 a run that
 recorded inf or nan or took a negative stepsize, after writing every output.
@@ -25,7 +25,7 @@ import json
 import sys
 
 from . import objectives, runner
-from .core import ConfigurationError, check_fields
+from .core import ConfigurationError
 from .runner import ProblemSpec, RunConfig
 from .steppers import StepperConfig
 
@@ -98,7 +98,7 @@ def _config_value(action: argparse.Action, key: str, val):
     """A config-file value checked as its flag would check it: a ``store_true``
     flag takes only a JSON bool; otherwise the flag's ``type`` converts a
     string and must give back any other value unchanged (so 2.5 is no int).
-    ``_from_flags`` and ``_cmd_sweep`` check a choice, whose flag has no type."""
+    The library and ``_cmd_sweep`` check a choice, whose flag has no type."""
     if isinstance(action, argparse._StoreTrueAction):
         if not isinstance(val, bool):
             raise ConfigurationError(f"config key {key!r} must be true or false, got {val!r}")
@@ -145,11 +145,9 @@ def _parse_args(parser: argparse.ArgumentParser, subcommands, argv) -> argparse.
 
 def _from_flags(cls, args, **given):
     """A ``cls`` whose fields with a flag take the flag's value in ``args``, the
-    others ``given`` or their defaults, checked against its field declarations."""
-    config = cls(**{f.name: getattr(args, _KEYS.get(f.name, f.name))
-                    for f in dataclasses.fields(cls) if f.name not in _NO_FLAG}, **given)
-    check_fields(config)
-    return config
+    others ``given`` or their defaults."""
+    return cls(**{f.name: getattr(args, _KEYS.get(f.name, f.name))
+                  for f in dataclasses.fields(cls) if f.name not in _NO_FLAG}, **given)
 
 
 def _run_config(args) -> RunConfig:

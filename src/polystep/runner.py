@@ -200,10 +200,10 @@ def grid_lockstep(obj, groups, X0, K, B, rngs):
     rule's cap binds, and ``X - gamma * 0`` is X.
     """
     bounds = np.cumsum([0] + [size for _, _, size in groups])  # group g: rows bounds[g]:bounds[g+1]
-    # look the rules up when the pass starts, not at import, so that a caller
-    # may swap entries of STEPPERS in place (e.g. to time or count them)
-    rules = [(STEPPERS[method], cfg, batch_target(cfg, method, obj),
-              init_state(cfg, method, obj.d, rows=size)) for method, cfg, size in groups]
+    # init_state first, as it rejects an unknown method; the rules are looked up when the
+    # pass starts, not at import, so a caller may swap entries of STEPPERS (e.g. to time them)
+    rules = [(init_state(cfg, method, obj.d, rows=size), STEPPERS[method], cfg,
+              batch_target(cfg, method, obj)) for method, cfg, size in groups]
     batches = SeedBatches(rngs, obj.n, B, steps=K)
     X = X0
     for k in range(K):
@@ -212,7 +212,7 @@ def grid_lockstep(obj, groups, X0, K, B, rngs):
         g2 = np.vecdot(G, G)
         # fresh at every step: a caller may keep the X and gamma it was yielded
         X_next, gamma = np.empty(X.shape), np.empty(len(X))
-        for (rule, cfg, target, state), a, b in zip(rules, bounds, bounds[1:]):
+        for (state, rule, cfg, target), a, b in zip(rules, bounds, bounds[1:]):
             m = None if target is None else target(S[a:b])
             U, gamma[a:b] = rule(cfg, state, F[a:b], G[a:b], g2[a:b], m)
             np.subtract(X[a:b], U, out=X_next[a:b])
@@ -231,7 +231,7 @@ def iterate_run(obj, method, cfg, x0, K, B, rng):
         yield k, X[0], float(gamma[0])
 
 
-def _check_config(cfg: RunConfig, obj) -> None:
+def _check_config(cfg: RunConfig) -> None:
     check_fields(cfg)
     validate(cfg.stepper, cfg.optimizer)
     if cfg.K < 1:
@@ -244,6 +244,8 @@ def _check_config(cfg: RunConfig, obj) -> None:
         raise ConfigurationError(f"seeds must be distinct, got {list(cfg.seeds)}")
     if min(cfg.seeds) < 0:
         raise ConfigurationError(f"seeds must be >= 0, got {list(cfg.seeds)}")
+    if cfg.reference_tol <= 0:  # check_fields found it finite
+        raise ConfigurationError(f"reference_tol must be > 0 and finite, got {cfg.reference_tol}")
     # the label names the output files inside out_dir, so it is one file name
     seps = {"/", os.sep, os.altsep} - {None}
     if cfg.label in (".", "..") or any(sep in cfg.label for sep in seps):
@@ -255,13 +257,6 @@ def _check_config(cfg: RunConfig, obj) -> None:
         existing = os.path.dirname(existing)
     if existing and not os.path.isdir(existing):
         raise ConfigurationError(f"out_dir {cfg.out_dir!r}: {existing!r} is not a directory")
-    if not 1 <= cfg.B <= obj.n:
-        raise ConfigurationError(f"batch size {cfg.B} is not in [1, n={obj.n}]")
-    # certify the Polyak target before any work: a batch-independent lower
-    # bound once, an exact minimum on one probe batch
-    target = batch_target(cfg.stepper, cfg.optimizer, obj)
-    if target is not None:
-        target(np.arange(cfg.B)[None])
 
 
 def _label(cfg: RunConfig) -> str:
@@ -354,15 +349,26 @@ def _write_run(cfg: RunConfig, obj, reference, records: Trace,
     return RunOutput(trace_path, agg_path, manifest_path, agg, records, diagnostics)
 
 
-def _run_grid(cfgs: list[RunConfig], obj, reference=None) -> list[RunOutput]:
-    """Check every config, solve the reference unless given, then run the
-    configs, which share K, in one engine pass per distinct (B, record_every)
-    and write each config's outputs. Returns the outputs in the order of
-    ``cfgs``. A diverging row records inf or nan, without a floating-point
-    warning, and its config's ``diagnostics`` name it, as they name a row
-    that took a negative stepsize."""
+def _run_grid(cfgs: list[RunConfig], obj=None, reference=None) -> list[RunOutput]:
+    """Check every config, so one bad on its own fails before a dataset is
+    read; build the first one's problem unless ``obj`` is given; check each
+    batch size and Polyak target on it; solve the reference unless given; run
+    the configs, which share K, in one engine pass per distinct (B,
+    record_every) and write and return their outputs, in the order of ``cfgs``.
+    A diverging row records inf or nan, without a floating-point warning, and
+    its config's ``diagnostics`` name it, as they name a negative stepsize."""
     for c in cfgs:
-        _check_config(c, obj)
+        _check_config(c)
+    if obj is None:
+        obj = build_problem(cfgs[0].problem)
+    for c in cfgs:
+        if not 1 <= c.B <= obj.n:
+            raise ConfigurationError(f"batch size {c.B} is not in [1, n={obj.n}]")
+        # certify the Polyak target: a batch-independent lower bound once, an
+        # exact minimum on one probe batch
+        target = batch_target(c.stepper, c.optimizer, obj)
+        if target is not None:
+            target(np.arange(c.B)[None])
     if reference is None:
         reference = objectives.solve_reference(obj, cfgs[0].reference_tol)
     passes: dict[tuple, list[int]] = {}
@@ -378,9 +384,8 @@ def _run_grid(cfgs: list[RunConfig], obj, reference=None) -> list[RunOutput]:
 
 
 def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
-    """Run one config over its seeds: the grid of one config."""
-    if obj is None:
-        obj = build_problem(cfg.problem)
+    """Run one config over its seeds: the grid of one config, on ``obj`` and
+    ``reference`` where given, else on those ``_run_grid`` builds and solves."""
     return _run_grid([cfg], obj, reference)[0]
 
 
@@ -410,15 +415,9 @@ def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
     if not cfgs:
         return []
     first = cfgs[0]
-    for c in cfgs[1:]:
-        if c.K != first.K:
-            raise ConfigurationError("compare_grid: all configs must share K")
-        if c.seeds != first.seeds:
-            raise ConfigurationError("compare_grid: all configs must share seeds")
-        if c.problem != first.problem:
-            raise ConfigurationError("compare_grid: all configs must share the problem")
-        if c.reference_tol != first.reference_tol:
-            raise ConfigurationError("compare_grid: all configs must share reference_tol")
+    for name in ("K", "seeds", "problem", "reference_tol"):
+        if any(getattr(c, name) != getattr(first, name) for c in cfgs[1:]):
+            raise ConfigurationError(f"compare_grid: all configs must share {name}")
     outputs = set()  # (out_dir, label) pairs
     for c in cfgs:
         where = (os.path.abspath(c.out_dir), _label(c))
@@ -428,7 +427,7 @@ def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
                 "give each config its own label or out_dir")
         outputs.add(where)
     table = []
-    for c, out in zip(cfgs, _run_grid(cfgs, build_problem(first.problem))):
+    for c, out in zip(cfgs, _run_grid(cfgs)):
         agg = out.aggregate
         final = -1
         table.append({

@@ -30,7 +30,14 @@ from polystep.oracles import (
     variation_of_constants,
 )
 from polystep.data_io import make_synthetic, read_trace
-from polystep.runner import ProblemSpec, RunConfig, compare_grid, iterate_run, lockstep
+from polystep.runner import (
+    ProblemSpec,
+    RunConfig,
+    compare_grid,
+    iterate_run,
+    lockstep,
+    run_experiment,
+)
 from polystep.steppers import StepperConfig, c_value
 
 
@@ -322,3 +329,61 @@ def test_criterion_13_decsps_reaches_x_star_where_sps_stays_biased(tmp_path):
              f"dist_sq sps {sps:.3e}+-{sps_se:.1e} vs (x*-bias)^2 {bias_sq:.3e}, "
              f"decsps {dec:.3e}+-{dec_se:.1e}; f_sub_avg sps {sps_f:.2e}+-{sps_f_se:.1e} "
              f"decsps {dec_f:.2e}+-{dec_f_se:.1e}")
+
+
+def test_criterion_14_decsps_keeps_falling_where_sps_stalls_on_logistic(tmp_path):
+    # through the harness, as criterion 13, on synthetic logistic: from
+    # k = K/2 to the end, the paper's O(1/sqrt(k)) rate would multiply the
+    # averaged-iterate gap by sqrt(1/2). decsps falls faster than that, while
+    # single-sample sps_max, biased without interpolation, stays flat
+    K, seeds = 20_000, tuple(range(20))
+    cfgs = [RunConfig(ProblemSpec("synthetic", lam=1e-2, n=200, d=10), opt, StepperConfig(),
+                      B=1, K=K, seeds=seeds, record_every=K // 20, out_dir=str(tmp_path))
+            for opt in ("sps_max", "decsps")]
+    traces = {row["optimizer"]: read_trace(row["trace"], "csv") for row in compare_grid(cfgs)}
+    assert all(t.seeds == seeds and t.ks[-1] == K - 1 for t in traces.values())
+    mid = int(np.flatnonzero(traces["decsps"].ks == K // 2)[0])
+
+    def mean_se(v):
+        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
+
+    gap = {opt: t.f_sub_avg_iterate for opt, t in traces.items()}
+    (sps_r, sps_r_se), (dec_r, dec_r_se) = (mean_se(gap[opt][:, -1] / gap[opt][:, mid])
+                                            for opt in ("sps_max", "decsps"))
+    (sps, sps_se), (dec, dec_se) = (mean_se(gap[opt][:, -1]) for opt in ("sps_max", "decsps"))
+    rate = math.sqrt(1 / 2)
+    ok = (dec_r + 3 * dec_r_se <= rate  # decsps falls faster than 1/sqrt(k)
+          and sps_r - 3 * sps_r_se >= rate  # sps_max slower
+          and dec + 3 * dec_se <= sps - 3 * sps_se)  # and ends with the smaller gap
+    _verdict(14, "decsps keeps falling where sps_max stalls (logistic)", ok,
+             f"end/mid f_sub_avg: sps {sps_r:.3f}+-{sps_r_se:.3f}, decsps {dec_r:.3f}+-"
+             f"{dec_r_se:.3f} vs sqrt(1/2); final sps {sps:.2e}+-{sps_se:.1e} "
+             f"decsps {dec:.2e}+-{dec_se:.1e}")
+
+
+def test_criterion_14_decsps_ns_rate_on_an_absolute_sum(tmp_path):
+    # DecSPS-NS on a non-smooth sum of 30 shifted absolute values, through
+    # run_experiment, its trace read back: the log-log slope of the mean
+    # averaged-iterate gap from k = K/20 on is at most the paper's -1/2, by
+    # three jackknife standard errors over the seeds
+    obj = ShiftedAbsoluteObjective(stream(1400).standard_normal(30))
+    K, seeds = 20_000, tuple(range(20))
+    out = run_experiment(RunConfig(ProblemSpec("shifted_absolute"), "decsps_ns",
+                                   StepperConfig(gamma_ell=0.01), B=1, K=K, seeds=seeds,
+                                   record_every=K // 20, out_dir=str(tmp_path)), obj=obj)
+    trace = read_trace(out.trace_path, "csv")
+    assert trace.seeds == seeds and trace.ks[-1] == K - 1
+    late = trace.ks >= K // 20
+    log_k = np.log(trace.ks[late] + 1.0)  # the record at k averages k + 1 iterates
+
+    def slope(gaps):
+        return float(np.polyfit(log_k, np.log(gaps[:, late].mean(axis=0)), 1)[0])
+
+    gaps = trace.f_sub_avg_iterate
+    s = slope(gaps)
+    loo = np.array([slope(np.delete(gaps, i, axis=0)) for i in range(len(seeds))])
+    se = math.sqrt((len(loo) - 1) / len(loo) * float(np.sum((loo - loo.mean()) ** 2)))
+    ok = s + 3 * se <= -0.5
+    _verdict(14, "decsps_ns averaged gap falls at least as 1/sqrt(k)", ok,
+             f"log-log slope {s:.3f}+-{se:.3f} (jackknife), f_sub_avg "
+             f"{gaps[:, late][:, 0].mean():.2e} -> {gaps[:, -1].mean():.2e}")

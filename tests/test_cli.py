@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import polystep
-from polystep import objectives
+from polystep import data_io, objectives
 from polystep.cli import main
 from polystep.core import ConfigurationError
 from polystep.data_io import LoadError
@@ -31,6 +31,18 @@ def run_cli(*args):
 def test_every_input_error_is_a_configuration_error(error):
     # the command line catches ConfigurationError alone
     assert issubclass(error, ConfigurationError)
+
+
+@pytest.fixture
+def no_dataset_read(monkeypatch):
+    """Fail the test if a LIBSVM dataset is read."""
+    def load(*args, **kwargs):
+        raise AssertionError("the dataset was read")
+    monkeypatch.setattr(data_io, "load_libsvm", load)
+
+
+# a dataset problem, for the checks that must fail before its file is read
+ABSENT = {"problem": "dataset", "dataset": "absent.svm"}
 
 
 def run_with_config(tmp_path, values, *flags):
@@ -109,8 +121,16 @@ class TestRun:
         # a choice is checked before the (missing) dataset file is opened
         ({"problem": "dataset", "dataset": "absent.svm", "lower_bound": "bogus"}, (),
          "error: unknown lower bound policy 'bogus'; expected one of zero, exact, constant\n"),
+        # as is every other setting that needs no problem
+        (ABSENT, ("--iters", "0"), "error: iteration count K must be >= 1, got 0\n"),
+        (ABSENT, ("--seeds", "0,0"), "error: seeds must be distinct, got [0, 0]\n"),
+        (ABSENT, ("--record-every", "0"), "error: record_every must be >= 1, got 0\n"),
+        (ABSENT, ("--reference-tol", "0"),
+         "error: reference_tol must be > 0 and finite, got 0.0\n"),
+        (ABSENT, ("--optimizer", "adam", "--beta2", "2"), "error: beta2 must be in (0, 1)\n"),
     ])
-    def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, values, flags, message):
+    def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, no_dataset_read,
+                                               values, flags, message):
         values = {"problem": "counterexample", "iters": 3, **values}
         rc, _ = run_with_config(tmp_path, values, *flags)
         assert rc == 2
@@ -406,6 +426,15 @@ class TestSweep:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "sweep values must be comma-separated numbers" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_value_exits_2_before_the_dataset_is_read(self, tmp_path, capsys,
+                                                          no_dataset_read):
+        rc = run_cli("sweep", "--problem", "dataset", "--dataset", "absent.svm", "--iters", "3",
+                     "--sweep-param", "c0", "--sweep-values", "1,-1",
+                     "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: c0 must be positive\n"
         assert not (tmp_path / "out").exists()
 
     def test_out_file_exits_2_before_any_work(self, tmp_path, capsys):

@@ -231,6 +231,16 @@ def test_rules_are_looked_up_when_a_pass_starts(tmp_path, monkeypatch):
     assert Path(out.trace_path).read_bytes() == plain
 
 
+@pytest.mark.parametrize("start", [
+    lambda obj: lockstep(obj, "bogus", StepperConfig(), np.zeros((1, 1)), 3, 1, [stream(0)]),
+    lambda obj: iterate_run(obj, "bogus", StepperConfig(), np.zeros(1), 3, 1, stream(0)),
+], ids=["lockstep", "iterate_run"])
+def test_unknown_method_is_a_configuration_error(start):
+    # not a KeyError from the STEPPERS lookup
+    with pytest.raises(steppers.ConfigurationError, match="^unknown optimizer 'bogus'$"):
+        next(start(make_counterexample_1d()))
+
+
 @pytest.mark.parametrize("n,B,steps", [
     (7, 1, 4), (2, 1, 4), (7, 3, 4),
     (3, 3, 4), (10, 5, 4), (20, 20, 4),  # many collisions in Floyd's sample

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polystep import objectives
+from polystep import data_io, objectives
 from polystep.core import stream
 from polystep.data_io import METRICS, Trace, read_trace
 from polystep.objectives import ShiftedAbsoluteObjective, make_counterexample_1d
@@ -360,6 +360,25 @@ class TestCompareGrid:
         assert not list(tmp_path.iterdir())
         # the default label names problem and optimizer, so these two differ
         compare_grid([counterexample_cfg(tmp_path), counterexample_cfg(tmp_path, optimizer="adam")])
+
+    @pytest.mark.parametrize("run", [
+        run_experiment, lambda cfg: compare_grid([cfg, replace(cfg, label="other")]),
+    ], ids=["run_experiment", "compare_grid"])
+    @pytest.mark.parametrize("field,value,message", [
+        ("K", 0, "K must be >= 1"),
+        ("seeds", (0, 0), "seeds must be distinct"),
+        ("reference_tol", 0.0, "reference_tol must be > 0"),
+    ])
+    def test_config_checked_before_the_dataset_is_read(self, tmp_path, monkeypatch, run,
+                                                       field, value, message):
+        def load(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(data_io, "load_libsvm", load)
+        problem = ProblemSpec("dataset", dataset_path=str(tmp_path / "absent.svm"))
+        with pytest.raises(ConfigurationError, match=message):
+            run(counterexample_cfg(tmp_path, problem=problem, **{field: value}))
+        assert not list(tmp_path.iterdir())
 
     def test_mismatched_grids_rejected(self, tmp_path):
         a = counterexample_cfg(tmp_path, K=10)
