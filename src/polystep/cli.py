@@ -209,6 +209,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_reference(args) -> int:
+    objectives._check_tol(args.reference_tol)  # before the problem, as a run checks it
     ref = objectives.solve_reference(runner.build_problem(_from_flags(ProblemSpec, args)),
                                      args.reference_tol)
     print(json.dumps({

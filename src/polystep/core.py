@@ -25,9 +25,15 @@ class ConfigurationError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
+# field type -> the Python types it takes (never a bool) and their name in an error
+_NUMBERS = {"int": (int, "an int"), "float": ((int, float), "a number")}
+
+
 def check_fields(config) -> None:
     """Check each field of the dataclass ``config``: a field with ``choices`` metadata holds
-    one of them (named by its ``setting`` metadata, else its name); a float is finite."""
+    one of them (named by its ``setting`` metadata, else its name); an ``int`` field holds
+    an int and a ``float`` field a finite int or float, neither of them a bool: the types a
+    manifest's ``json.dump`` writes (np.float64 is a float; np.int64 and np.float32 are not)."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         choices = f.metadata.get("choices")
@@ -35,6 +41,9 @@ def check_fields(config) -> None:
             setting = f.metadata.get("setting", f.name.replace("_", " "))
             raise ConfigurationError(
                 f"unknown {setting} {value!r}; expected one of {', '.join(choices)}")
+        kind = _NUMBERS.get(f.type)
+        if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+            raise ConfigurationError(f"{f.name} must be {kind[1]}, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             raise ConfigurationError(f"{f.name} must be finite, got {value}")
 

@@ -293,6 +293,13 @@ def full_grad(obj, x: Vector) -> Vector:
     return obj.batch_grad(FULL_BATCH, x)
 
 
+def _check_tol(tol: float) -> None:
+    """The check of a reference tolerance, which a run and ``polystep reference``
+    also make before they build the problem."""
+    if not 0 < tol < np.inf:
+        raise ConfigurationError(f"reference_tol must be > 0 and finite, got {tol}")
+
+
 def solve_reference(obj, tol: float = 1e-10, max_iter: int = 100) -> ReferenceSolution:
     """Full-batch reference solution with ||grad f(x*)|| <= tol, a finite tol > 0.
 
@@ -306,9 +313,7 @@ def solve_reference(obj, tol: float = 1e-10, max_iter: int = 100) -> ReferenceSo
     (every margin term z_i < 0): the loss along t x then falls to 0 as t
     grows, so no minimizer exists.
     """
-    if not 0 < tol < np.inf:
-        raise ConfigurationError(f"reference_tol must be > 0 and finite, got {tol}")
-
+    _check_tol(tol)
     if obj.kind == "quadratic":
         x_star, f_star = obj.batch_optimum(FULL_BATCH)
         gn = float(np.linalg.norm(obj.batch_grad(FULL_BATCH, x_star)))

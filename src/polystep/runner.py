@@ -192,7 +192,8 @@ def grid_lockstep(obj, groups, X0, K, B, rngs):
     ``groups`` lists ``(method, cfg, size)``: the rows of X0 split, in order,
     into consecutive groups that each follow one rule with one config. Every
     step makes one batch draw and one evaluation over all rows, then one
-    rule call per group on its row slice.
+    rule call per group on its row slice, given the step index k: the rules
+    count no steps themselves.
 
     Yields ``(k, X, gamma)`` at every step: ``X`` holds the pre-step iterates
     x_k of all rows and ``gamma`` their stepsizes gamma_k. A row whose batch
@@ -214,7 +215,7 @@ def grid_lockstep(obj, groups, X0, K, B, rngs):
         X_next, gamma = np.empty(X.shape), np.empty(len(X))
         for (state, rule, cfg, target), a, b in zip(rules, bounds, bounds[1:]):
             m = None if target is None else target(S[a:b])
-            U, gamma[a:b] = rule(cfg, state, F[a:b], G[a:b], g2[a:b], m)
+            U, gamma[a:b] = rule(cfg, k, state, F[a:b], G[a:b], g2[a:b], m)
             np.subtract(X[a:b], U, out=X_next[a:b])
         yield k, X, gamma
         X = X_next
@@ -240,12 +241,13 @@ def _check_config(cfg: RunConfig) -> None:
         raise ConfigurationError(f"record_every must be >= 1, got {cfg.record_every}")
     if not cfg.seeds:
         raise ConfigurationError("a run needs at least one seed")
+    if any(isinstance(s, bool) or not isinstance(s, int) for s in cfg.seeds):
+        raise ConfigurationError(f"seeds must be ints, got {list(cfg.seeds)}")
     if len(set(cfg.seeds)) != len(cfg.seeds):
         raise ConfigurationError(f"seeds must be distinct, got {list(cfg.seeds)}")
     if min(cfg.seeds) < 0:
         raise ConfigurationError(f"seeds must be >= 0, got {list(cfg.seeds)}")
-    if cfg.reference_tol <= 0:  # check_fields found it finite
-        raise ConfigurationError(f"reference_tol must be > 0 and finite, got {cfg.reference_tol}")
+    objectives._check_tol(cfg.reference_tol)
     # the label names the output files inside out_dir, so it is one file name
     seps = {"/", os.sep, os.altsep} - {None}
     if cfg.label in (".", "..") or any(sep in cfg.label for sep in seps):

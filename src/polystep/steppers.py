@@ -2,14 +2,13 @@
 
 Every rule is written once over R rows that advance together: batch values
 F (R,), gradients G (R, d), squared gradient norms g2 (R,), and a state whose
-scalars are (R,) arrays (``k`` is shared). A rule
-``STEPPERS[method](cfg, state, F, G, g2, m) -> (U, gamma)`` gets m, the
-Polyak target of each row's batch, from ``batch_target``. It advances the
-state in place and returns two fresh arrays: the update U (R, d), which the
-caller subtracts from the iterates, and the stepsizes gamma (R,), which the
-state keeps as ``gamma_prev`` but never writes into. Where a row's gradient
-is zero, its Polyak ratio takes its limit +inf, so the cap binds and U is
-zero (as in ``oracles.simulate_polyak_1d``).
+scalars are (R,) arrays. A rule ``STEPPERS[method](cfg, k, state, F, G, g2,
+m) -> (U, gamma)`` gets the step index k from the engine and m, the Polyak
+target of each row's batch, from ``batch_target``. It updates in place only
+what its recursion carries and returns two fresh arrays: the update U (R, d),
+which the caller subtracts from the iterates, and the stepsizes gamma (R,).
+Where a row's gradient is zero, its Polyak ratio takes its limit +inf, so the
+cap binds and U is zero (as in ``oracles.simulate_polyak_1d``).
 
 Implemented rules:
 
@@ -69,17 +68,19 @@ class StepperConfig:
 
 @dataclass
 class StepperState:
-    """Per-row stepper state: the scalars are (R,) arrays, ``v``/``vhat``
-    are (R, d) and ``k`` is shared by all rows. The rules update it in place."""
+    """What each rule's recursion carries from one step to the next, per row:
+    the scalars are (R,) arrays and ``v``/``vhat`` are (R, d). The rules update
+    it in place; the step index is not kept here but passed to every call."""
 
-    k: int = 0
-    gamma_prev: np.ndarray | float = 0.0
     scaled_prev: np.ndarray | float = 0.0  # c_{k-1} * gamma_{k-1}, carried exactly
     accum: np.ndarray | float = 0.0  # adagrad_norm b_k^2
     v: np.ndarray | None = field(default=None, repr=False)
     vhat: np.ndarray | None = field(default=None, repr=False)
-    # Init-only and discarded: scaled_prev carries c_{k-1} gamma_{k-1}.
-    # benchmarks/roadmap_check.py still passes c_prev when it times replace().
+    # Init-only and discarded: k is passed to each call, no rule reads the last
+    # gamma and scaled_prev carries c_{k-1} gamma_{k-1}. benchmarks/roadmap_check.py
+    # passes all three when it times replace().
+    k: InitVar[int] = 0
+    gamma_prev: InitVar[float] = 0.0
     c_prev: InitVar[float] = 0.0
 
 
@@ -125,8 +126,6 @@ def validate(cfg: StepperConfig, method: str) -> None:
 def init_state(cfg: StepperConfig, method: str, d: int, rows: int = 1) -> StepperState:
     validate(cfg, method)
     state = StepperState(
-        k=0,
-        gamma_prev=np.full(rows, cfg.gamma_b),
         scaled_prev=np.full(rows, cfg.c0 * cfg.gamma_b),
         accum=np.full(rows, cfg.b0 * cfg.b0),
     )
@@ -166,47 +165,40 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.full(len(den), np.inf), where=den != 0)
 
 
-def _advance(state, U, gamma):
-    """(U, gamma), with the state moved on to step k + 1."""
-    state.k += 1
-    state.gamma_prev = gamma
-    return U, gamma
-
-
-def _descend(state, G, gamma):
+def _descend(G, gamma):
     """The update gamma g per row, and gamma."""
-    return _advance(state, gamma[:, None] * G, gamma)
+    return gamma[:, None] * G, gamma
 
 
-def _sps_max(cfg, state, F, G, g2, m):
-    return _descend(state, G, _smaller(_ratio(F - m, c_value(cfg, state.k) * g2), cfg.gamma_b))
+def _sps_max(cfg, k, state, F, G, g2, m):
+    return _descend(G, _smaller(_ratio(F - m, c_value(cfg, k) * g2), cfg.gamma_b))
 
 
-def _decsps(cfg, state, F, G, g2, m, floored=False):
+def _decsps(cfg, k, state, F, G, g2, m, floored=False):
     ratio = _ratio(F - m, g2)
     if floored:
         ratio = _larger(cfg.c0 * cfg.gamma_ell, ratio)
     state.scaled_prev = _smaller(ratio, state.scaled_prev)
-    return _descend(state, G, state.scaled_prev / c_value(cfg, state.k))
+    return _descend(G, state.scaled_prev / c_value(cfg, k))
 
 
-def _sgd_constant(cfg, state, F, G, g2, m):
-    return _descend(state, G, np.full(len(F), cfg.eta))
+def _sgd_constant(cfg, k, state, F, G, g2, m):
+    return _descend(G, np.full(len(F), cfg.eta))
 
 
-def _sgd_decreasing(cfg, state, F, G, g2, m):
-    return _descend(state, G, np.full(len(F), cfg.eta / math.sqrt(state.k + 1)))
+def _sgd_decreasing(cfg, k, state, F, G, g2, m):
+    return _descend(G, np.full(len(F), cfg.eta / math.sqrt(k + 1)))
 
 
-def _adagrad_norm(cfg, state, F, G, g2, m):
+def _adagrad_norm(cfg, k, state, F, G, g2, m):
     state.accum += g2
-    return _descend(state, G, cfg.eta / np.sqrt(state.accum))
+    return _descend(G, cfg.eta / np.sqrt(state.accum))
 
 
-def _diagonal(cfg, state, G, eta, moment):
+def _diagonal(cfg, G, eta, moment):
     """The update eta g / (sqrt(moment) + eps); gamma is the mean per-coordinate stepsize."""
     denom = np.sqrt(moment) + cfg.eps_adam
-    return _advance(state, eta * G / denom, np.mean(eta / denom, axis=1))
+    return eta * G / denom, np.mean(eta / denom, axis=1)
 
 
 def _second_moment(cfg, state, G):
@@ -216,14 +208,14 @@ def _second_moment(cfg, state, G):
     return state.v
 
 
-def _adam(cfg, state, F, G, g2, m):
-    vhat = _second_moment(cfg, state, G) / (1.0 - cfg.beta2 ** (state.k + 1))
-    return _diagonal(cfg, state, G, cfg.eta, vhat)
+def _adam(cfg, k, state, F, G, g2, m):
+    vhat = _second_moment(cfg, state, G) / (1.0 - cfg.beta2 ** (k + 1))
+    return _diagonal(cfg, G, cfg.eta, vhat)
 
 
-def _amsgrad(cfg, state, F, G, g2, m):
+def _amsgrad(cfg, k, state, F, G, g2, m):
     vhat = np.maximum(state.vhat, _second_moment(cfg, state, G), out=state.vhat)
-    return _diagonal(cfg, state, G, cfg.eta / math.sqrt(state.k + 1), vhat)
+    return _diagonal(cfg, G, cfg.eta / math.sqrt(k + 1), vhat)
 
 
 STEPPERS = {

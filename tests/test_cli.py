@@ -517,6 +517,14 @@ class TestReference:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "reference_tol must be > 0" in err
 
+    def test_tolerance_checked_before_the_dataset_is_read(self, capsys, no_dataset_read):
+        # as in polystep run, the tolerance is checked before the problem is built
+        rc = run_cli("reference", "--problem", "dataset", "--dataset", "absent.svm",
+                     "--reference-tol", "0")
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: reference_tol must be > 0 and finite, got 0.0\n"
+
     def test_infinite_tolerance_exits_2(self, tmp_path, capsys, monkeypatch):
         # it used to stop before the first Newton step and print x* = 0
         monkeypatch.chdir(tmp_path)

@@ -215,19 +215,20 @@ def test_halted_row_leaves_the_other_rows_unchanged():
 
 def test_rules_are_looked_up_when_a_pass_starts(tmp_path, monkeypatch):
     # an entry swapped into STEPPERS after import is the rule a run calls,
-    # once per step for all rows, and a transparent wrapper changes no byte
+    # once per step k for all rows, given that k, and a transparent wrapper
+    # changes no byte
     cfg = RunConfig(problem=ProblemSpec("counterexample"), optimizer="decsps", K=5,
                     seeds=(0, 1, 2), out_dir=str(tmp_path / "plain"), label="t")
     plain = Path(run_experiment(cfg).trace_path).read_bytes()
     rule, calls = steppers.STEPPERS["decsps"], []
 
     def counting(*args):
-        calls.append(len(args[2]))  # rows in F
+        calls.append((args[1], len(args[3])))  # k, rows in F
         return rule(*args)
 
     monkeypatch.setitem(steppers.STEPPERS, "decsps", counting)
     out = run_experiment(replace(cfg, out_dir=str(tmp_path / "counted")))
-    assert calls == [3] * 5
+    assert calls == [(k, 3) for k in range(5)]
     assert Path(out.trace_path).read_bytes() == plain
 
 

@@ -201,11 +201,28 @@ class TestRunExperiment:
          "unknown label sign 'bogus'; expected one of standard, as_printed"),
         ("x0_scale", math.nan, "x0_scale must be finite, got nan"),
         ("x0_scale", math.inf, "x0_scale must be finite, got inf"),
+        # a type the manifest's json.dump writes: an int, or a float for a
+        # float field, never a bool, an np.int64 or an np.float32
+        ("K", 2.5, "^K must be an int, got 2.5$"),
+        ("K", True, "^K must be an int, got True$"),
+        ("K", np.int64(6), r"^K must be an int, got np.int64\(6\)$"),
+        ("record_every", 1.5, "^record_every must be an int, got 1.5$"),
+        ("problem", ProblemSpec("synthetic", n=2.5), "^n must be an int, got 2.5$"),
+        ("problem", ProblemSpec("counterexample", lam="0.1"), "^lam must be a number, got '0.1'$"),
+        ("seeds", (np.int64(3),), r"^seeds must be ints, got \[np.int64\(3\)\]$"),
+        ("stepper", StepperConfig(gamma_b=np.float32(2)),
+         r"^gamma_b must be a number, got np.float32\(2.0\)$"),
     ])
     def test_bad_value_rejected_before_any_work(self, tmp_path, field, value, message):
         with pytest.raises(ConfigurationError, match=message):
             run_experiment(counterexample_cfg(tmp_path, **{field: value}))
         assert not list(tmp_path.iterdir())
+
+    def test_float64_setting_runs(self, tmp_path):
+        # np.float64 is a float subclass, which the manifest's json.dump writes
+        out = run_experiment(counterexample_cfg(tmp_path, K=3,
+                                                stepper=StepperConfig(gamma_b=np.float64(2))))
+        assert json.loads(Path(out.manifest_path).read_text())["stepper"]["gamma_b"] == 2.0
 
     def test_unknown_trace_format_rejected_before_any_work(self, tmp_path):
         with pytest.raises(ConfigurationError, match="trace format 'json'"):
@@ -438,8 +455,8 @@ def test_a_config_fails_cleanly_or_runs_with_every_failure_diagnosed(cfg):
     took_negative = np.zeros(len(cfg.seeds), dtype=bool)
     rule = STEPPERS[cfg.optimizer]
 
-    def watching(stepper, state, *args):
-        U, gamma = rule(stepper, state, *args)
+    def watching(*args):
+        U, gamma = rule(*args)
         took_negative[:] |= gamma < 0
         return U, gamma
 

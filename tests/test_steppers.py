@@ -25,14 +25,15 @@ from polystep.steppers import (
 )
 
 
-def step(method, cfg, state, obj, S, x):
-    """One rule call on one row: batch S at x, passed as (1, B) and (1, d)
-    arrays. Returns x_next (d,), gamma as a float and the state, advanced in place."""
+def step(method, cfg, k, state, obj, S, x):
+    """One rule call at step k on one row: batch S at x, passed as (1, B) and
+    (1, d) arrays. Returns x_next (d,), gamma as a float and the state, updated
+    in place."""
     S, X = np.asarray(S)[None], np.asarray(x, dtype=np.float64)[None]
     F, G = obj.value_and_grad(S, X)
     target = batch_target(cfg, method, obj)
     m = None if target is None else target(S)
-    U, gamma = STEPPERS[method](cfg, state, F, G, np.vecdot(G, G), m)
+    U, gamma = STEPPERS[method](cfg, k, state, F, G, np.vecdot(G, G), m)
     return (X - U)[0], float(gamma[0]), state
 
 
@@ -88,7 +89,7 @@ class TestSpsMax:
         obj = make_counterexample_1d()
         cfg = StepperConfig(c_schedule="constant", c0=1.0, f_star_policy="exact")
         state = init_state(cfg, "sps_max", 1)
-        x_next, gamma, _ = step("sps_max", cfg, state, obj, [0], [0.0])
+        x_next, gamma, _ = step("sps_max", cfg, 0, state, obj, [0], [0.0])
         assert gamma == pytest.approx(0.25)
         assert x_next[0] == pytest.approx(0.5)
 
@@ -99,8 +100,8 @@ class TestSpsMax:
         # schedule, by c0 under the constant one
         obj = make_counterexample_1d()
         cfg = StepperConfig(c_schedule=schedule, c0=2.0, f_star_policy="exact")
-        state = replace(init_state(cfg, "sps_max", 1), k=3)
-        _, gamma, _ = step("sps_max", cfg, state, obj, [0], [0.0])
+        state = init_state(cfg, "sps_max", 1)
+        _, gamma, _ = step("sps_max", cfg, 3, state, obj, [0], [0.0])
         assert gamma == 0.25 / c3
 
     def test_cap_applies(self):
@@ -108,7 +109,7 @@ class TestSpsMax:
         cfg = StepperConfig(gamma_b=0.1, c_schedule="constant",
                             f_star_policy="exact")
         state = init_state(cfg, "sps_max", 1)
-        _, gamma, _ = step("sps_max", cfg, state, obj, [0], [0.0])
+        _, gamma, _ = step("sps_max", cfg, 0, state, obj, [0], [0.0])
         assert gamma == 0.1
 
     def test_gamma_never_exceeds_cap(self):
@@ -125,7 +126,7 @@ class TestSpsMax:
                             f_star_policy="exact")
         state = init_state(cfg, "sps_max", 1)
         for i, a in enumerate([2.0, 1.0]):
-            _, gamma, _ = step("sps_max", cfg, state, obj, [i], [5.0])
+            _, gamma, _ = step("sps_max", cfg, i, state, obj, [i], [5.0])
             assert gamma == pytest.approx(1.0 / (2.0 * a))
 
 
@@ -134,10 +135,10 @@ class TestDecSps:
         obj = make_counterexample_1d()
         cfg = StepperConfig(c0=1.0, gamma_b=10.0, c_schedule="sqrt")
         state = init_state(cfg, "decsps", 1)
-        x1, gamma0, state = step("decsps", cfg, state, obj, [0], [0.0])
+        x1, gamma0, state = step("decsps", cfg, 0, state, obj, [0], [0.0])
         assert gamma0 == pytest.approx(0.25)  # min(1/4, 10) / sqrt(1)
         assert x1[0] == pytest.approx(0.5)
-        _, gamma1, _ = step("decsps", cfg, state, obj, [0], x1)
+        _, gamma1, _ = step("decsps", cfg, 1, state, obj, [0], x1)
         assert gamma1 == pytest.approx(0.25 / math.sqrt(2.0))
 
     def test_gamma_monotone_nonincreasing_exact(self):
@@ -161,7 +162,7 @@ class TestDecSps:
         obj = make_counterexample_1d()
         cfg = StepperConfig(c0=1.0, gamma_b=0.01)
         state = init_state(cfg, "decsps", 1)
-        _, gamma, _ = step("decsps", cfg, state, obj, [0], [0.0])
+        _, gamma, _ = step("decsps", cfg, 0, state, obj, [0], [0.0])
         assert gamma == pytest.approx(0.01)
 
 
@@ -187,7 +188,7 @@ class TestDecSpsNs:
         obj = ShiftedAbsoluteObjective(np.array([0.0, 10.0]))
         cfg = StepperConfig(gamma_ell=0.5, gamma_b=5.0, c0=1.0)
         state = init_state(cfg, "decsps_ns", 1)
-        _, gamma, _ = step("decsps_ns", cfg, state, obj, [0], [1e-12])
+        _, gamma, _ = step("decsps_ns", cfg, 0, state, obj, [0], [1e-12])
         assert gamma == pytest.approx(0.5)
 
 
@@ -202,15 +203,15 @@ class TestZeroGradient:
         obj = make_counterexample_1d()  # component 0 is minimised at x = 1
         for policy in F_STAR_POLICIES:
             cfg = StepperConfig(gamma_b=3.0, f_star_policy=policy)
-            state = replace(init_state(cfg, "sps_max", 1), k=5)
-            x_next, gamma, state = step("sps_max", cfg, state, obj, [0], [1.0])
-            assert (x_next.tolist(), gamma, state.k) == ([1.0], 3.0, 6)
+            state = init_state(cfg, "sps_max", 1)
+            x_next, gamma, state = step("sps_max", cfg, 5, state, obj, [0], [1.0])
+            assert (x_next.tolist(), gamma) == ([1.0], 3.0)
 
     def test_decsps_carries_the_clip(self):
         obj = make_counterexample_1d()
         cfg = StepperConfig(c0=2.0)
-        state = replace(init_state(cfg, "decsps", 1), k=3, scaled_prev=np.array([0.3]))
-        x_next, gamma, state = step("decsps", cfg, state, obj, [1], [-1.0])
+        state = replace(init_state(cfg, "decsps", 1), scaled_prev=np.array([0.3]))
+        x_next, gamma, state = step("decsps", cfg, 3, state, obj, [1], [-1.0])
         assert x_next.tolist() == [-1.0]
         assert gamma == 0.3 / c_value(cfg, 3) == 0.3 / 4.0
         assert state.scaled_prev.tolist() == [0.3]
@@ -219,7 +220,7 @@ class TestZeroGradient:
         obj = ShiftedAbsoluteObjective(np.array([1.0, 1.0]))  # common kink at 1
         cfg = StepperConfig(gamma_ell=0.5, gamma_b=5.0)
         state = init_state(cfg, "decsps_ns", 1)
-        x_next, gamma, state = step("decsps_ns", cfg, state, obj, [0], [1.0])
+        x_next, gamma, state = step("decsps_ns", cfg, 0, state, obj, [0], [1.0])
         assert (x_next.tolist(), gamma) == ([1.0], 5.0)  # c0 gamma_b / c_0
         assert state.scaled_prev.tolist() == [5.0]
 
@@ -232,7 +233,7 @@ class TestSgdAndAdaptive:
     def test_sgd_constant(self):
         cfg = StepperConfig(eta=0.3)
         state = init_state(cfg, "sgd_constant", 3)
-        x_next, _, _ = step("sgd_constant", cfg, state, self.obj, [0], self.x)
+        x_next, _, _ = step("sgd_constant", cfg, 0, state, self.obj, [0], self.x)
         g = self.obj.batch_grad(np.array([0]), self.x)
         np.testing.assert_allclose(x_next, self.x - 0.3 * g)
 
@@ -249,7 +250,7 @@ class TestSgdAndAdaptive:
         S = np.array([1])
         g = self.obj.batch_grad(S, self.x)
         g2 = float(np.dot(g, g))
-        _, gamma, state = step("adagrad_norm", cfg, state, self.obj, S, self.x)
+        _, gamma, state = step("adagrad_norm", cfg, 0, state, self.obj, S, self.x)
         assert gamma == pytest.approx(1.0 / math.sqrt(0.01 + g2))
         assert state.accum[0] == pytest.approx(0.01 + g2)
 
@@ -263,7 +264,7 @@ class TestSgdAndAdaptive:
         state = init_state(cfg, "adam", 3)
         S = np.array([2])
         g = self.obj.batch_grad(S, self.x)
-        x_next, _, _ = step("adam", cfg, state, self.obj, S, self.x)
+        x_next, _, _ = step("adam", cfg, 0, state, self.obj, S, self.x)
         # bias-corrected vhat equals g^2 on the first step
         np.testing.assert_allclose(x_next, self.x - 0.1 * g / (np.abs(g) + 1e-8))
 
@@ -272,8 +273,8 @@ class TestSgdAndAdaptive:
         # swapped into STEPPERS sees the state after every rule call
         rule, vhats = STEPPERS["amsgrad"], []
 
-        def recording(cfg, state, *args):
-            out = rule(cfg, state, *args)
+        def recording(cfg, k, state, *args):
+            out = rule(cfg, k, state, *args)
             vhats.append(state.vhat.copy())
             return out
 
