@@ -189,6 +189,12 @@ def _cmd_sweep(args) -> int:
     if args.sweep_param not in _SWEEP_PARAMS:  # a config-file value; argparse checks the flag
         raise ConfigurationError(f"unknown sweep param {args.sweep_param!r}; "
                                  f"expected one of {', '.join(_SWEEP_PARAMS)}")
+    read_by = {f.name: f.metadata["read_by"] for f in dataclasses.fields(StepperConfig)}
+    reads = [p for p in _SWEEP_PARAMS if args.optimizer in read_by[p]]
+    # every run would be the same; an unknown optimizer reads none, and the library names it
+    if reads and args.sweep_param not in reads:
+        raise ConfigurationError(f"optimizer {args.optimizer} does not read {args.sweep_param}; "
+                                 f"sweep one of {', '.join(reads)}")
     try:
         values = [float(v) for v in args.sweep_values.split(",")]
     except ValueError:

@@ -25,27 +25,36 @@ class ConfigurationError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
-# field type -> the Python types it takes (never a bool) and their name in an error
-_NUMBERS = {"int": (int, "an int"), "float": ((int, float), "a number")}
+# field type -> the Python types it takes and their name in an error (a bool is only a bool)
+_TYPES = {"int": (int, "an int"), "float": ((int, float), "a number"), "bool": (bool, "a bool"),
+          "str": (str, "a str"), "str | None": ((str, type(None)), "a str or None")}
+# a field's ``bound`` metadata -> its test
+BOUNDS = {"positive": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+          "in (0, 1)": lambda v: 0 < v < 1}
 
 
-def check_fields(config) -> None:
-    """Check each field of the dataclass ``config``: a field with ``choices`` metadata holds
-    one of them (named by its ``setting`` metadata, else its name); an ``int`` field holds
-    an int and a ``float`` field a finite int or float, neither of them a bool: the types a
-    manifest's ``json.dump`` writes (np.float64 is a float; np.int64 and np.float32 are not)."""
+def check_fields(config, reader=None) -> None:
+    """Check each field of the dataclass ``config`` as it is declared: its ``choices``, its
+    annotated type (one a manifest's ``json.dump`` writes: np.float64 is a float, np.int64
+    and np.float32 are not), a finite float, and its ``bound`` unless its ``read_by`` leaves
+    out ``reader``. A choice or bound message names the ``setting`` metadata, else the field."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        choices = f.metadata.get("choices")
+        meta = f.metadata
+        choices = meta.get("choices")
         if choices is not None and value not in choices:
-            setting = f.metadata.get("setting", f.name.replace("_", " "))
+            setting = meta.get("setting", f.name.replace("_", " "))
             raise ConfigurationError(
                 f"unknown {setting} {value!r}; expected one of {', '.join(choices)}")
-        kind = _NUMBERS.get(f.type)
-        if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+        kind = _TYPES.get(f.type)
+        if kind and (not isinstance(value, kind[0])
+                     or isinstance(value, bool) and f.type != "bool"):
             raise ConfigurationError(f"{f.name} must be {kind[1]}, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        bound = meta.get("bound")  # a field without read_by is read by every reader
+        if bound and reader in meta.get("read_by", (reader,)) and not BOUNDS[bound](value):
+            raise ConfigurationError(f"{meta.get('setting', f.name)} must be {bound}, got {value}")
 
 
 def stream(seed: int, run_index: int = 0) -> np.random.Generator:

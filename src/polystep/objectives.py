@@ -22,12 +22,12 @@ The batch loss is f_S(x) = (1/|S|) sum_{i in S} f_i(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import ConfigurationError, MiniBatch, Vector
+from .core import ConfigurationError, MiniBatch, Vector, check_fields
 
 
 class UnavailableExactMinimum(ConfigurationError):
@@ -98,20 +98,17 @@ class LogisticObjective:
 
     features: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,), values in {-1, +1}
-    lam: float = 0.0
-    label_sign: str = "standard"  # one of LABEL_SIGNS
+    lam: float = field(default=0.0, metadata={"bound": ">= 0"})
+    label_sign: str = field(default="standard", metadata={"choices": LABEL_SIGNS})
 
     kind = "logistic"
     nonnegative = True  # logaddexp >= 0 and the L2 term is >= 0
 
     def __post_init__(self):
         _store_c_order(self, "features", "labels")
-        if self.label_sign not in LABEL_SIGNS:
-            raise ConfigurationError(f"unknown label_sign {self.label_sign!r}")
+        check_fields(self)
         if not np.isin(self.labels, (-1.0, 1.0)).all():
             raise ConfigurationError("labels must be in {-1, +1}")
-        if not 0 <= self.lam < np.inf:
-            raise ConfigurationError(f"lam must be >= 0 and finite, got {self.lam}")
 
     @property
     def n(self) -> int:

@@ -35,20 +35,21 @@ from .steppers import (
 
 PROBLEMS = ("counterexample", "fig1", "synthetic", "dataset")
 DATASET_FORMATS = ("libsvm", "delimited")
+GENERATED = ("fig1", "synthetic")  # the problems built from n and d
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     name: str = field(metadata={"choices": PROBLEMS, "setting": "problem"})
-    lam: float = 0.0
+    lam: float = field(default=0.0, metadata={"bound": ">= 0"})
     label_sign: str = field(default="standard", metadata={"choices": objectives.LABEL_SIGNS})
     dataset_path: str | None = None
     dataset_format: str = field(default="libsvm", metadata={"choices": DATASET_FORMATS})
-    n: int = 500
-    d: int = 100
+    n: int = field(default=500, metadata={"bound": ">= 1", "read_by": GENERATED})
+    d: int = field(default=100, metadata={"bound": ">= 1", "read_by": GENERATED})
     interpolated: bool = False
     f_floor: float = 1.0
-    gen_seed: int = 0
+    gen_seed: int = field(default=0, metadata={"bound": ">= 0"})
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,12 @@ class RunConfig:
     optimizer: str = field(metadata={"choices": tuple(sorted(STEPPERS))})
     stepper: StepperConfig = StepperConfig()
     B: int = 1
-    K: int = 1000
+    K: int = field(default=1000, metadata={"bound": ">= 1", "setting": "iteration count K"})
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     reference_tol: float = 1e-10
     out_dir: str = "out"
     trace_format: str = field(default="csv", metadata={"choices": tuple(data_io.TRACE_FORMATS)})
-    record_every: int = 1
+    record_every: int = field(default=1, metadata={"bound": ">= 1"})
     x0_scale: float = 1.0
     label: str = ""
 
@@ -86,13 +87,7 @@ class RunOutput:
 
 
 def build_problem(spec: ProblemSpec):
-    check_fields(spec)
-    if spec.lam < 0:
-        raise ConfigurationError(f"lam must be finite and >= 0, got {spec.lam}")
-    if spec.gen_seed < 0:
-        raise ConfigurationError(f"gen_seed must be >= 0, got {spec.gen_seed}")
-    if spec.name in ("fig1", "synthetic") and min(spec.n, spec.d) < 1:
-        raise ConfigurationError(f"n and d must be >= 1, got n={spec.n}, d={spec.d}")
+    check_fields(spec, spec.name)
     if spec.name == "counterexample":
         return objectives.make_counterexample_1d()
     if spec.name == "fig1":
@@ -235,10 +230,6 @@ def iterate_run(obj, method, cfg, x0, K, B, rng):
 def _check_config(cfg: RunConfig) -> None:
     check_fields(cfg)
     validate(cfg.stepper, cfg.optimizer)
-    if cfg.K < 1:
-        raise ConfigurationError(f"iteration count K must be >= 1, got {cfg.K}")
-    if cfg.record_every < 1:
-        raise ConfigurationError(f"record_every must be >= 1, got {cfg.record_every}")
     if not cfg.seeds:
         raise ConfigurationError("a run needs at least one seed")
     if any(isinstance(s, bool) or not isinstance(s, int) for s in cfg.seeds):

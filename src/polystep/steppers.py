@@ -26,6 +26,11 @@ Implemented rules:
 The three Polyak rules share c_k (``c_value``): under the constant schedule
 c_k = c0, so ``sps_max`` is then SPS_max with c = c0.
 
+Each rule's conditions on its settings are declared on the ``StepperConfig``
+fields: ``read_by`` names the rules that read a field, and ``validate`` checks
+a field's ``bound`` only for them, then gamma_ell <= gamma_b for ``decsps_ns``
+and a positive, finite b0^2 for ``adagrad_norm``.
+
 For ``decsps``/``decsps_ns`` the clip value c_{k-1} gamma_{k-1} is carried in
 the state as a single number per row (``scaled_prev``) instead of being
 recomputed as a product, and min/max act elementwise, so the sandwich bounds
@@ -47,23 +52,30 @@ from .objectives import lower_bound
 C_SCHEDULES = ("constant", "sqrt", "linear_half")
 F_STAR_POLICIES = ("exact", "lower_bound")
 LOWER_BOUND_POLICIES = ("zero", "exact", "constant")
+POLYAK = ("sps_max", "decsps", "decsps_ns")
+DIAGONAL = ("adam", "amsgrad")
+SCALED_BY_ETA = ("sgd_constant", "sgd_decreasing", "adagrad_norm", *DIAGONAL)
 
 
 @dataclass(frozen=True)
 class StepperConfig:
-    gamma_b: float = 10.0
-    gamma_ell: float = 0.01  # decsps_ns stepsize floor
-    c0: float = 1.0
-    c_schedule: str = field(default="sqrt", metadata={"choices": C_SCHEDULES})
-    eta: float = 1.0  # sgd / adagrad / adam scale
-    b0: float = 0.1  # adagrad_norm initial accumulator
-    beta2: float = 0.99
-    eps_adam: float = 1e-8
-    # sps_max only; "exact" is lower_bound_policy="exact". No flag: kept for the
+    gamma_b: float = field(default=10.0, metadata={"bound": "positive", "read_by": POLYAK})
+    gamma_ell: float = field(  # decsps_ns stepsize floor
+        default=0.01, metadata={"bound": "positive", "read_by": ("decsps_ns",)})
+    c0: float = field(default=1.0, metadata={"bound": "positive", "read_by": POLYAK})
+    c_schedule: str = field(default="sqrt", metadata={"choices": C_SCHEDULES, "read_by": POLYAK})
+    eta: float = field(default=1.0, metadata={"bound": "positive", "read_by": SCALED_BY_ETA})
+    b0: float = field(  # adagrad_norm initial accumulator
+        default=0.1, metadata={"bound": "positive", "read_by": ("adagrad_norm",)})
+    beta2: float = field(default=0.99, metadata={"bound": "in (0, 1)", "read_by": DIAGONAL})
+    eps_adam: float = field(default=1e-8, metadata={"bound": "positive", "read_by": DIAGONAL})
+    # "exact" is lower_bound_policy="exact". No flag: kept for the
     # quadratic_grid sps_max row of benchmarks/workloads.py (ROADMAP item 1).
-    f_star_policy: str = field(default="lower_bound", metadata={"choices": F_STAR_POLICIES})
-    lower_bound_policy: str = field(default="zero", metadata={"choices": LOWER_BOUND_POLICIES})
-    lower_bound_value: float = 0.0
+    f_star_policy: str = field(default="lower_bound", metadata={
+        "choices": F_STAR_POLICIES, "read_by": ("sps_max",)})
+    lower_bound_policy: str = field(default="zero", metadata={
+        "choices": LOWER_BOUND_POLICIES, "read_by": POLYAK})
+    lower_bound_value: float = field(default=0.0, metadata={"read_by": POLYAK})
 
 
 @dataclass
@@ -84,9 +96,6 @@ class StepperState:
     c_prev: InitVar[float] = 0.0
 
 
-POLYAK = ("sps_max", "decsps", "decsps_ns")
-
-
 def c_value(cfg: StepperConfig, k: int) -> float:
     """Scaling sequence c_k."""
     if cfg.c_schedule == "constant":
@@ -99,26 +108,12 @@ def c_value(cfg: StepperConfig, k: int) -> float:
 
 
 def validate(cfg: StepperConfig, method: str) -> None:
+    """Check ``cfg`` as declared, for the fields ``method`` reads, then across fields."""
     if method not in STEPPERS:
         raise ConfigurationError(f"unknown optimizer {method!r}")
-    check_fields(cfg)
-    if cfg.gamma_b <= 0:
-        raise ConfigurationError("gamma_b must be positive")
-    if method in POLYAK and cfg.c0 <= 0:
-        raise ConfigurationError("c0 must be positive")
-    if method == "decsps_ns":
-        if cfg.gamma_ell <= 0:
-            raise ConfigurationError("gamma_ell must be positive")
-        if cfg.gamma_ell > cfg.gamma_b:
-            raise ConfigurationError("gamma_ell must not exceed gamma_b")
-    if method not in POLYAK and cfg.eta <= 0:  # every other rule scales by eta
-        raise ConfigurationError("eta must be positive")
-    if method in ("adam", "amsgrad") and not 0 < cfg.beta2 < 1:
-        raise ConfigurationError("beta2 must be in (0, 1)")
-    if method in ("adam", "amsgrad") and cfg.eps_adam <= 0:
-        raise ConfigurationError("eps_adam must be positive")
-    if method == "adagrad_norm" and cfg.b0 <= 0:
-        raise ConfigurationError("b0 must be positive")
+    check_fields(cfg, method)
+    if method == "decsps_ns" and cfg.gamma_ell > cfg.gamma_b:
+        raise ConfigurationError("gamma_ell must not exceed gamma_b")
     if method == "adagrad_norm" and not 0 < cfg.b0 * cfg.b0 < math.inf:
         raise ConfigurationError(f"b0 squared must be positive and finite, got b0={cfg.b0}")
 
@@ -129,7 +124,7 @@ def init_state(cfg: StepperConfig, method: str, d: int, rows: int = 1) -> Steppe
         scaled_prev=np.full(rows, cfg.c0 * cfg.gamma_b),
         accum=np.full(rows, cfg.b0 * cfg.b0),
     )
-    if method in ("adam", "amsgrad"):
+    if method in DIAGONAL:
         state.v, state.vhat = np.zeros((rows, d)), np.zeros((rows, d))
     return state
 

@@ -127,7 +127,7 @@ class TestRun:
         (ABSENT, ("--record-every", "0"), "error: record_every must be >= 1, got 0\n"),
         (ABSENT, ("--reference-tol", "0"),
          "error: reference_tol must be > 0 and finite, got 0.0\n"),
-        (ABSENT, ("--optimizer", "adam", "--beta2", "2"), "error: beta2 must be in (0, 1)\n"),
+        (ABSENT, ("--optimizer", "adam", "--beta2", "2"), "error: beta2 must be in (0, 1), got 2.0\n"),
     ])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, no_dataset_read,
                                                values, flags, message):
@@ -181,8 +181,8 @@ class TestRun:
         # problem and seed settings
         (("--problem", "synthetic", "--n", "20", "--d", "3", "--lambda", "-1"), "lam must be"),
         (("--problem", "synthetic", "--n", "20", "--d", "3", "--lambda", "nan"), "lam must be"),
-        (("--problem", "synthetic", "--n", "0"), "n and d must be >= 1"),
-        (("--problem", "fig1", "--d", "0"), "n and d must be >= 1"),
+        (("--problem", "synthetic", "--n", "0"), "n must be >= 1, got 0\n"),
+        (("--problem", "fig1", "--d", "0"), "d must be >= 1, got 0\n"),
         (("--problem", "fig1", "--n", "10", "--d", "3", "--f-floor", "inf"),
          "f_floor must be finite"),
         (("--problem", "synthetic", "--n", "20", "--d", "3", "--gen-seed", "-1"),
@@ -313,7 +313,7 @@ class TestRun:
                      "--optimizer", "sps_max", "--c0", c0, "--iters", "20", "--seeds", "2",
                      "--out", str(tmp_path / "out"))
         assert rc == 2
-        assert capsys.readouterr().err == "error: c0 must be positive\n"
+        assert capsys.readouterr().err == f"error: c0 must be positive, got {float(c0)}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -409,6 +409,22 @@ class TestSweep:
         assert err.count("\n") == 1 and "'fig1_decsps_c0_1'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("optimizer,param,message", [
+        ("decsps", "eta", "optimizer decsps does not read eta; sweep one of c0, gamma_b"),
+        ("sgd_constant", "gamma_b",
+         "optimizer sgd_constant does not read gamma_b; sweep one of eta"),
+        ("adam", "b0", "optimizer adam does not read b0; sweep one of eta, beta2"),
+    ])
+    def test_param_the_optimizer_does_not_read_exits_2(self, tmp_path, capsys, optimizer,
+                                                        param, message):
+        # every config would run the same rule on the same settings
+        rc = run_cli("sweep", "--problem", "counterexample", "--optimizer", optimizer,
+                     "--sweep-param", param, "--sweep-values", "0.1,1,10", "--iters", "3",
+                     "--seeds", "1", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_divergence_exits_3_naming_each_label(self, tmp_path, capsys):
         rc = run_cli("sweep", "--problem", "fig1", "--n", "10", "--d", "3",
                      "--optimizer", "sgd_constant", "--sweep-param", "eta",
@@ -434,7 +450,7 @@ class TestSweep:
                      "--sweep-param", "c0", "--sweep-values", "1,-1",
                      "--out", str(tmp_path / "out"))
         assert rc == 2
-        assert capsys.readouterr().err == "error: c0 must be positive\n"
+        assert capsys.readouterr().err == "error: c0 must be positive, got -1.0\n"
         assert not (tmp_path / "out").exists()
 
     def test_out_file_exits_2_before_any_work(self, tmp_path, capsys):

@@ -84,7 +84,8 @@ class TestLogistic:
 
     @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
     def test_rejects_negative_or_nonfinite_lam(self, lam):
-        with pytest.raises(ConfigurationError, match="lam must be >= 0"):
+        message = f"^lam must be >= 0, got {lam}$" if lam < 0 else f"^lam must be finite, got {lam}$"
+        with pytest.raises(ConfigurationError, match=message):
             LogisticObjective(np.ones((2, 2)), np.array([-1.0, 1.0]), lam=lam)
 
 

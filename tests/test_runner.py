@@ -212,6 +212,14 @@ class TestRunExperiment:
         ("seeds", (np.int64(3),), r"^seeds must be ints, got \[np.int64\(3\)\]$"),
         ("stepper", StepperConfig(gamma_b=np.float32(2)),
          r"^gamma_b must be a number, got np.float32\(2.0\)$"),
+        # a Path is no str: the manifest's json.dump failed on it after the run
+        ("out_dir", Path("out"), r"^out_dir must be a str, got \w*Path\('out'\)$"),
+        ("problem", ProblemSpec("dataset", dataset_path=Path("a.svm")),
+         r"^dataset_path must be a str or None, got \w*Path\('a.svm'\)$"),
+        ("label", 5, "^label must be a str, got 5$"),
+        # "no" is truthy: it ran an interpolated problem
+        ("problem", ProblemSpec("fig1", n=5, d=2, interpolated="no"),
+         "^interpolated must be a bool, got 'no'$"),
     ])
     def test_bad_value_rejected_before_any_work(self, tmp_path, field, value, message):
         with pytest.raises(ConfigurationError, match=message):

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,21 @@ class TestValidate:
     def test_rejects(self, method, kwargs):
         with pytest.raises(ConfigurationError):
             validate(StepperConfig(**kwargs), method)
+
+    @pytest.mark.parametrize("method", sorted(STEPPERS))
+    @pytest.mark.parametrize("name", [f.name for f in fields(StepperConfig)
+                                      if "bound" in f.metadata])
+    def test_bound_checked_only_for_the_rules_that_read_it(self, name, method):
+        # a baseline runs with gamma_b <= 0 as with b0 = 1e200: it never reads them
+        setting = next(f for f in fields(StepperConfig) if f.name == name)
+        assert set(setting.metadata["read_by"]) <= set(STEPPERS)
+        cfg = StepperConfig(**{name: 0.0 if setting.metadata["bound"] == "positive" else 1.0})
+        if method in setting.metadata["read_by"]:
+            with pytest.raises(ConfigurationError,
+                               match=rf"^{name} must be {re.escape(setting.metadata['bound'])}, "):
+                validate(cfg, method)
+        else:
+            validate(cfg, method)
 
     def test_defaults_pass_for_all_methods(self):
         for method in STEPPERS:
