@@ -10,7 +10,7 @@ The package splits into six modules:
 * :mod:`polystep.runner`     the grid-lockstep engine, orchestration, aggregation
 """
 
-from .core import finite_diff_grad, sample_batch, stream
+from .core import sample_batch, stream
 from .data_io import (
     Dataset,
     LoadError,
@@ -98,7 +98,6 @@ __all__ = [
     "compare_grid",
     "d_max_bound",
     "estimate_sigma2",
-    "finite_diff_grad",
     "full_grad",
     "full_value",
     "gamma_moment_identity",

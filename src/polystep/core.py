@@ -1,4 +1,4 @@
-"""Vector types, random streams, minibatch sampling, finite differences, config checks.
+"""Vector types, random streams, minibatch sampling, config checks.
 
 Vectors are plain 1-d float64 numpy arrays. Random streams are built on the
 Philox counter-based generator, so a given ``(seed, run_index)`` pair
@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
 
 import numpy as np
 
 Vector = np.ndarray
 MiniBatch = np.ndarray  # integer index array, size B
-
-
-class NonFiniteValue(ValueError):
-    """A function evaluation produced NaN or Inf."""
 
 
 class ConfigurationError(ValueError):
@@ -65,22 +60,6 @@ def stream(seed: int, run_index: int = 0) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(seed, spawn_key=(run_index,))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def finite_diff_grad(f: Callable[[Vector], float], x: Vector, h: float) -> Vector:
-    """Central-difference gradient, entry i = (f(x + h e_i) - f(x - h e_i)) / 2h."""
-    if h <= 0:
-        raise ValueError("finite_diff_grad: h must be positive")
-    g = np.empty_like(x, dtype=np.float64)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        hi = f(x + e)
-        lo = f(x - e)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NonFiniteValue(f"finite_diff_grad: non-finite evaluation at entry {i}")
-        g[i] = (hi - lo) / (2.0 * h)
-    return g
 
 
 def sample_batch(rng: np.random.Generator, n: int, B: int) -> MiniBatch:

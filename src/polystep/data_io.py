@@ -68,8 +68,9 @@ class Trace:
         shape = (len(seeds), len(ks))
         return cls(tuple(seeds), np.asarray(ks), *(np.full(shape, np.nan) for _ in METRICS))
 
-    def record(self, j: int, *values: np.ndarray) -> None:
-        """Store record ``j`` (at k = ks[j]) of every row, one array per metric."""
+    def record(self, j: int | slice, *values: np.ndarray) -> None:
+        """Store record ``j`` (at k = ks[j]) of every row, one (R,) array per
+        metric, or the records of a slice ``j``, one (R, len(ks[j])) array each."""
         for name, v in zip(METRICS, values):
             getattr(self, name)[:, j] = v
 

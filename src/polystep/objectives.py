@@ -138,9 +138,10 @@ class LogisticObjective:
         A = self.features[S]  # (R, B, d)
         sy = self._margin_sign() * self.labels[S]
         z = sy * (A @ X[:, :, None])[..., 0]
-        values = np.mean(np.logaddexp(0.0, z), axis=1) + 0.5 * self.lam * np.vecdot(X, X)
+        B = A.shape[1]
+        values = np.add.reduce(np.logaddexp(0.0, z), axis=1) / B + 0.5 * self.lam * np.vecdot(X, X)
         w = sy * _sigmoid(z)
-        grads = (A.transpose(0, 2, 1) @ w[:, :, None])[..., 0] / A.shape[1] + self.lam * X
+        grads = (A.transpose(0, 2, 1) @ w[:, :, None])[..., 0] / B + self.lam * X
         return values, grads
 
     def batch_min_value(self, S: MiniBatch) -> float:
@@ -196,7 +197,7 @@ class QuadraticObjective:
         H = self.curvatures[S]  # (R, B, d, d)
         diff = X[:, None, :] - self.offsets[S]
         q = np.einsum("rbij,rbi,rbj->rb", H, diff, diff)
-        values = np.mean(0.5 * q + self.floors[S], axis=1)
+        values = np.add.reduce(0.5 * q + self.floors[S], axis=1) / q.shape[1]
         grads = np.einsum("rbij,rbj->ri", H, diff) / diff.shape[1]
         return values, grads
 
@@ -247,7 +248,9 @@ class ShiftedAbsoluteObjective:
 
     def value_and_grad(self, S: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diff = X[:, :1] - self.shifts[S]  # (R, B)
-        return np.mean(np.abs(diff), axis=1), np.mean(np.sign(diff), axis=1)[:, None]
+        B = diff.shape[1]
+        return (np.add.reduce(np.abs(diff), axis=1) / B,
+                (np.add.reduce(np.sign(diff), axis=1) / B)[:, None])
 
     def batch_min_value(self, S: MiniBatch) -> float:
         if len(S) == 1:
@@ -377,16 +380,33 @@ def _newton_step(obj, x: Vector, g: Vector, gn: float) -> Vector:
     return x + t * dx
 
 
+CHUNK = 16  # iterates per BLAS-3 product in the logistic evaluator
+
+
 def suboptimality(obj, reference: ReferenceSolution) -> Callable[[np.ndarray], np.ndarray]:
     """The map x -> f(x) - f* of one run, set up once. It takes iterates
     stacked along leading axes, (..., d), and returns one value each, (...).
+    Each value depends only on its own iterate, not on the others in the
+    stack or on their number.
 
     A quadratic is its own second-order Taylor expansion around x*, so with
     e = x - x*, Hbar = mean_i H_i and g* = grad f(x*),
     f(x) - f* = e^T (Hbar e / 2 + g*) exactly. That costs O(d^2) instead of
     a full O(n d^2) pass, and near x* it is the small number itself rather
-    than the difference of two O(1) values. Other kinds evaluate
-    full_value(obj, x) - f* per iterate.
+    than the difference of two O(1) values.
+
+    The logistic loss is evaluated for all iterates together: one matrix
+    product of the features with CHUNK iterates at a time, the last chunk
+    padded with zeros, then log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|))
+    over all margins z at once, each iterate's n terms summed along a
+    contiguous axis. OpenBLAS rounds a column differently at some product
+    widths, and in the other operand order at some positions; at a fixed
+    width, in this order, an iterate's bits do not depend on where it sits
+    in the stack. The chunks also keep the temporaries at CHUNK x n values.
+    The values differ from ``full_value(obj, x) - f*`` (a matrix-vector
+    product and ``np.logaddexp``) in the last bits.
+
+    The absolute sum evaluates ``full_value(obj, x) - f*`` per iterate.
     """
     x_star, f_star = reference.x_star, reference.f_star
     if obj.kind == "quadratic":
@@ -398,6 +418,28 @@ def suboptimality(obj, reference: ReferenceSolution) -> Callable[[np.ndarray], n
             return np.vecdot(E, (half_hessian @ E[..., None])[..., 0] + g_star)
 
         return centred
+
+    if obj.kind == "logistic":
+        A, sy = obj.features, obj._margin_sign() * obj.labels
+
+        def stacked_logistic(X: np.ndarray) -> np.ndarray:
+            X = np.asarray(X)
+            flat = X.reshape(-1, obj.d)
+            padded = np.zeros((-(-len(flat) // CHUNK) * CHUNK, obj.d))
+            padded[:len(flat)] = flat
+            sums = np.empty(len(padded))
+            for start in range(0, len(padded), CHUNK):
+                # (CHUNK, n) margins, transposed out of the product so that
+                # each iterate's terms are contiguous
+                z = np.multiply((A @ padded[start:start + CHUNK].T).T, sy, order="C")
+                loss = np.abs(z)  # in place from here on: two CHUNK x n arrays
+                np.log1p(np.exp(np.negative(loss, out=loss), out=loss), out=loss)
+                loss += np.maximum(z, 0.0, out=z)
+                sums[start:start + CHUNK] = np.add.reduce(loss, axis=1)
+            values = sums[:len(flat)] / obj.n + 0.5 * obj.lam * np.vecdot(flat, flat)
+            return (values - f_star).reshape(X.shape[:-1])
+
+        return stacked_logistic
 
     def full_minus_f_star(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)

@@ -193,7 +193,7 @@ def _adagrad_norm(cfg, k, state, F, G, g2, m):
 def _diagonal(cfg, G, eta, moment):
     """The update eta g / (sqrt(moment) + eps); gamma is the mean per-coordinate stepsize."""
     denom = np.sqrt(moment) + cfg.eps_adam
-    return eta * G / denom, np.mean(eta / denom, axis=1)
+    return eta * G / denom, np.add.reduce(eta / denom, axis=1) / G.shape[1]
 
 
 def _second_moment(cfg, state, G):

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from polystep.core import finite_diff_grad, stream
+from finite_diff import finite_diff_grad
+from polystep.core import stream
 from polystep.objectives import (
     LogisticObjective,
     ShiftedAbsoluteObjective,

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystep.core import NonFiniteValue, finite_diff_grad, sample_batch, stream
+from finite_diff import NonFiniteValue, finite_diff_grad
+from polystep.core import sample_batch, stream
 
 
 class TestStream:

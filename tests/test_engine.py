@@ -24,6 +24,7 @@ from polystep.objectives import (
     make_counterexample_1d,
     make_fig1_problem,
     make_random_strongly_convex,
+    solve_reference,
 )
 from polystep.runner import (
     BLOCK,
@@ -111,6 +112,42 @@ def test_each_seed_matches_its_solo_run_absolute(tmp_path):
     cfg = RunConfig(problem=ProblemSpec("shifted_absolute"), optimizer="decsps_ns", K=60,
                     seeds=(0, 1, 2), out_dir=str(tmp_path / "group"), label="t")
     _assert_seeds_match_solo_runs(cfg, tmp_path, obj)
+
+
+@pytest.mark.parametrize("K,every", [(1, 1), (150, 1), (150, 7)])
+@pytest.mark.parametrize("problem", [ProblemSpec("fig1", n=10, d=4),
+                                     ProblemSpec("synthetic", n=40, d=5, lam=1e-3)],
+                         ids=["fig1", "logistic"])
+def test_records_do_not_depend_on_the_record_blocks(problem, K, every, tmp_path):
+    # 150 steps recorded at every step fill two blocks of 64 and leave a
+    # partial third; a group of three rows evaluates three times as many
+    # iterates per block, so each row sits elsewhere in every product
+    cfg = RunConfig(problem=problem, optimizer="decsps", B=2, K=K, seeds=(0, 1, 2),
+                    record_every=every, out_dir=str(tmp_path / "group"), label="t")
+    _assert_seeds_match_solo_runs(cfg, tmp_path)
+
+
+def test_logistic_records_do_not_depend_on_the_rows_beside_them(tmp_path, monkeypatch):
+    # blocks of 8 iterates' bytes: one row takes 4 records per block, two
+    # rows 2 and more rows 1, so the 9 records of R = 3..17 rows come in
+    # blocks of 2R iterates, which fill the 16-wide chunks of the logistic
+    # evaluator to every even count, over one to three chunks (at d=120,
+    # OpenBLAS gives some columns other bits in a product of 31 or more)
+    obj = _logistic(7, 40, 120, 1e-2)
+    ref = solve_reference(obj)
+    monkeypatch.setattr(runner, "RECORD_BLOCK_BYTES", 8 * 8 * obj.d)
+
+    def trace_lines(seeds, out):
+        cfg = RunConfig(problem=ProblemSpec("synthetic"), optimizer="decsps", B=3, K=9,
+                        seeds=seeds, out_dir=str(tmp_path / out), label="t")
+        return _by_seed(run_experiment(cfg, obj=obj, reference=ref).trace_path)
+
+    solo = {}
+    for seed in range(17):
+        solo.update(trace_lines((seed,), f"solo{seed}"))
+    for R in range(2, 18):
+        assert trace_lines(tuple(range(R)), f"group{R}") == {str(s): solo[str(s)]
+                                                              for s in range(R)}
 
 
 def test_halted_seeds_leave_the_others_unchanged(tmp_path):
