@@ -17,6 +17,13 @@ All objectives expose the same surface:
 ``lower_bound(obj, policy)`` turns those facts into the target m_S that a
 Polyak rule subtracts.
 
+``value_and_grad`` is the step kernel: it gathers the batch's component
+arrays with ``take``. The quadratic kernel forms e = x - o_i and H_i e once
+per row and batch member (one einsum), then takes the value e^T H_i e / 2
+from a ``vecdot`` and the gradient as the in-order sum of the H_i e over the
+batch; ``batch_value`` and ``batch_grad`` use the same forms. It makes no BLAS
+``matmul``, whose bits would depend on the thread count.
+
 The batch loss is f_S(x) = (1/|S|) sum_{i in S} f_i(x).
 """
 
@@ -77,11 +84,13 @@ def _store_c_order(obj, *names: str) -> None:
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-t)), with exp's argument -t where t >= 0 and t elsewhere
-    so it never overflows. Both branches are computed everywhere and one is
-    selected; each element gets the bits it would get from its branch alone."""
+    so it never overflows. Both branches share one quotient: its numerator is 1
+    where t >= 0 and e elsewhere, its denominator 1 + e, so each element gets
+    the bits it would get from its branch alone, in 7 ufunc calls. The argument
+    keeps ``np.where``: -|t| would flip the sign bit of a NaN."""
     pos = t >= 0
     e = np.exp(np.where(pos, -t, t))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 LABEL_SIGNS = ("standard", "as_printed")
@@ -93,19 +102,24 @@ class LogisticObjective:
 
     With the default ``standard`` label convention,
     f_i(x) = log(1 + exp(-y_i a_i^T x)) + (lam/2) ||x||^2.
-    ``as_printed`` flips the margin sign (+y_i a_i^T x).
+    ``as_printed`` flips the margin sign (+y_i a_i^T x). ``signed_labels``
+    holds each margin's sign times its label, so a margin z_i is
+    signed_labels_i a_i^T x.
     """
 
     features: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,), values in {-1, +1}
     lam: float = field(default=0.0, metadata={"bound": ">= 0"})
     label_sign: str = field(default="standard", metadata={"choices": LABEL_SIGNS})
+    signed_labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     kind = "logistic"
     nonnegative = True  # logaddexp >= 0 and the L2 term is >= 0
 
     def __post_init__(self):
         _store_c_order(self, "features", "labels")
+        sign = -1.0 if self.label_sign == "standard" else 1.0
+        object.__setattr__(self, "signed_labels", sign * self.labels)
         check_fields(self)
         if not np.isin(self.labels, (-1.0, 1.0)).all():
             raise ConfigurationError("labels must be in {-1, +1}")
@@ -118,25 +132,22 @@ class LogisticObjective:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def _margin_sign(self) -> float:
-        return -1.0 if self.label_sign == "standard" else 1.0
-
     def batch_value(self, S: MiniBatch, x: Vector) -> float:
         A = self.features[S]
-        z = self._margin_sign() * self.labels[S] * (A @ x)
+        z = self.signed_labels[S] * (A @ x)
         reg = 0.5 * self.lam * float(np.dot(x, x))
         return float(np.mean(np.logaddexp(0.0, z))) + reg
 
     def batch_grad(self, S: MiniBatch, x: Vector) -> Vector:
         A = self.features[S]
-        sy = self._margin_sign() * self.labels[S]
+        sy = self.signed_labels[S]
         z = sy * (A @ x)
         w = sy * _sigmoid(z)
         return A.T @ w / A.shape[0] + self.lam * x
 
     def value_and_grad(self, S: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        A = self.features[S]  # (R, B, d)
-        sy = self._margin_sign() * self.labels[S]
+        A = self.features.take(S, axis=0)  # (R, B, d)
+        sy = self.signed_labels.take(S)
         z = sy * (A @ X[:, :, None])[..., 0]
         B = A.shape[1]
         values = np.add.reduce(np.logaddexp(0.0, z), axis=1) / B + 0.5 * self.lam * np.vecdot(X, X)
@@ -186,20 +197,20 @@ class QuadraticObjective:
 
     def batch_value(self, S: MiniBatch, x: Vector) -> float:
         diff = x - self.offsets[S]
-        q = np.einsum("bij,bi,bj->b", self.curvatures[S], diff, diff)
-        return float(np.mean(0.5 * q + self.floors[S]))
+        q = np.vecdot(diff, np.einsum("bij,bj->bi", self.curvatures[S], diff))
+        return float(np.add.reduce(0.5 * q + self.floors[S]) / len(q))
 
     def batch_grad(self, S: MiniBatch, x: Vector) -> Vector:
         diff = x - self.offsets[S]
-        return np.einsum("bij,bj->i", self.curvatures[S], diff) / diff.shape[0]
+        Hd = np.einsum("bij,bj->bi", self.curvatures[S], diff)
+        return np.add.reduce(Hd, axis=0) / diff.shape[0]
 
     def value_and_grad(self, S: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        H = self.curvatures[S]  # (R, B, d, d)
-        diff = X[:, None, :] - self.offsets[S]
-        q = np.einsum("rbij,rbi,rbj->rb", H, diff, diff)
-        values = np.add.reduce(0.5 * q + self.floors[S], axis=1) / q.shape[1]
-        grads = np.einsum("rbij,rbj->ri", H, diff) / diff.shape[1]
-        return values, grads
+        diff = X[:, None, :] - self.offsets.take(S, axis=0)  # (R, B, d)
+        Hd = np.einsum("rbij,rbj->rbi", self.curvatures.take(S, axis=0), diff)
+        B = diff.shape[1]
+        values = np.add.reduce(0.5 * np.vecdot(diff, Hd) + self.floors.take(S), axis=1) / B
+        return values, np.add.reduce(Hd, axis=1) / B
 
     def batch_optimum(self, S: MiniBatch) -> tuple[Vector, float]:
         """Exact minimizer and minimum of f_S: solves (sum H_i) x = sum H_i o_i."""
@@ -247,7 +258,7 @@ class ShiftedAbsoluteObjective:
         return np.array([np.mean(np.sign(x[0] - self.shifts[S]))])
 
     def value_and_grad(self, S: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        diff = X[:, :1] - self.shifts[S]  # (R, B)
+        diff = X[:, :1] - self.shifts.take(S)  # (R, B)
         B = diff.shape[1]
         return (np.add.reduce(np.abs(diff), axis=1) / B,
                 (np.add.reduce(np.sign(diff), axis=1) / B)[:, None])
@@ -354,7 +365,7 @@ def _newton_step(obj, x: Vector, g: Vector, gn: float) -> Vector:
     of f, f's rounding hides any decrease and the full step is taken.
     """
     A = obj.features
-    z = obj._margin_sign() * obj.labels * (A @ x)
+    z = obj.signed_labels * (A @ x)
     if obj.lam == 0.0 and (z < 0.0).all():
         raise SolverFailure("reference solver: the data are linearly separable, so "
                             "the unregularized logistic loss has no minimizer; "
@@ -420,7 +431,7 @@ def suboptimality(obj, reference: ReferenceSolution) -> Callable[[np.ndarray], n
         return centred
 
     if obj.kind == "logistic":
-        A, sy = obj.features, obj._margin_sign() * obj.labels
+        A, sy = obj.features, obj.signed_labels
 
         def stacked_logistic(X: np.ndarray) -> np.ndarray:
             X = np.asarray(X)

@@ -110,7 +110,11 @@ def build_problem(spec: ProblemSpec):
     return objectives.LogisticObjective(ds.features, ds.labels, spec.lam, spec.label_sign)
 
 
-BLOCK = 4096  # B * B <= BLOCK: batches are drawn ahead, BLOCK // B per row at a time
+# Batches are drawn ahead in blocks of at most BLOCK indices per row (B * B <=
+# BLOCK: only B <= 64 is drawn ahead) and about TOTAL_BLOCK indices over all
+# rows, but at least MIN_BLOCK_STEPS steps per block: a block's fixed cost is one
+# ``rng.integers`` call per row, so many rows take short blocks, not tiny ones.
+BLOCK, TOTAL_BLOCK, MIN_BLOCK_STEPS = 4096, 1 << 16, 256
 
 
 def _floyd_bounds(n: int, B: int) -> np.ndarray:
@@ -150,36 +154,44 @@ class SeedBatches:
     a probe on copies of row 0's stream checks that the replay gives what
     ``sample_batch`` gives; if not, or if B is larger, every batch is one
     ``sample_batch`` call on its row's stream.
+
+    A block is one C-contiguous (steps, R, B) array, so each ``draw`` hands
+    out a contiguous (R, B) block. It holds at most BLOCK // B steps, and
+    TOTAL_BLOCK // (R * B) but no fewer than MIN_BLOCK_STEPS, so its size is
+    bounded in total, not per row.
     """
 
     def __init__(self, rngs, n: int, B: int, steps: int = BLOCK):
         if not 1 <= B <= n:
             raise ValueError(f"SeedBatches: need 1 <= B <= n, got B={B}, n={n}")
         self.rngs, self.n, self.B = list(rngs), n, B
-        self.steps = max(1, min(steps, BLOCK // B))  # batches drawn ahead per row
+        total = max(MIN_BLOCK_STEPS, TOTAL_BLOCK // (len(self.rngs) * B))
+        self.steps = max(1, min(steps, BLOCK // B, total))  # batches drawn ahead per row
         self.replay = B * B <= BLOCK and np.array_equal(
             self._replay(copy.deepcopy(self.rngs[:1]), 1)[0, 0],
             sample_batch(copy.deepcopy(self.rngs[0]), n, B))
-        self._ahead = np.empty((len(self.rngs), 0, B), dtype=np.int64)
+        self._ahead = np.empty((0, len(self.rngs), B), dtype=np.int64)
         self._used = 0  # batches of the current block handed out
 
     def _replay(self, rngs, steps: int) -> np.ndarray:
-        """The next ``steps`` batches of each of ``rngs``: an (R, steps, B) block."""
+        """The next ``steps`` batches of each of ``rngs``: a C-contiguous
+        (steps, R, B) block."""
+        width = 2 * self.B - 1  # draws per batch
         bounds = np.tile(_floyd_bounds(self.n, self.B), steps)
-        U = np.empty((len(rngs), len(bounds)), dtype=np.int64)
+        U = np.empty((steps, len(rngs), width), dtype=np.int64)
         for r, rng in enumerate(rngs):
-            U[r] = rng.integers(0, bounds)
-        S = _replay_floyd(self.n, U.reshape(len(rngs) * steps, 2 * self.B - 1))
-        return S.reshape(len(rngs), steps, self.B)
+            U[:, r] = rng.integers(0, bounds).reshape(steps, width)
+        S = _replay_floyd(self.n, U.reshape(steps * len(rngs), width))
+        return np.ascontiguousarray(S).reshape(steps, len(rngs), self.B)
 
     def draw(self) -> np.ndarray:
-        """The next batch of every row: an (R, B) block."""
+        """The next batch of every row: a C-contiguous (R, B) block."""
         if not self.replay:
             return np.stack([sample_batch(rng, self.n, self.B) for rng in self.rngs])
-        if self._used == self._ahead.shape[1]:
+        if self._used == len(self._ahead):
             self._ahead, self._used = self._replay(self.rngs, self.steps), 0
         self._used += 1
-        return self._ahead[:, self._used - 1]
+        return self._ahead[self._used - 1]
 
 
 def grid_lockstep(obj, groups, X0, K, B, rngs):
@@ -190,18 +202,20 @@ def grid_lockstep(obj, groups, X0, K, B, rngs):
     into consecutive groups that each follow one rule with one config. Every
     step makes one batch draw and one evaluation over all rows, then one
     rule call per group on its row slice, given the step index k: the rules
-    count no steps themselves.
+    count no steps themselves. A single group takes the arrays whole.
 
     Yields ``(k, X, gamma)`` at every step: ``X`` holds the pre-step iterates
     x_k of all rows and ``gamma`` their stepsizes gamma_k. A row whose batch
     gradient is zero stays where it is: its Polyak ratio is +inf, so the
     rule's cap binds, and ``X - gamma * 0`` is X.
     """
-    bounds = np.cumsum([0] + [size for _, _, size in groups])  # group g: rows bounds[g]:bounds[g+1]
     # init_state first, as it rejects an unknown method; the rules are looked up when the
     # pass starts, not at import, so a caller may swap entries of STEPPERS (e.g. to time them)
-    rules = [(init_state(cfg, method, obj.d, rows=size), STEPPERS[method], cfg,
-              batch_target(cfg, method, obj)) for method, cfg, size in groups]
+    rules, start = [], 0
+    for method, cfg, size in groups:
+        rules.append((slice(start, start + size), init_state(cfg, method, obj.d, rows=size),
+                      STEPPERS[method], cfg, batch_target(cfg, method, obj)))
+        start += size
     batches = SeedBatches(rngs, obj.n, B, steps=K)
     X = X0
     for k in range(K):
@@ -209,11 +223,16 @@ def grid_lockstep(obj, groups, X0, K, B, rngs):
         F, G = obj.value_and_grad(S, X)
         g2 = np.vecdot(G, G)
         # fresh at every step: a caller may keep the X and gamma it was yielded
-        X_next, gamma = np.empty(X.shape), np.empty(len(X))
-        for (state, rule, cfg, target), a, b in zip(rules, bounds, bounds[1:]):
-            m = None if target is None else target(S[a:b])
-            U, gamma[a:b] = rule(cfg, k, state, F[a:b], G[a:b], g2[a:b], m)
-            np.subtract(X[a:b], U, out=X_next[a:b])
+        if len(rules) == 1:
+            _, state, rule, cfg, target = rules[0]
+            U, gamma = rule(cfg, k, state, F, G, g2, None if target is None else target(S))
+            X_next = X - U
+        else:
+            X_next, gamma = np.empty(X.shape), np.empty(len(X))
+            for rows, state, rule, cfg, target in rules:
+                m = None if target is None else target(S[rows])
+                U, gamma[rows] = rule(cfg, k, state, F[rows], G[rows], g2[rows], m)
+                np.subtract(X[rows], U, out=X_next[rows])
         yield k, X, gamma
         X = X_next
 

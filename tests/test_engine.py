@@ -8,6 +8,7 @@ a grid's outputs with each config's solo run, bit for bit.
 import csv
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from polystep.objectives import (
 )
 from polystep.runner import (
     BLOCK,
+    MIN_BLOCK_STEPS,
     ProblemSpec,
     RunConfig,
     SeedBatches,
@@ -50,11 +52,15 @@ def _logistic(seed, n, d, lam, label_sign="standard"):
 @pytest.mark.parametrize("obj", [
     make_counterexample_1d(),
     make_fig1_problem(stream(1), d=6, n=12),
+    make_fig1_problem(stream(7), d=20, n=100),  # the benchmark's shape
+    make_fig1_problem(stream(8), d=100, n=30),  # the command line's default d
     make_random_strongly_convex(stream(2), 4, 9),
+    make_random_strongly_convex(stream(9), 1, 9),
     _logistic(3, 40, 7, 1e-2),
     _logistic(4, 30, 120, 0.0, "as_printed"),
     ShiftedAbsoluteObjective(stream(5).standard_normal(9)),
-], ids=["counterexample", "fig1", "strongly_convex", "logistic", "logistic_wide", "absolute"])
+], ids=["counterexample", "fig1", "fig1_d20", "fig1_d100", "strongly_convex",
+        "strongly_convex_1d", "logistic", "logistic_wide", "absolute"])
 @pytest.mark.parametrize("R,B", [(1, 1), (5, 1), (3, 2), (4, 7)])
 def test_value_and_grad_rows_match_one_batch(obj, R, B):
     rng = stream(6)
@@ -291,7 +297,7 @@ def test_block_draws_match_per_step_sample_batch(n, B, steps):
     assert batches.replay == (B <= 64)
     # every row at every draw, across two block ends
     draws = [batches.draw() for _ in range(3 * batches.steps)]
-    assert all(S.shape == (len(seeds), B) for S in draws)
+    assert all(S.shape == (len(seeds), B) and S.flags.c_contiguous for S in draws)
     for r, seed in enumerate(seeds):
         ref = stream(seed)
         assert [S[r].tolist() for S in draws] == [sample_batch(ref, n, B).tolist()
@@ -299,6 +305,28 @@ def test_block_draws_match_per_step_sample_batch(n, B, steps):
         # each row used up whole blocks, so its stream is where per-step
         # draws leave it
         np.testing.assert_equal(batches.rngs[r].bit_generator.state, ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("R,B,K,steps", [
+    (100, 1, 300, 300), (16, 1, 600, 600), (2, 20, 6000, BLOCK // 20),  # the benchmark's
+    (1000, 1, 5000, MIN_BLOCK_STEPS), (100, 20, 6000, BLOCK // 20),
+])
+def test_block_steps(R, B, K, steps):
+    assert SeedBatches([stream(s) for s in range(R)], 100, B, steps=K).steps == steps
+
+
+def test_draw_ahead_block_is_bounded_over_all_rows():
+    # 1000 rows at B = 1: a per-row bound of BLOCK steps alone drew blocks of
+    # 32.8 MB; the total bound draws MIN_BLOCK_STEPS steps, a block of 2 MB
+    # and the replay's row index of as many values
+    batches = SeedBatches([stream(s) for s in range(1000)], 2, 1, steps=5000)
+    tracemalloc.start()
+    try:
+        batches.draw()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_a_sampler_the_replay_does_not_match_is_called_per_step(monkeypatch):

@@ -150,6 +150,30 @@ class TestQuadratic:
         np.testing.assert_array_equal(lower_bound(nonneg, "exact")(np.array([[1], [0]])),
                                       [0.5, 0.0])
 
+    @pytest.mark.parametrize("d,n,R,B", [
+        (1, 2, 5, 2), (1, 9, 4, 7), (4, 10, 3, 2),
+        (20, 100, 16, 1), (20, 100, 4, 7),  # quadratic_grid's shape, and B > 1
+        (100, 30, 2, 1), (100, 30, 2, 20),
+    ])
+    def test_value_and_grad_match_the_einsum_forms(self, d, n, R, B):
+        # value_and_grad forms H_i e_i once and takes both the values and the
+        # gradients from it; the gradients are the two-operand einsum's bit
+        # for bit, the values the three-operand einsum's up to rounding
+        obj = make_fig1_problem(stream(d), d, n)
+        rng = stream(12)
+        S = np.stack([rng.choice(n, size=B, replace=False) for _ in range(R)])
+        X = 3.0 * rng.standard_normal((R, d))
+        F, G = obj.value_and_grad(S, X)
+        H, diff = obj.curvatures[S], X[:, None, :] - obj.offsets[S]
+        q = np.einsum("rbij,rbi,rbj->rb", H, diff, diff)
+        want = np.add.reduce(0.5 * q + obj.floors[S], axis=1) / B
+        if d == 1:
+            assert F.tobytes() == want.tobytes()
+        np.testing.assert_allclose(F, want, rtol=0, atol=1e-14 * max(1.0, np.abs(q).max()))
+        # at d = 1 einsum sums a batch of three or more members in another order
+        if d > 1 or B <= 2:
+            assert G.tobytes() == (np.einsum("rbij,rbj->ri", H, diff) / B).tobytes()
+
     def test_curvature_eigs(self):
         obj = make_random_strongly_convex(stream(8), 3, 5, eig_range=(0.5, 2.0))
         info = obj.curvature()
