@@ -230,7 +230,7 @@ def simulate_polyak_1d(
         if c_schedule == "sqrt":
             return c0 * math.sqrt(k + 1)
         if c_schedule == "linear_half":
-            return (k + 1) / 2.0
+            return c0 * ((k + 1) / 2.0)
         raise ValueError(f"unknown c_schedule {c_schedule!r}")
 
     x = rng.standard_normal(n_runs) if x0 is None else np.full(n_runs, float(x0))

@@ -9,7 +9,8 @@ stepsize into a block; one stacked ``suboptimality`` call evaluates a whole
 block of records (``_run_pass``). Each row draws from its own seed's stream,
 one x0 draw and then one batch draw per step, and each record depends only
 on its own iterate, so a row's trace does not depend on which rows run
-beside it. ``run_experiment`` is the grid of one config, ``lockstep`` the
+beside it. A grid is one engine pass over configs of one run shape
+(``_run_grid``). ``run_experiment`` is the grid of one config, ``lockstep`` the
 engine on one group of rows and ``iterate_run`` on one row.
 """
 
@@ -135,9 +136,10 @@ def _replay_floyd(n: int, U: np.ndarray) -> np.ndarray:
     S = U[:, :B]
     for p in range(1, B):
         S[(S[:, :p] == S[:, p, None]).any(axis=1), p] = n - B + p
-    rows = np.arange(len(S))
-    for i, j in zip(range(B - 1, 0, -1), U[:, B:].T):
-        S[rows, j], S[:, i] = S[:, i].copy(), S[rows, j]
+    if B > 1:  # no swap runs at B = 1, so no row index is built there
+        rows = np.arange(len(S))
+        for i, j in zip(range(B - 1, 0, -1), U[:, B:].T):
+            S[rows, j], S[:, i] = S[:, i].copy(), S[rows, j]
     return S
 
 
@@ -284,10 +286,10 @@ RECORDS_PER_BLOCK, RECORD_BLOCK_BYTES = 64, 1 << 18
 
 
 def _run_pass(obj, reference, cfgs: list[RunConfig]) -> list[tuple[Trace, list[dict]]]:
-    """Advance every (config, seed) row of ``cfgs``, which share B, K and
-    record_every, in one ``grid_lockstep``: config c's seeds form one group
-    of rows with its own rule, stepper config and fresh ``stream(seed)``
-    generators. Returns each config's records and diagnostics.
+    """Advance every (config, seed) row of a grid, ``cfgs`` of one run shape,
+    in one ``grid_lockstep``: config c's seeds form one group of rows with its
+    own rule, stepper config and fresh ``stream(seed)`` generators. Returns
+    each config's records and diagnostics.
 
     A record copies every row's x_k, x̄_k and gamma_k into a block; when the
     block is full, and at the last record, one ``suboptimality`` call
@@ -385,37 +387,44 @@ def _write_run(cfg: RunConfig, obj, reference, records: Trace,
 
 
 def _run_grid(cfgs: list[RunConfig], obj=None, reference=None) -> list[RunOutput]:
-    """Check every config, so one bad on its own fails before a dataset is
-    read; build the first one's problem unless ``obj`` is given; check each
-    batch size and Polyak target on it; solve the reference unless given; run
-    the configs, which share K, in one engine pass per distinct (B,
-    record_every) and write and return their outputs, in the order of ``cfgs``.
-    A diverging row records inf or nan, without a floating-point warning, and
-    its config's ``diagnostics`` name it, as they name a negative stepsize."""
+    """Run a grid in one engine pass. Before any work, check every config (so
+    one bad on its own fails before a dataset is read), that all share problem,
+    seeds, K, B, record_every and reference_tol (another shape is another
+    grid), and that no two write the same (out_dir, label). Then build the
+    problem unless ``obj`` is given, check B against its n, certify each Polyak
+    target, solve the reference unless given, make one ``_run_pass`` and write
+    and return each config's outputs, in the order of ``cfgs``. A diverging row
+    records inf or nan, without a floating-point warning, and its config's
+    ``diagnostics`` name it, as they name a negative stepsize."""
     for c in cfgs:
         _check_config(c)
-    if obj is None:
-        obj = build_problem(cfgs[0].problem)
+    first = cfgs[0]
+    for name in ("K", "seeds", "problem", "reference_tol", "B", "record_every"):
+        if any(getattr(c, name) != getattr(first, name) for c in cfgs[1:]):
+            raise ConfigurationError(f"compare_grid: all configs must share {name}")
+    outputs = set()  # (out_dir, label) pairs
     for c in cfgs:
-        if not 1 <= c.B <= obj.n:
-            raise ConfigurationError(f"batch size {c.B} is not in [1, n={obj.n}]")
+        where = (os.path.abspath(c.out_dir), _label(c))
+        if where in outputs:
+            raise ConfigurationError(
+                f"compare_grid: two configs would write {_label(c)!r} in {c.out_dir!r}; "
+                "give each config its own label or out_dir")
+        outputs.add(where)
+    if obj is None:
+        obj = build_problem(first.problem)
+    if not 1 <= first.B <= obj.n:
+        raise ConfigurationError(f"batch size {first.B} is not in [1, n={obj.n}]")
+    for c in cfgs:
         # certify the Polyak target: a batch-independent lower bound once, an
         # exact minimum on one probe batch
         target = batch_target(c.stepper, c.optimizer, obj)
         if target is not None:
-            target(np.arange(c.B)[None])
+            target(np.arange(first.B)[None])
     if reference is None:
-        reference = objectives.solve_reference(obj, cfgs[0].reference_tol)
-    passes: dict[tuple, list[int]] = {}
-    for i, c in enumerate(cfgs):
-        passes.setdefault((c.B, c.record_every), []).append(i)
-    outs = [None] * len(cfgs)
+        reference = objectives.solve_reference(obj, first.reference_tol)
     with np.errstate(over="ignore", invalid="ignore"):
-        for members in passes.values():
-            group = [cfgs[i] for i in members]
-            for i, c, result in zip(members, group, _run_pass(obj, reference, group)):
-                outs[i] = _write_run(c, obj, reference, *result)
-    return outs
+        return [_write_run(c, obj, reference, *result)
+                for c, result in zip(cfgs, _run_pass(obj, reference, cfgs))]
 
 
 def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
@@ -441,26 +450,13 @@ def write_aggregate(agg: Aggregate, path: str) -> None:
 
 
 def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
-    """Run aligned configs (shared problem, seeds, K and reference tolerance)
-    and return a summary table of final suboptimality mean +- 2 std, one row
-    per config, with its manifest diagnostics. Every (config, seed) row
-    advances in one engine pass per distinct (B, record_every); each config's
-    outputs are those of its solo ``run_experiment``. Two configs may not
-    share an out_dir and a label."""
+    """Run a grid (``_run_grid``: configs that share problem, seeds, K, B,
+    record_every and reference tolerance, in one engine pass) and return a
+    summary table of final suboptimality mean +- 2 std, one row per config,
+    with its manifest diagnostics; each config's outputs are those of its
+    solo ``run_experiment``."""
     if not cfgs:
         return []
-    first = cfgs[0]
-    for name in ("K", "seeds", "problem", "reference_tol"):
-        if any(getattr(c, name) != getattr(first, name) for c in cfgs[1:]):
-            raise ConfigurationError(f"compare_grid: all configs must share {name}")
-    outputs = set()  # (out_dir, label) pairs
-    for c in cfgs:
-        where = (os.path.abspath(c.out_dir), _label(c))
-        if where in outputs:
-            raise ConfigurationError(
-                f"compare_grid: two configs would write {_label(c)!r} in {c.out_dir!r}; "
-                "give each config its own label or out_dir")
-        outputs.add(where)
     table = []
     for c, out in zip(cfgs, _run_grid(cfgs)):
         agg = out.aggregate
@@ -475,7 +471,7 @@ def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
             "diagnostics": out.diagnostics,
         })
     table.sort(key=lambda row: row["final_f_sub_avg_mean"])
-    summary_path = os.path.join(first.out_dir, "sweep_summary.csv")
+    summary_path = os.path.join(cfgs[0].out_dir, "sweep_summary.csv")
     every = np.arange(len(table))
     with open(summary_path, "wb") as fh:
         data_io.write_csv(

@@ -23,8 +23,9 @@ Implemented rules:
 * ``adam``         second-moment EMA with bias correction, fixed eta, no momentum
 * ``amsgrad``      running-max second moment, eta / sqrt(k+1), no momentum
 
-The three Polyak rules share c_k (``c_value``): under the constant schedule
-c_k = c0, so ``sps_max`` is then SPS_max with c = c0.
+The three Polyak rules share c_k = c0 s_k (``c_value``), with s_k = 1,
+sqrt(k+1) or (k+1)/2: under the constant schedule c_k = c0, so ``sps_max`` is
+then SPS_max with c = c0.
 
 Each rule's conditions on its settings are declared on the ``StepperConfig``
 fields: ``read_by`` names the rules that read a field, and ``validate`` checks
@@ -97,13 +98,13 @@ class StepperState:
 
 
 def c_value(cfg: StepperConfig, k: int) -> float:
-    """Scaling sequence c_k."""
+    """Scaling sequence c_k = c0 s_k: s_k = 1, sqrt(k+1) or (k+1)/2 by schedule."""
     if cfg.c_schedule == "constant":
         return cfg.c0
     if cfg.c_schedule == "sqrt":
         return cfg.c0 * math.sqrt(k + 1)
     if cfg.c_schedule == "linear_half":
-        return (k + 1) / 2.0
+        return cfg.c0 * ((k + 1) / 2.0)
     raise ConfigurationError(f"unknown c_schedule {cfg.c_schedule!r}")
 
 

@@ -399,6 +399,16 @@ class TestSweep:
         assert (tmp_path / "sweep_summary.csv").exists()
         assert len(out.strip().splitlines()) == 4  # header + 3 rows
 
+    def test_c0_scales_the_linear_half_schedule(self, tmp_path):
+        # c_k = c0 (k+1)/2, so each c0 of an sps_max sweep writes its own trace
+        rc = run_cli("sweep", "--problem", "fig1", "--n", "10", "--d", "3",
+                     "--optimizer", "sps_max", "--c-schedule", "linear_half",
+                     "--sweep-param", "c0", "--sweep-values", "0.5,1,2", "--iters", "50",
+                     "--seeds", "0,1", "--out", str(tmp_path))
+        assert rc == 0
+        traces = [(tmp_path / f"fig1_sps_max_c0_{c0}.csv").read_bytes() for c0 in ("0.5", "1", "2")]
+        assert len(set(traces)) == 3
+
     def test_colliding_labels_exit_2_before_any_work(self, tmp_path, capsys):
         # 1 and 1.0 give the same label, fig1_decsps_c0_1
         rc = run_cli("sweep", "--problem", "fig1", "--n", "10", "--d", "3",

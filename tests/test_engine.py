@@ -225,14 +225,14 @@ def test_grid_with_a_halting_config_matches_solo_runs(tmp_path):
     assert diagnostics == {cfg.label: [] for cfg in cfgs}
 
 
-def test_grid_mixing_batch_sizes_and_record_schedules_matches_solo_runs(tmp_path):
+def test_grid_of_one_batched_shape_matches_solo_runs(tmp_path):
+    # B > 1 and a sparse record schedule, with mixed rules and trace formats
     problem = ProblemSpec("synthetic", n=40, d=4, lam=1e-3)
-    cfgs = [RunConfig(problem=problem, optimizer=opt, stepper=StepperConfig(eta=0.1), B=B,
-                      K=50, seeds=(3, 1), record_every=every, out_dir=str(tmp_path / "grid"),
-                      trace_format=fmt, label=f"{opt}_{B}_{every}")
-            for opt, B, every, fmt in [("decsps", 1, 1, "csv"), ("decsps", 8, 7, "csv"),
-                                       ("adam", 8, 1, "json-lines"), ("sps_max", 1, 7, "csv"),
-                                       ("sgd_constant", 8, 7, "json-lines")]]
+    cfgs = [RunConfig(problem=problem, optimizer=opt, stepper=StepperConfig(eta=0.1), B=8,
+                      K=50, seeds=(3, 1), record_every=7, out_dir=str(tmp_path / "grid"),
+                      trace_format=fmt, label=opt)
+            for opt, fmt in [("decsps", "csv"), ("adam", "json-lines"), ("sps_max", "csv"),
+                             ("sgd_constant", "json-lines")]]
     _assert_grid_matches_solo_runs(cfgs)
 
 
@@ -318,7 +318,6 @@ def test_block_steps(R, B, K, steps):
 def test_draw_ahead_block_is_bounded_over_all_rows():
     # 1000 rows at B = 1: a per-row bound of BLOCK steps alone drew blocks of
     # 32.8 MB; the total bound draws MIN_BLOCK_STEPS steps, a block of 2 MB
-    # and the replay's row index of as many values
     batches = SeedBatches([stream(s) for s in range(1000)], 2, 1, steps=5000)
     tracemalloc.start()
     try:
@@ -326,7 +325,7 @@ def test_draw_ahead_block_is_bounded_over_all_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5e6
+    assert peak < 3e6
 
 
 def test_a_sampler_the_replay_does_not_match_is_called_per_step(monkeypatch):

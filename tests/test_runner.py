@@ -18,6 +18,7 @@ from polystep.runner import (
     Aggregate,
     ProblemSpec,
     RunConfig,
+    _run_grid,
     aggregate_records,
     build_problem,
     compare_grid,
@@ -410,6 +411,24 @@ class TestCompareGrid:
         b = counterexample_cfg(tmp_path, K=20)
         with pytest.raises(ConfigurationError):
             compare_grid([a, b])
+
+    @pytest.mark.parametrize("run", [
+        compare_grid, lambda cfgs: _run_grid(cfgs, make_counterexample_1d()),
+    ], ids=["compare_grid", "_run_grid"])
+    @pytest.mark.parametrize("field,values", [("B", (1, 2)), ("record_every", (1, 2)),
+                                              ("K", (10, 20))])
+    def test_a_grid_has_one_run_shape(self, tmp_path, monkeypatch, run, field, values):
+        # configs that differ in B, record_every or K are no grid: one line
+        # naming the field, before the reference solve and any file
+        def no_solve(*args, **kwargs):
+            raise AssertionError("reference solved before validation")
+
+        monkeypatch.setattr(objectives, "solve_reference", no_solve)
+        cfgs = [counterexample_cfg(tmp_path, label=str(v), **{field: v}) for v in values]
+        with pytest.raises(ConfigurationError,
+                           match=f"^compare_grid: all configs must share {field}$"):
+            run(cfgs)
+        assert not list(tmp_path.iterdir())
 
 
 # a value far from ordinary: of any magnitude up to 1e+-300, zero or negative,

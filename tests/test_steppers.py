@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polystep.core import stream
@@ -54,6 +54,8 @@ class TestCSchedule:
         assert c_value(cfg, 3) == pytest.approx(4.0)
         cfg = StepperConfig(c_schedule="linear_half")
         assert c_value(cfg, 7) == pytest.approx(4.0)
+        cfg = StepperConfig(c0=2.0, c_schedule="linear_half")
+        assert c_value(cfg, 7) == pytest.approx(8.0)
 
 
 class TestValidate:
@@ -110,10 +112,10 @@ class TestSpsMax:
         assert x_next[0] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("schedule,c3", [("constant", 2.0), ("sqrt", 4.0),
-                                             ("linear_half", 2.0)])
+                                             ("linear_half", 4.0)])
     def test_divides_by_c_k(self, schedule, c3):
-        # the same step as above at k=3 is scaled by c_3 under every
-        # schedule, by c0 under the constant one
+        # the same step as above at k=3 is scaled by c_3 = c0 s_3 under every
+        # schedule
         obj = make_counterexample_1d()
         cfg = StepperConfig(c_schedule=schedule, c0=2.0, f_star_policy="exact")
         state = init_state(cfg, "sps_max", 1)
@@ -307,13 +309,16 @@ class TestSgdAndAdaptive:
     gamma_b=st.floats(0.5, 20.0),
     seed=st.integers(0, 100),
 )
+# (c0 gamma_b) / c_0 rounds one ulp above gamma_b here: the rule meets its own
+# bound with equality, not gamma_b
+@example(c0=0.3046875, gamma_b=0.99999, seed=0)
 def test_decsps_monotone_property(c0, gamma_b, seed):
     obj = make_counterexample_1d()
     cfg = StepperConfig(c0=c0, gamma_b=gamma_b)
     for g in drive(obj, "decsps", cfg, [2.0], 200, seeds=(seed, seed + 101, seed + 202)):
         assert (np.diff(g) <= 0.0).all()
-        # gamma_0 <= c0 gamma_b / c_0 with c_0 = c0 for the sqrt schedule
-        assert g[0] <= gamma_b
+        # gamma_0 <= c0 gamma_b / c_0, exactly as the floats the rule computes
+        assert g[0] <= (c0 * gamma_b) / c_value(cfg, 0)
 
 
 @settings(max_examples=30, deadline=None)
