@@ -70,7 +70,8 @@ class Trace:
 
     def record(self, j: int | slice, *values: np.ndarray) -> None:
         """Store record ``j`` (at k = ks[j]) of every row, one (R,) array per
-        metric, or the records of a slice ``j``, one (R, len(ks[j])) array each."""
+        metric, or the records of a slice ``j``, one (R, len(ks[j])) array each;
+        fewer values store the first metrics only."""
         for name, v in zip(METRICS, values):
             getattr(self, name)[:, j] = v
 
@@ -361,7 +362,10 @@ def make_synthetic(rng: np.random.Generator, n: int, d: int) -> Dataset:
     """i.i.d. standard-normal features with uniformly random +-1 labels."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    X = rng.standard_normal((n, d))
+    try:
+        X = rng.standard_normal((n, d))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
+        raise ConfigurationError(f"cannot allocate the {n}x{d} feature matrix") from None
     y = rng.choice([-1.0, 1.0], size=n)
     return Dataset(X, y, name="synthetic")
 

@@ -391,7 +391,7 @@ def _newton_step(obj, x: Vector, g: Vector, gn: float) -> Vector:
     return x + t * dx
 
 
-CHUNK = 16  # iterates per BLAS-3 product in the logistic evaluator
+CHUNK = 16  # iterates per BLAS-3 product in the logistic evaluator, and per absolute sum
 
 
 def suboptimality(obj, reference: ReferenceSolution) -> Callable[[np.ndarray], np.ndarray]:
@@ -417,7 +417,8 @@ def suboptimality(obj, reference: ReferenceSolution) -> Callable[[np.ndarray], n
     The values differ from ``full_value(obj, x) - f*`` (a matrix-vector
     product and ``np.logaddexp``) in the last bits.
 
-    The absolute sum evaluates ``full_value(obj, x) - f*`` per iterate.
+    The absolute sum is evaluated CHUNK iterates at a time, each iterate's n
+    terms summed along a contiguous axis: ``full_value(obj, x) - f*``'s bits.
     """
     x_star, f_star = reference.x_star, reference.f_star
     if obj.kind == "quadratic":
@@ -452,12 +453,13 @@ def suboptimality(obj, reference: ReferenceSolution) -> Callable[[np.ndarray], n
 
         return stacked_logistic
 
-    def full_minus_f_star(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X)
-        values = [full_value(obj, x) for x in X.reshape(-1, obj.d)]
-        return (np.array(values) - f_star).reshape(X.shape[:-1])
+    def stacked_absolute(X: np.ndarray) -> np.ndarray:
+        flat = np.reshape(X, (-1, 1))  # d = 1
+        sums = [np.add.reduce(np.abs(flat[start:start + CHUNK] - obj.shifts), axis=1)
+                for start in range(0, len(flat), CHUNK)]
+        return (np.concatenate(sums) / obj.n - f_star).reshape(np.shape(X)[:-1])
 
-    return full_minus_f_star
+    return stacked_absolute
 
 
 def make_counterexample_1d() -> QuadraticObjective:
@@ -480,7 +482,10 @@ def make_fig1_problem(
     """Random quadratic finite sum with H_i = A_i A_i^T / (3d), A_i standard
     Gaussian (d x 3d). Offsets are i.i.d. standard normal, shared across
     components when ``interpolated``."""
-    H = np.empty((n, d, d))
+    try:
+        H = np.empty((n, d, d))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
+        raise ConfigurationError(f"cannot allocate the {n}x{d}x{d} curvature array") from None
     for i in range(n):
         A = rng.standard_normal((d, 3 * d))
         H[i] = A @ A.T / (3 * d)

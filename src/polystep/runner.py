@@ -4,8 +4,8 @@ records per-iteration metrics and writes traces, aggregates and a manifest.
 Every (config, seed) row of a grid advances in lockstep (``grid_lockstep``):
 the iterates form one (R, d) array and every step makes one batch draw and
 one evaluation over all rows, then one rule call per config on its slice of
-rows. A recorded step only copies every row's x_k, running average and
-stepsize into a block; one stacked ``suboptimality`` call evaluates a whole
+rows. A recorded step stores every row's stepsize and keeps its x_k and
+running average; one stacked ``suboptimality`` call evaluates a whole
 block of records (``_run_pass``). Each row draws from its own seed's stream,
 one x0 draw and then one batch draw per step, and each record depends only
 on its own iterate, so a row's trace does not depend on which rows run
@@ -266,6 +266,8 @@ def _check_config(cfg: RunConfig) -> None:
     seps = {"/", os.sep, os.altsep} - {None}
     if cfg.label in (".", "..") or any(sep in cfg.label for sep in seps):
         raise ConfigurationError(f"label {cfg.label!r} is not a plain file name")
+    if not cfg.out_dir:
+        raise ConfigurationError("out_dir is empty; name a directory for the outputs")
     # the nearest existing path on the way to out_dir must be a directory, or
     # writing the outputs would fail after the whole run
     existing = cfg.out_dir
@@ -279,56 +281,55 @@ def _label(cfg: RunConfig) -> str:
     return cfg.label or f"{cfg.problem.name}_{cfg.optimizer}"
 
 
+def _outputs(cfg: RunConfig) -> tuple[str, str, str]:
+    """The paths of one config's trace, aggregate and manifest."""
+    stem = os.path.join(cfg.out_dir, _label(cfg))
+    ext = data_io.TRACE_FORMATS[cfg.trace_format]
+    return f"{stem}.{ext}", f"{stem}_agg.csv", f"{stem}_manifest.json"
+
+
 # One block of pending records holds at most this many records and this many
 # bytes of iterates. The evaluators' temporaries are a few times the block, and
 # at 1 MB they raised quadratic_grid's peak RSS by 0.2 MB; at 256 KB they do not.
 RECORDS_PER_BLOCK, RECORD_BLOCK_BYTES = 64, 1 << 18
 
 
-def _run_pass(obj, reference, cfgs: list[RunConfig]) -> list[tuple[Trace, list[dict]]]:
+def _run_pass(obj, reference, cfgs: list[RunConfig],
+              records: Trace) -> list[tuple[Trace, list[dict]]]:
     """Advance every (config, seed) row of a grid, ``cfgs`` of one run shape,
     in one ``grid_lockstep``: config c's seeds form one group of rows with its
-    own rule, stepper config and fresh ``stream(seed)`` generators. Returns
-    each config's records and diagnostics.
+    own rule, stepper config and fresh ``stream(seed)`` generators. Fills
+    ``records``, the grid's table, and returns each config's rows and diagnostics.
 
-    A record copies every row's x_k, x̄_k and gamma_k into a block; when the
-    block is full, and at the last record, one ``suboptimality`` call
-    evaluates all its iterates and the trace columns are filled by slice."""
+    A record stores every row's gamma_k and keeps the yielded x_k and x̄_k; a
+    full block of them, and the last, is stacked once for ``suboptimality``."""
     first = cfgs[0]
-    x_star = reference.x_star
     f_sub = objectives.suboptimality(obj, reference)
-    seeds = [seed for c in cfgs for seed in c.seeds]
-    rngs = [stream(seed) for seed in seeds]
+    rngs = [stream(seed) for seed in records.seeds]
     scales = [c.x0_scale for c in cfgs for _ in c.seeds]
     X0 = np.array([scale * rng.standard_normal(obj.d) for scale, rng in zip(scales, rngs)])
     groups = [(c.optimizer, c.stepper, len(c.seeds)) for c in cfgs]
-    # record every record_every-th step and the last
-    ks = np.append(np.arange(0, first.K - 1, first.record_every), first.K - 1)
-    records = Trace.empty(seeds, ks)
-    record_at = ks.tolist()
+    record_at = records.ks.tolist()
     per_block = max(1, min(RECORDS_PER_BLOCK, RECORD_BLOCK_BYTES // (2 * X0.nbytes)))
-    iterates = np.empty((2, len(seeds), per_block, obj.d))  # x_k and x̄_k of pending records
-    gammas = np.empty((len(seeds), per_block))
+    pending = []  # (x_k, x̄_k) of each record taken but not yet evaluated
     xbar_sum = np.zeros_like(X0)
-    first_negative = np.full(len(seeds), -1)  # per row, the first k with gamma_k < 0
-    done = j = 0  # records evaluated, records taken
+    first_negative = np.full(len(X0), -1)  # per row, the first k with gamma_k < 0
+    j = 0  # records taken
     for k, X, gamma in grid_lockstep(obj, groups, X0, first.K, first.B, rngs):
         xbar_sum += X
         # at every step, as a row may step back to gamma >= 0; fmin skips a nan
         if np.fmin.reduce(gamma) < 0:
             first_negative[(gamma < 0) & (first_negative < 0)] = k
         if k == record_at[j]:
-            slot = j - done
-            iterates[0, :, slot] = X
-            np.divide(xbar_sum, k + 1, out=iterates[1, :, slot])
-            gammas[:, slot] = gamma
+            pending.append((X, xbar_sum / (k + 1)))
+            records.gamma[:, j] = gamma
             j += 1
-            if j - done == per_block or j == len(record_at):
-                pending = iterates[:, :, :j - done]
-                E = pending[0] - x_star
-                records.record(slice(done, j), *f_sub(pending), np.vecdot(E, E),
-                               gammas[:, :j - done])
-                done = j
+            if len(pending) == per_block or j == len(record_at):
+                block = np.stack(pending, axis=2)  # (2, R, records, d)
+                E = block[0] - reference.x_star
+                # every metric but gamma, which each record stored as it was taken
+                records.record(slice(j - len(pending), j), *f_sub(block), np.vecdot(E, E))
+                pending = []
     results = []
     for c, stop in zip(cfgs, np.cumsum([len(c.seeds) for c in cfgs])):
         start = stop - len(c.seeds)
@@ -361,18 +362,12 @@ def _diagnostics(records: Trace, first_negative: np.ndarray) -> list[dict]:
 
 def _write_run(cfg: RunConfig, obj, reference, records: Trace,
                diagnostics: list[dict]) -> RunOutput:
-    """Write one config's trace, aggregate and manifest."""
-    label = _label(cfg)
+    """Write one config's trace, aggregate and manifest (``_outputs``)."""
+    trace_path, agg_path, manifest_path = _outputs(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    ext = data_io.TRACE_FORMATS[cfg.trace_format]
-    trace_path = os.path.join(cfg.out_dir, f"{label}.{ext}")
     data_io.write_trace(records, trace_path, cfg.trace_format)
-
-    agg = aggregate_records(records, label)
-    agg_path = os.path.join(cfg.out_dir, f"{label}_agg.csv")
+    agg = aggregate_records(records, _label(cfg))
     write_aggregate(agg, agg_path)
-
-    manifest_path = os.path.join(cfg.out_dir, f"{label}_manifest.json")
     with open(manifest_path, "w") as fh:
         json.dump({
             **asdict(cfg),
@@ -386,12 +381,14 @@ def _write_run(cfg: RunConfig, obj, reference, records: Trace,
     return RunOutput(trace_path, agg_path, manifest_path, agg, records, diagnostics)
 
 
-def _run_grid(cfgs: list[RunConfig], obj=None, reference=None) -> list[RunOutput]:
+def _run_grid(cfgs: list[RunConfig], obj=None, reference=None,
+              summary: str | None = None) -> list[RunOutput]:
     """Run a grid in one engine pass. Before any work, check every config (so
     one bad on its own fails before a dataset is read), that all share problem,
     seeds, K, B, record_every and reference_tol (another shape is another
-    grid), and that no two write the same (out_dir, label). Then build the
-    problem unless ``obj`` is given, check B against its n, certify each Polyak
+    grid), and that no two outputs (``_outputs`` and a caller's ``summary``)
+    share a path; then allocate the record table. Then build the problem
+    unless ``obj`` is given, check B against its n, certify each Polyak
     target, solve the reference unless given, make one ``_run_pass`` and write
     and return each config's outputs, in the order of ``cfgs``. A diverging row
     records inf or nan, without a floating-point warning, and its config's
@@ -402,14 +399,24 @@ def _run_grid(cfgs: list[RunConfig], obj=None, reference=None) -> list[RunOutput
     for name in ("K", "seeds", "problem", "reference_tol", "B", "record_every"):
         if any(getattr(c, name) != getattr(first, name) for c in cfgs[1:]):
             raise ConfigurationError(f"compare_grid: all configs must share {name}")
-    outputs = set()  # (out_dir, label) pairs
-    for c in cfgs:
-        where = (os.path.abspath(c.out_dir), _label(c))
-        if where in outputs:
-            raise ConfigurationError(
-                f"compare_grid: two configs would write {_label(c)!r} in {c.out_dir!r}; "
-                "give each config its own label or out_dir")
-        outputs.add(where)
+    writers = [(path, f"config {_label(c)!r}") for c in cfgs for path in _outputs(c)]
+    if summary is not None:
+        writers.append((summary, "the sweep summary"))
+    owners = {}  # absolute path -> who writes it
+    for path, who in writers:
+        where = os.path.abspath(path)
+        if where in owners:
+            raise ConfigurationError(f"compare_grid: {owners[where]} and {who} would both "
+                                     f"write {path!r}; give each config its own label or out_dir")
+        owners[where] = who
+    seeds = [seed for c in cfgs for seed in c.seeds]
+    try:  # record every record_every-th step and the last
+        records = Trace.empty(seeds, np.append(
+            np.arange(0, first.K - 1, first.record_every), first.K - 1))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
+        n_records = len(range(0, first.K - 1, first.record_every)) + 1
+        raise ConfigurationError(
+            f"cannot allocate the {len(seeds)}x{n_records} record table") from None
     if obj is None:
         obj = build_problem(first.problem)
     if not 1 <= first.B <= obj.n:
@@ -424,7 +431,7 @@ def _run_grid(cfgs: list[RunConfig], obj=None, reference=None) -> list[RunOutput
         reference = objectives.solve_reference(obj, first.reference_tol)
     with np.errstate(over="ignore", invalid="ignore"):
         return [_write_run(c, obj, reference, *result)
-                for c, result in zip(cfgs, _run_pass(obj, reference, cfgs))]
+                for c, result in zip(cfgs, _run_pass(obj, reference, cfgs, records))]
 
 
 def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
@@ -457,8 +464,9 @@ def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
     solo ``run_experiment``."""
     if not cfgs:
         return []
+    summary_path = os.path.join(cfgs[0].out_dir, "sweep_summary.csv")
     table = []
-    for c, out in zip(cfgs, _run_grid(cfgs)):
+    for c, out in zip(cfgs, _run_grid(cfgs, summary=summary_path)):
         agg = out.aggregate
         final = -1
         table.append({
@@ -471,7 +479,6 @@ def compare_grid(cfgs: list[RunConfig]) -> list[dict]:
             "diagnostics": out.diagnostics,
         })
     table.sort(key=lambda row: row["final_f_sub_avg_mean"])
-    summary_path = os.path.join(cfgs[0].out_dir, "sweep_summary.csv")
     every = np.arange(len(table))
     with open(summary_path, "wb") as fh:
         data_io.write_csv(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import polystep
-from polystep import data_io, objectives
+from polystep import data_io, objectives, runner
 from polystep.cli import main
 from polystep.core import ConfigurationError
 from polystep.data_io import LoadError
@@ -194,6 +194,12 @@ class TestRun:
         # b0 squared is adagrad_norm's first accumulator: it must not overflow or underflow
         ((*ONE_SEED, "--optimizer", "adagrad_norm", "--b0", "1e200"), "b0 squared must be"),
         ((*ONE_SEED, "--optimizer", "adagrad_norm", "--b0", "1e-200"), "b0 squared must be"),
+        (("--problem", "counterexample", "--seeds", "0"), "a run needs at least one seed"),
+        # sizes numpy refuses before it allocates anything
+        (("--problem", "fig1", "--n", "100", "--d", "1000000000", "--seeds", "1"),
+         "cannot allocate the 100x1000000000x1000000000 curvature array"),
+        (("--problem", "synthetic", "--n", "1000000000000", "--d", "100000000", "--seeds", "1"),
+         "cannot allocate the 1000000000000x100000000 feature matrix"),
     ])
     def test_library_error_exits_2_with_one_line(self, tmp_path, capsys, flags, message):
         rc = run_cli("run", *flags, "--iters", "3", "--out", str(tmp_path / "out"))
@@ -207,6 +213,27 @@ class TestRun:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "absent.json" in err and "No such file" in err
+
+    def test_record_table_too_large_exits_2_before_the_problem_is_built(
+            self, tmp_path, capsys, monkeypatch):
+        # 2**62 records: numpy refuses the table before it allocates anything
+        def fail(*args, **kwargs):
+            raise AssertionError("the problem was built or solved")
+
+        monkeypatch.setattr(runner, "build_problem", fail)
+        monkeypatch.setattr(objectives, "solve_reference", fail)
+        rc = run_cli("run", *ONE_SEED, "--iters", str(2**62), "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: cannot allocate the 1x{2**62} record table\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_out_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli("run", *ONE_SEED, "--iters", "3", "--out", "")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: out_dir is empty; name a directory for the outputs\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     def test_out_through_a_file_exits_2_before_any_work(self, tmp_path, capsys, out):

@@ -364,7 +364,9 @@ class TestSuboptimality:
         make_counterexample_1d(),
         small_logistic(seed=48, n=30, d=4, lam=0.05),
         ShiftedAbsoluteObjective(np.array([-1.0, 0.2, 0.7, 2.0, 3.5])),
-    ], ids=["fig1", "counterexample", "logistic", "absolute"])
+        # enough terms for numpy's pairwise summation to split each sum
+        ShiftedAbsoluteObjective(stream(50).standard_normal(1000)),
+    ], ids=["fig1", "counterexample", "logistic", "absolute", "absolute_n1000"])
     def test_rows_match_one_iterate_at_a_time(self, obj):
         ref = solve_reference(obj)
         f_sub = suboptimality(obj, ref)
@@ -388,8 +390,8 @@ class TestSuboptimality:
         ShiftedAbsoluteObjective(np.array([-1.0, 0.2, 0.7, 2.0, 3.5])),
     ], ids=["logistic", "absolute"])
     def test_other_kinds_are_full_value_minus_f_star(self, obj):
-        # the absolute sum calls full_value itself; the stacked logistic
-        # evaluator agrees with it to the goldens' bound
+        # the stacked absolute sum gives full_value's bits; the stacked
+        # logistic evaluator agrees with it to the goldens' bound
         ref = solve_reference(obj)
         f_sub = suboptimality(obj, ref)
         rng = stream(46)

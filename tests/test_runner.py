@@ -387,6 +387,16 @@ class TestCompareGrid:
         # the default label names problem and optimizer, so these two differ
         compare_grid([counterexample_cfg(tmp_path), counterexample_cfg(tmp_path, optimizer="adam")])
 
+    @pytest.mark.parametrize("labels,shared", [
+        (("x_agg", "x"), "x_agg.csv"),  # the trace of x_agg, the aggregate of x
+        (("sweep_summary", "other"), "sweep_summary.csv"),  # a trace, the summary
+    ])
+    def test_outputs_sharing_a_path_rejected_before_any_work(self, tmp_path, labels, shared):
+        cfgs = [counterexample_cfg(tmp_path, label=label) for label in labels]
+        with pytest.raises(ConfigurationError, match=f"'{labels[0]}'.*{shared}"):
+            compare_grid(cfgs)
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("run", [
         run_experiment, lambda cfg: compare_grid([cfg, replace(cfg, label="other")]),
     ], ids=["run_experiment", "compare_grid"])
