@@ -31,8 +31,9 @@ BOUNDS = {"positive": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda 
 def check_fields(config, reader=None) -> None:
     """Check each field of the dataclass ``config`` as it is declared: its ``choices``, its
     annotated type (one a manifest's ``json.dump`` writes: np.float64 is a float, np.int64
-    and np.float32 are not), a finite float, and its ``bound`` unless its ``read_by`` leaves
-    out ``reader``. A choice or bound message names the ``setting`` metadata, else the field."""
+    and np.float32 are not), a str without a NUL byte, a finite float, and its ``bound``
+    unless its ``read_by`` leaves out ``reader``. A choice or bound message names the
+    ``setting`` metadata, else the field."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         meta = f.metadata
@@ -45,6 +46,8 @@ def check_fields(config, reader=None) -> None:
         if kind and (not isinstance(value, kind[0])
                      or isinstance(value, bool) and f.type != "bool"):
             raise ConfigurationError(f"{f.name} must be {kind[1]}, got {value!r}")
+        if isinstance(value, str) and "\0" in value:  # a path with one fails in open or mkdir
+            raise ConfigurationError(f"{f.name} must hold no NUL byte, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             raise ConfigurationError(f"{f.name} must be finite, got {value}")
         bound = meta.get("bound")  # a field without read_by is read by every reader

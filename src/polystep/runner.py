@@ -60,7 +60,7 @@ class RunConfig:
     problem: ProblemSpec
     optimizer: str = field(metadata={"choices": tuple(sorted(STEPPERS))})
     stepper: StepperConfig = StepperConfig()
-    B: int = 1
+    B: int = field(default=1, metadata={"bound": ">= 1", "setting": "batch size"})
     K: int = field(default=1000, metadata={"bound": ">= 1", "setting": "iteration count K"})
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     reference_tol: float = 1e-10

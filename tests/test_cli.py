@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polystep
@@ -33,12 +35,33 @@ def test_every_input_error_is_a_configuration_error(error):
     assert issubclass(error, ConfigurationError)
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("run", "--batch-size"), ("sweep", "--sweep-values"), ("reference", "--reference-tol"),
+])
+def test_help_renders(capsys, command, flag):
+    # each flag's help is built from its config field
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: polystep {command}") and flag in out
+
+
 @pytest.fixture
 def no_dataset_read(monkeypatch):
     """Fail the test if a LIBSVM dataset is read."""
     def load(*args, **kwargs):
         raise AssertionError("the dataset was read")
     monkeypatch.setattr(data_io, "load_libsvm", load)
+
+
+@pytest.fixture(scope="module")
+def crlf_svm():
+    """A dense LIBSVM file with CRLF line ends: 6000 rows, 30 columns, 1.6 MB."""
+    rng = np.random.default_rng(0)
+    labels, rows = rng.choice([-1, 1], 6000), rng.standard_normal((6000, 30))
+    return "".join(f"{y} " + " ".join(f"{j}:{v:.6g}" for j, v in enumerate(row, 1)) + "\r\n"
+                   for y, row in zip(labels.tolist(), rows.tolist())).encode()
 
 
 # a dataset problem, for the checks that must fail before its file is read
@@ -128,6 +151,9 @@ class TestRun:
         (ABSENT, ("--reference-tol", "0"),
          "error: reference_tol must be > 0 and finite, got 0.0\n"),
         (ABSENT, ("--optimizer", "adam", "--beta2", "2"), "error: beta2 must be in (0, 1), got 2.0\n"),
+        # B < 1 needs no n: it used to fail only after the problem was built
+        (ABSENT, ("--batch-size", "0"), "error: batch size must be >= 1, got 0\n"),
+        (ABSENT, ("--batch-size", "-3"), "error: batch size must be >= 1, got -3\n"),
     ])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, no_dataset_read,
                                                values, flags, message):
@@ -164,6 +190,23 @@ class TestRun:
         rc, manifest = run_with_config(tmp_path, values)
         assert rc == 0
         assert manifest["problem"]["n"] == 5 and manifest["problem"]["interpolated"] is True
+
+    @pytest.mark.parametrize("values,message", [
+        # it used to run the whole grid, then fail in os.makedirs
+        ({"problem": "counterexample", "out": "a\0b"}, "out_dir must hold no NUL byte"),
+        # it used to fail in the loader's open
+        ({"problem": "dataset", "dataset": "x\0.svm"}, "dataset_path must hold no NUL byte"),
+    ])
+    def test_nul_byte_in_a_config_path_exits_2_before_any_work(self, tmp_path, capsys,
+                                                                monkeypatch, values, message):
+        # argv cannot carry a NUL byte; a config file can
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"iters": 3, "seeds": 1, **values}))
+        rc = run_cli("run", "--config", "cfg.json")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("flags,message", [
         (("--problem", "counterexample", "--reference-tol", "0"), "reference_tol must be > 0"),
@@ -281,6 +324,7 @@ class TestRun:
         pytest.param(b"1 1:1 1000000000000:1\n" * 20000, "libsvm",
                      ": cannot allocate the 20000x1000000000000 feature matrix",
                      id="wide-sparse-file-many-blocks-long"),
+        (b"1,0.5,1\n-1,2\n", "delimited", ":2: ragged row (2 cells, expected 3)"),
     ])
     def test_undecodable_or_oversized_dataset_exits_2_with_one_line(
             self, tmp_path, capsys, content, fmt, message):
@@ -291,6 +335,40 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {data}{message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content,fmt", [
+        # a tab and a blank line
+        ("1 1:0.5 2:1\n0 1:-0.3\t2:0.2\n\n1 2:0.7\n0 1:0.1 2:-1.5\n", "libsvm"),
+        # a header and a blank line
+        ("label,a,b\n1,0.5,1\n-1,-0.3,0.2\n\n1,0.1,0.7\n-1,0.1,-1.5\n", "delimited"),
+    ], ids=["libsvm", "delimited"])
+    def test_dataset_runs_end_to_end(self, tmp_path, content, fmt):
+        data = tmp_path / "d.data"
+        data.write_text(content)
+        rc = run_cli("run", "--problem", "dataset", "--dataset", str(data), "--dataset-format",
+                     fmt, "--lambda", "0.1", "--batch-size", "2", "--iters", "20", "--seeds", "2",
+                     "--out", str(tmp_path / "out"))
+        assert rc == 0
+        trace = (tmp_path / "out" / "dataset_decsps.csv").read_text().splitlines()
+        assert len(trace) == 1 + 2 * 20
+
+    @pytest.mark.parametrize("last,rc,err", [
+        ("", 0, ""),
+        ("1 1:1_0\r\n", 0, ""),  # a last line that only the line scan takes
+        ("1 1:abc\r\n", 2, ":6001: bad pair '1:abc'\n"),
+    ], ids=["clean", "scanned-last-line", "bad-last-line"])
+    def test_crlf_dataset_many_reads_long(self, tmp_path, capsys, crlf_svm, last, rc, err):
+        data = tmp_path / "crlf.svm"
+        data.write_bytes(crlf_svm + last.encode())
+        assert data.stat().st_size > 25 * data_io._LIBSVM_BLOCK
+        out = tmp_path / "out"
+        assert run_cli("run", "--problem", "dataset", "--dataset", str(data), "--lambda", "0.01",
+                       "--iters", "20", "--seeds", "1", "--out", str(out)) == rc
+        assert capsys.readouterr().err == (f"error: {data}{err}" if err else "")
+        if rc == 0:
+            assert len((out / "dataset_decsps.csv").read_text().splitlines()) == 21
+        else:
+            assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         rc, _ = run_with_config(tmp_path, {"bogus_key": 1})
@@ -389,10 +467,35 @@ class TestRun:
         assert err.count("\n") == 1 and "linearly separable" in err and "--lambda" in err
         assert not (tmp_path / "out").exists()
 
-    def test_huge_b0_is_no_failure_for_a_rule_that_ignores_it(self, tmp_path, capsys):
-        rc = run_cli("run", "--problem", "counterexample", "--optimizer", "decsps",
-                     "--b0", "1e200", "--iters", "3", "--seeds", "1", "--out", str(tmp_path))
+    @pytest.mark.parametrize("optimizer,flag,value", [
+        ("decsps", "--b0", "1e200"), ("sgd_constant", "--gamma-b", "-1"),
+    ], ids=["decsps-b0", "sgd_constant-gamma_b"])
+    def test_bad_setting_is_no_failure_for_a_rule_that_ignores_it(self, tmp_path, capsys,
+                                                                  optimizer, flag, value):
+        # a bound holds only for the rules that read its setting
+        rc = run_cli("run", "--problem", "counterexample", "--optimizer", optimizer, flag, value,
+                     "--iters", "3", "--seeds", "1", "--out", str(tmp_path))
         assert rc == 0 and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("problem,flags", [
+        ("synthetic", ("--n", "200", "--d", "20")),
+        ("fig1", ("--n", "50", "--d", "100")),  # the step kernel at its largest shape
+    ], ids=["synthetic", "fig1-d100"])
+    def test_default_run_records_every_step_above_f_star(self, tmp_path, problem, flags):
+        # decsps, c_k = sqrt(k+1), gamma_b = 10: a record at every step
+        rc = run_cli("run", "--problem", problem, *flags, "--iters", "300", "--seeds", "3",
+                     "--out", str(tmp_path))
+        assert rc == 0
+        f_star = json.loads((tmp_path / f"{problem}_decsps_manifest.json").read_text())["f_star"]
+        trace = data_io.read_trace(str(tmp_path / f"{problem}_decsps.csv"))
+        assert trace.seeds == (0, 1, 2) and trace.ks.tolist() == list(range(300))
+        # no f - f* falls below zero by more than rounding
+        floor = -1e-10 * max(1.0, abs(f_star))
+        assert trace.f_sub.min() >= floor and trace.f_sub_avg_iterate.min() >= floor
+        if problem == "fig1":
+            # per seed, gamma_k never rises and stays <= gamma_b / sqrt(k+1), exactly as floats
+            bound = np.array([10.0 / math.sqrt(k + 1) for k in range(300)])
+            assert (np.diff(trace.gamma, axis=1) <= 0.0).all() and (trace.gamma <= bound).all()
 
     def test_landing_on_a_component_minimiser_is_no_failure(self, tmp_path, capsys):
         # gamma_0 = 0.25 / 0.5 lands some seeds exactly on x = 1, where one
@@ -423,18 +526,24 @@ class TestSweep:
         assert rc == 0
         out = capsys.readouterr().out
         assert "final f_sub_avg" in out
-        assert (tmp_path / "sweep_summary.csv").exists()
         assert len(out.strip().splitlines()) == 4  # header + 3 rows
+        assert len((tmp_path / "sweep_summary.csv").read_text().splitlines()) == 4
 
-    def test_c0_scales_the_linear_half_schedule(self, tmp_path):
-        # c_k = c0 (k+1)/2, so each c0 of an sps_max sweep writes its own trace
+    @pytest.mark.parametrize("flags", [
+        ("--c-schedule", "linear_half"),  # c_k = c0 (k+1)/2
+        # c_k = c0: with the exact target, sps_max is SPS_max with c = c0
+        ("--c-schedule", "constant", "--lower-bound", "exact"),
+    ], ids=["linear_half", "constant-exact"])
+    def test_c0_scales_the_c_schedule(self, tmp_path, flags):
+        # so each c0 of an sps_max sweep writes its own trace
         rc = run_cli("sweep", "--problem", "fig1", "--n", "10", "--d", "3",
-                     "--optimizer", "sps_max", "--c-schedule", "linear_half",
-                     "--sweep-param", "c0", "--sweep-values", "0.5,1,2", "--iters", "50",
-                     "--seeds", "0,1", "--out", str(tmp_path))
+                     "--optimizer", "sps_max", *flags, "--sweep-param", "c0",
+                     "--sweep-values", "0.5,1,2", "--iters", "50", "--seeds", "0,1",
+                     "--out", str(tmp_path))
         assert rc == 0
         traces = [(tmp_path / f"fig1_sps_max_c0_{c0}.csv").read_bytes() for c0 in ("0.5", "1", "2")]
         assert len(set(traces)) == 3
+        assert len((tmp_path / "sweep_summary.csv").read_text().splitlines()) == 4
 
     def test_colliding_labels_exit_2_before_any_work(self, tmp_path, capsys):
         # 1 and 1.0 give the same label, fig1_decsps_c0_1
@@ -593,7 +702,7 @@ class TestReference:
         rc = run_cli("reference", "--problem", "counterexample")
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["f_star"] == pytest.approx(2.0 / 3.0)
+        assert abs(data["f_star"] - 2.0 / 3.0) <= 1e-12
         assert data["x_star"][0] == pytest.approx(1.0 / 3.0)
         assert not list(tmp_path.iterdir())
 

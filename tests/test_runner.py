@@ -221,6 +221,8 @@ class TestRunExperiment:
         # "no" is truthy: it ran an interpolated problem
         ("problem", ProblemSpec("fig1", n=5, d=2, interpolated="no"),
          "^interpolated must be a bool, got 'no'$"),
+        # open and os.makedirs refuse a path with a NUL byte, the latter after the run
+        ("label", "a\0b", r"^label must hold no NUL byte, got 'a\\x00b'$"),
     ])
     def test_bad_value_rejected_before_any_work(self, tmp_path, field, value, message):
         with pytest.raises(ConfigurationError, match=message):
