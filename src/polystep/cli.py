@@ -80,18 +80,24 @@ def _add_run(p: argparse.ArgumentParser) -> None:
     _add_fields(p, StepperConfig, problem=False)
 
 
-def _parse_seeds(spec) -> tuple[int, ...]:
+def _parse_seeds(args) -> tuple[int, ...]:
+    """The seeds of --seeds. A count N is checked against the record table of
+    N seeds before its seeds 0..N-1 are listed."""
+    spec = args.seeds
     try:
         if isinstance(spec, list):  # a JSON list, each entry read as the flag reads it
             return tuple(int(str(s)) for s in spec)
         text = str(spec)
         parts = [s for s in text.split(",") if s]
-        if len(parts) == 1 and "," not in text:
-            return tuple(range(int(parts[0])))
-        return tuple(int(s) for s in parts)
+        if len(parts) != 1 or "," in text:
+            return tuple(int(s) for s in parts)
+        count = int(parts[0])
     except (TypeError, ValueError):
         raise ConfigurationError(
             f"seeds must be a count or a list of integers, got {spec!r}") from None
+    if args.record_every >= 1:  # else the library names record_every
+        runner.check_record_table(count, args.iters, args.record_every)
+    return tuple(range(count))
 
 
 def _config_value(action: argparse.Action, key: str, val):
@@ -152,7 +158,7 @@ def _from_flags(cls, args, **given):
 
 def _run_config(args) -> RunConfig:
     return _from_flags(RunConfig, args, problem=_from_flags(ProblemSpec, args),
-                       stepper=_from_flags(StepperConfig, args), seeds=_parse_seeds(args.seeds))
+                       stepper=_from_flags(StepperConfig, args), seeds=_parse_seeds(args))
 
 
 def _report_divergence(runs) -> int:

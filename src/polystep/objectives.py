@@ -18,18 +18,20 @@ All objectives expose the same surface:
 Polyak rule subtracts.
 
 ``value_and_grad`` is the step kernel: it gathers the batch's component
-arrays with ``take``. The quadratic kernel forms e = x - o_i and H_i e once
-per row and batch member (one einsum), then takes the value e^T H_i e / 2
-from a ``vecdot`` and the gradient as the in-order sum of the H_i e over the
-batch; ``batch_value`` and ``batch_grad`` use the same forms. It makes no BLAS
-``matmul``, whose bits would depend on the thread count.
+arrays with ``take``. The logistic kernels read only the margin rows R, so
+z = R_S x and the gradient is R_S^T sigmoid(z) / |S| + lam x. The quadratic
+kernel forms e = x - o_i and H_i e once per row and batch member (one einsum),
+then takes the value e^T H_i e / 2 from a ``vecdot`` and the gradient as the
+in-order sum of the H_i e over the batch; ``batch_value`` and ``batch_grad``
+use the same forms. It makes no BLAS ``matmul``, whose bits would depend on
+the thread count.
 
 The batch loss is f_S(x) = (1/|S|) sum_{i in S} f_i(x).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -102,57 +104,55 @@ class LogisticObjective:
 
     With the default ``standard`` label convention,
     f_i(x) = log(1 + exp(-y_i a_i^T x)) + (lam/2) ||x||^2.
-    ``as_printed`` flips the margin sign (+y_i a_i^T x). ``signed_labels``
-    holds each margin's sign times its label, so a margin z_i is
-    signed_labels_i a_i^T x.
+    ``as_printed`` flips the margin sign (+y_i a_i^T x). Only the margin rows
+    r_i = s y_i a_i (s = -1 for ``standard``) are kept, not the features, so a
+    margin z_i is r_i^T x. A sign flip is exact: each kernel gets the bits
+    that gathering the signed labels and multiplying them in would give.
     """
 
-    features: np.ndarray  # (n, d)
+    features: InitVar[np.ndarray]  # (n, d)
     labels: np.ndarray  # (n,), values in {-1, +1}
     lam: float = field(default=0.0, metadata={"bound": ">= 0"})
     label_sign: str = field(default="standard", metadata={"choices": LABEL_SIGNS})
-    signed_labels: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)  # (n, d)
 
     kind = "logistic"
     nonnegative = True  # logaddexp >= 0 and the L2 term is >= 0
 
-    def __post_init__(self):
-        _store_c_order(self, "features", "labels")
+    def __post_init__(self, features):
+        _store_c_order(self, "labels")
+        if np.ndim(features) != 2 or self.labels.shape != np.shape(features)[:1]:
+            raise ConfigurationError(f"features must be (n, d) and labels (n,), got "
+                                     f"{np.shape(features)} and {self.labels.shape}")
         sign = -1.0 if self.label_sign == "standard" else 1.0
-        object.__setattr__(self, "signed_labels", sign * self.labels)
+        rows = np.multiply((sign * self.labels)[:, None], features, order="C")
+        object.__setattr__(self, "rows", rows)
         check_fields(self)
         if not np.isin(self.labels, (-1.0, 1.0)).all():
             raise ConfigurationError("labels must be in {-1, +1}")
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.rows.shape[0]
 
     @property
     def d(self) -> int:
-        return self.features.shape[1]
+        return self.rows.shape[1]
 
     def batch_value(self, S: MiniBatch, x: Vector) -> float:
-        A = self.features[S]
-        z = self.signed_labels[S] * (A @ x)
-        reg = 0.5 * self.lam * float(np.dot(x, x))
-        return float(np.mean(np.logaddexp(0.0, z))) + reg
+        z = self.rows[S] @ x
+        return float(np.mean(np.logaddexp(0.0, z))) + 0.5 * self.lam * float(np.dot(x, x))
 
     def batch_grad(self, S: MiniBatch, x: Vector) -> Vector:
-        A = self.features[S]
-        sy = self.signed_labels[S]
-        z = sy * (A @ x)
-        w = sy * _sigmoid(z)
-        return A.T @ w / A.shape[0] + self.lam * x
+        A = self.rows[S]
+        return A.T @ _sigmoid(A @ x) / A.shape[0] + self.lam * x
 
     def value_and_grad(self, S: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        A = self.features.take(S, axis=0)  # (R, B, d)
-        sy = self.signed_labels.take(S)
-        z = sy * (A @ X[:, :, None])[..., 0]
+        A = self.rows.take(S, axis=0)  # (R, B, d)
+        z = (A @ X[:, :, None])[..., 0]
         B = A.shape[1]
         values = np.add.reduce(np.logaddexp(0.0, z), axis=1) / B + 0.5 * self.lam * np.vecdot(X, X)
-        w = sy * _sigmoid(z)
-        grads = (A.transpose(0, 2, 1) @ w[:, :, None])[..., 0] / B + self.lam * X
+        grads = (A.transpose(0, 2, 1) @ _sigmoid(z)[:, :, None])[..., 0] / B + self.lam * X
         return values, grads
 
     def batch_min_value(self, S: MiniBatch) -> float:
@@ -166,7 +166,7 @@ class LogisticObjective:
         )
 
     def curvature(self) -> CurvatureInfo:
-        L = np.einsum("ij,ij->i", self.features, self.features) / 4.0 + self.lam
+        L = np.einsum("ij,ij->i", self.rows, self.rows) / 4.0 + self.lam
         return CurvatureInfo(float(L.max()), float(self.lam))
 
 
@@ -359,13 +359,13 @@ def _newton_step(obj, x: Vector, g: Vector, gn: float) -> Vector:
     """One damped Newton step of the full-batch logistic loss from x, whose
     gradient g has norm gn.
 
-    The Hessian is A^T diag(p (1 - p)) A / n + lam I with p the sigmoid of
-    the margins z. The step length t halves until f falls by at least
-    ARMIJO t |g . dx|; once the Newton decrement -g . dx is within a few ulps
-    of f, f's rounding hides any decrease and the full step is taken.
+    The Hessian is R^T diag(p (1 - p)) R / n + lam I with p = sigmoid(R x).
+    The step length t halves until f falls by at least ARMIJO t |g . dx|;
+    once the Newton decrement -g . dx is within a few ulps of f, f's rounding
+    hides any decrease and the full step is taken.
     """
-    A = obj.features
-    z = obj.signed_labels * (A @ x)
+    A = obj.rows
+    z = A @ x
     if obj.lam == 0.0 and (z < 0.0).all():
         raise SolverFailure("reference solver: the data are linearly separable, so "
                             "the unregularized logistic loss has no minimizer; "
@@ -407,7 +407,7 @@ def suboptimality(obj, reference: ReferenceSolution) -> Callable[[np.ndarray], n
     than the difference of two O(1) values.
 
     The logistic loss is evaluated for all iterates together: one matrix
-    product of the features with CHUNK iterates at a time, the last chunk
+    product of the margin rows with CHUNK iterates at a time, the last chunk
     padded with zeros, then log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|))
     over all margins z at once, each iterate's n terms summed along a
     contiguous axis. OpenBLAS rounds a column differently at some product
@@ -432,8 +432,6 @@ def suboptimality(obj, reference: ReferenceSolution) -> Callable[[np.ndarray], n
         return centred
 
     if obj.kind == "logistic":
-        A, sy = obj.features, obj.signed_labels
-
         def stacked_logistic(X: np.ndarray) -> np.ndarray:
             X = np.asarray(X)
             flat = X.reshape(-1, obj.d)
@@ -443,7 +441,7 @@ def suboptimality(obj, reference: ReferenceSolution) -> Callable[[np.ndarray], n
             for start in range(0, len(padded), CHUNK):
                 # (CHUNK, n) margins, transposed out of the product so that
                 # each iterate's terms are contiguous
-                z = np.multiply((A @ padded[start:start + CHUNK].T).T, sy, order="C")
+                z = np.ascontiguousarray((obj.rows @ padded[start:start + CHUNK].T).T)
                 loss = np.abs(z)  # in place from here on: two CHUNK x n arrays
                 np.log1p(np.exp(np.negative(loss, out=loss), out=loss), out=loss)
                 loss += np.maximum(z, 0.0, out=z)

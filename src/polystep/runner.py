@@ -381,6 +381,17 @@ def _write_run(cfg: RunConfig, obj, reference, records: Trace,
     return RunOutput(trace_path, agg_path, manifest_path, agg, records, diagnostics)
 
 
+def check_record_table(n_seeds: int, K: int, record_every: int) -> int:
+    """The records per seed of a K-step run: every record_every-th step and
+    the last. Raises ConfigurationError if an n_seeds-row table of them is
+    a float column whose bytes numpy cannot count in an intp, so a seed
+    count can be checked before its seeds are listed."""
+    n_records = len(range(0, K - 1, record_every)) + 1
+    if n_seeds * n_records > np.iinfo(np.intp).max // 8:
+        raise ConfigurationError(f"cannot allocate the {n_seeds}x{n_records} record table")
+    return n_records
+
+
 def _run_grid(cfgs: list[RunConfig], obj=None, reference=None,
               summary: str | None = None) -> list[RunOutput]:
     """Run a grid in one engine pass. Before any work, check every config (so
@@ -410,11 +421,11 @@ def _run_grid(cfgs: list[RunConfig], obj=None, reference=None,
                                      f"write {path!r}; give each config its own label or out_dir")
         owners[where] = who
     seeds = [seed for c in cfgs for seed in c.seeds]
-    try:  # record every record_every-th step and the last
+    n_records = check_record_table(len(seeds), first.K, first.record_every)
+    try:
         records = Trace.empty(seeds, np.append(
             np.arange(0, first.K - 1, first.record_every), first.K - 1))
-    except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
-        n_records = len(range(0, first.K - 1, first.record_every)) + 1
+    except MemoryError:
         raise ConfigurationError(
             f"cannot allocate the {len(seeds)}x{n_records} record table") from None
     if obj is None:

@@ -270,6 +270,21 @@ class TestRun:
         assert capsys.readouterr().err == f"error: cannot allocate the 1x{2**62} record table\n"
         assert not (tmp_path / "out").exists()
 
+    def test_seed_count_too_large_exits_2_before_the_seeds_are_listed(
+            self, tmp_path, capsys, monkeypatch):
+        # 2**62 seeds: listing them would raise MemoryError, and numpy would
+        # refuse their table before it allocates anything
+        def fail(*args, **kwargs):
+            raise AssertionError("the problem was built or solved")
+
+        monkeypatch.setattr(runner, "build_problem", fail)
+        monkeypatch.setattr(objectives, "solve_reference", fail)
+        rc = run_cli("run", "--problem", "counterexample", "--seeds", str(2**62),
+                     "--iters", "3", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: cannot allocate the {2**62}x3 record table\n"
+        assert not (tmp_path / "out").exists()
+
     def test_empty_out_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = run_cli("run", *ONE_SEED, "--iters", "3", "--out", "")

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from explicit_logistic import ExplicitLogistic
 from finite_diff import finite_diff_grad
 from polystep.core import ConfigurationError, stream
 from polystep.objectives import (
@@ -10,6 +13,7 @@ from polystep.objectives import (
     SolverFailure,
     UnavailableExactMinimum,
     UnsoundLowerBound,
+    FULL_BATCH,
     _sigmoid,
     full_grad,
     full_value,
@@ -75,7 +79,7 @@ class TestLogistic:
     def test_curvature_constants(self):
         obj = small_logistic(lam=0.3)
         info = obj.curvature()
-        row_norms = (obj.features**2).sum(axis=1)
+        row_norms = (obj.rows**2).sum(axis=1)  # a sign flip keeps each row's norm
         assert info.L_max == pytest.approx(row_norms.max() / 4.0 + 0.3)
         assert info.mu_min == pytest.approx(0.3)
 
@@ -88,6 +92,75 @@ class TestLogistic:
         message = f"^lam must be >= 0, got {lam}$" if lam < 0 else f"^lam must be finite, got {lam}$"
         with pytest.raises(ConfigurationError, match=message):
             LogisticObjective(np.ones((2, 2)), np.array([-1.0, 1.0]), lam=lam)
+
+    @pytest.mark.parametrize("features,labels", [
+        (np.ones(3), np.array([-1.0, 1.0, 1.0])),  # 1-d features: rows would be 3 x 3
+        (np.ones((3, 2)), np.array([1.0])),  # one label would broadcast over every row
+        (np.ones((3, 2)), np.ones((3, 1))),
+        (np.ones((3, 2)), np.ones(4)),
+        (np.ones((1, 3, 2)), np.ones(1)),
+    ], ids=["1d_features", "one_label", "column_labels", "more_labels", "3d_features"])
+    def test_rejects_bad_shapes(self, features, labels):
+        message = (rf"^features must be \(n, d\) and labels \(n,\), got "
+                   rf"{re.escape(str(features.shape))} and {re.escape(str(labels.shape))}$")
+        with pytest.raises(ConfigurationError, match=message):
+            LogisticObjective(features, labels)
+
+    def test_stores_only_the_margin_rows(self):
+        obj = small_logistic()
+        assert not hasattr(obj, "features") and not hasattr(obj, "signed_labels")
+        assert obj.rows.flags.c_contiguous and obj.rows.shape == (obj.n, obj.d)
+
+
+def signed_zero_data():
+    """Features with +0 and -0 entries, an all-zero row and an all-zero
+    column, and labels of both signs."""
+    rng = stream(60)
+    F = rng.standard_normal((37, 5))
+    F[rng.random(F.shape) < 0.2] = 0.0
+    F[rng.random(F.shape) < 0.2] = -0.0
+    F[4] = 0.0
+    F[:, 3] = -0.0
+    return F, rng.choice([-1.0, 1.0], size=37)
+
+
+LAYOUTS = {
+    "c": lambda F: F,
+    "fortran": np.asfortranarray,
+    "strided": lambda F: np.repeat(np.repeat(F, 2, axis=0), 3, axis=1)[::2, ::3],
+}
+
+
+class TestMarginRows:
+    """The kernels on the stored margin rows against the explicit-label
+    forms, byte for byte: a sign flip folded into the rows changes no bit,
+    of a signed zero either."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("label_sign", ["standard", "as_printed"])
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_bit_identical_to_explicit_labels(self, layout, label_sign, lam):
+        F, y = signed_zero_data()
+        obj = LogisticObjective(LAYOUTS[layout](F), y, lam, label_sign)
+        want = ExplicitLogistic(F, y, lam, label_sign)
+        rng = stream(61)
+        X = rng.standard_normal((6, obj.d))
+        X[0] = 0.0  # every margin a signed zero
+        X[1, ::2] = -0.0
+        S = np.stack([rng.choice(obj.n, size=7, replace=False) for _ in range(len(X))])
+        for batch in (FULL_BATCH, np.arange(obj.n), S[2]):
+            for x in X:
+                assert (np.float64(obj.batch_value(batch, x)).tobytes()
+                        == np.float64(want.batch_value(batch, x)).tobytes())
+                assert obj.batch_grad(batch, x).tobytes() == want.batch_grad(batch, x).tobytes()
+        for got, expected in zip(obj.value_and_grad(S, X), want.value_and_grad(S, X)):
+            assert got.tobytes() == expected.tobytes()
+        ref = solve_reference(obj, tol=1e-10)
+        x_star, f_star, grad_norm = want.solve(1e-10)
+        assert ref.x_star.tobytes() == x_star.tobytes()
+        assert (ref.f_star, ref.grad_norm) == (f_star, grad_norm)
+        Y = np.concatenate([X, ref.x_star + rng.standard_normal((13, obj.d))])  # two chunks
+        assert suboptimality(obj, ref)(Y).tobytes() == want.suboptimality(Y, f_star).tobytes()
 
 
 def masked_sigmoid(t):
@@ -246,7 +319,8 @@ class TestSolveReference:
     def test_logistic_matches_gradient_descent(self):
         obj = small_logistic(lam=0.05)
         # plain gradient descent with step 1/L, L of the mean objective
-        L = float(np.linalg.eigvalsh(obj.features.T @ obj.features / obj.n)[-1]) / 4.0 + obj.lam
+        # the margin rows have the features' Gram matrix: each row's sign squares away
+        L = float(np.linalg.eigvalsh(obj.rows.T @ obj.rows / obj.n)[-1]) / 4.0 + obj.lam
         x = np.zeros(obj.d)
         while np.linalg.norm(full_grad(obj, x)) > 1e-10:
             x = x - full_grad(obj, x) / L
