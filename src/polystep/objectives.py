@@ -98,37 +98,37 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 LABEL_SIGNS = ("standard", "as_printed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogisticObjective:
     """Regularized binary logistic loss over n datapoints.
 
     With the default ``standard`` label convention,
     f_i(x) = log(1 + exp(-y_i a_i^T x)) + (lam/2) ||x||^2.
-    ``as_printed`` flips the margin sign (+y_i a_i^T x). Only the margin rows
-    r_i = s y_i a_i (s = -1 for ``standard``) are kept, not the features, so a
-    margin z_i is r_i^T x. A sign flip is exact: each kernel gets the bits
-    that gathering the signed labels and multiplying them in would give.
+    ``as_printed`` flips the margin sign (+y_i a_i^T x). The margin rows
+    r_i = s y_i a_i (s = -1 for ``standard``) are kept in place of the features
+    and the labels, so z_i = r_i^T x; as a sign flip is exact, each kernel gets
+    the bits that multiplying the signed labels in would give.
     """
 
     features: InitVar[np.ndarray]  # (n, d)
-    labels: np.ndarray  # (n,), values in {-1, +1}
+    labels: InitVar[np.ndarray]  # (n,), values in {-1, +1}
     lam: float = field(default=0.0, metadata={"bound": ">= 0"})
     label_sign: str = field(default="standard", metadata={"choices": LABEL_SIGNS})
-    rows: np.ndarray = field(init=False, repr=False, compare=False)  # (n, d)
+    rows: np.ndarray = field(init=False, repr=False)  # (n, d)
 
     kind = "logistic"
     nonnegative = True  # logaddexp >= 0 and the L2 term is >= 0
 
-    def __post_init__(self, features):
-        _store_c_order(self, "labels")
-        if np.ndim(features) != 2 or self.labels.shape != np.shape(features)[:1]:
+    def __post_init__(self, features, labels):
+        labels = np.asarray(labels)
+        if np.ndim(features) != 2 or labels.shape != np.shape(features)[:1]:
             raise ConfigurationError(f"features must be (n, d) and labels (n,), got "
-                                     f"{np.shape(features)} and {self.labels.shape}")
+                                     f"{np.shape(features)} and {labels.shape}")
         sign = -1.0 if self.label_sign == "standard" else 1.0
-        rows = np.multiply((sign * self.labels)[:, None], features, order="C")
+        rows = np.multiply((sign * labels)[:, None], features, order="C")
         object.__setattr__(self, "rows", rows)
         check_fields(self)
-        if not np.isin(self.labels, (-1.0, 1.0)).all():
+        if not np.isin(labels, (-1.0, 1.0)).all():
             raise ConfigurationError("labels must be in {-1, +1}")
 
     @property

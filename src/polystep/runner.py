@@ -201,7 +201,9 @@ def grid_lockstep(obj, groups, X0, K, B, rngs):
     its batches from ``rngs[r]``.
 
     ``groups`` lists ``(method, cfg, size)``: the rows of X0 split, in order,
-    into consecutive groups that each follow one rule with one config. Every
+    into consecutive groups that each follow one rule with one config. The
+    layout must agree with itself: one stream per row, and group sizes that
+    sum to R; else a ``ValueError`` is raised before the first draw. Every
     step makes one batch draw and one evaluation over all rows, then one
     rule call per group on its row slice, given the step index k: the rules
     count no steps themselves. A single group takes the arrays whole.
@@ -218,6 +220,10 @@ def grid_lockstep(obj, groups, X0, K, B, rngs):
         rules.append((slice(start, start + size), init_state(cfg, method, obj.d, rows=size),
                       STEPPERS[method], cfg, batch_target(cfg, method, obj)))
         start += size
+    rngs = list(rngs)
+    if not len(rngs) == start == len(X0):
+        raise ValueError(f"grid_lockstep: need one stream per row and groups covering every row, "
+                         f"got {len(rngs)} streams, groups of {start} rows and {len(X0)} rows")
     batches = SeedBatches(rngs, obj.n, B, steps=K)
     X = X0
     for k in range(K):
@@ -240,7 +246,8 @@ def grid_lockstep(obj, groups, X0, K, B, rngs):
 
 
 def lockstep(obj, method, cfg, X0, K, B, rngs):
-    """``grid_lockstep`` with every row of X0 in one group: one rule, one config."""
+    """``grid_lockstep`` with every row of X0 in one group: one rule, one config,
+    and one stream of ``rngs`` per row."""
     return grid_lockstep(obj, [(method, cfg, len(X0))], X0, K, B, rngs)
 
 

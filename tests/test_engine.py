@@ -35,6 +35,7 @@ from polystep.runner import (
     SeedBatches,
     _run_grid,
     compare_grid,
+    grid_lockstep,
     iterate_run,
     lockstep,
     run_experiment,
@@ -283,6 +284,24 @@ def test_unknown_method_is_a_configuration_error(start):
     # not a KeyError from the STEPPERS lookup
     with pytest.raises(steppers.ConfigurationError, match="^unknown optimizer 'bogus'$"):
         next(start(make_counterexample_1d()))
+
+
+@pytest.mark.parametrize("start,got", [
+    # four rows on one stream: every row would run on the same batches
+    (lambda obj, X0, rngs: lockstep(obj, "decsps", StepperConfig(), X0, 3, 2, rngs[:1]),
+     "1 streams, groups of 4 rows"),
+    # groups of 2 rows for 4: rows 2-3 would be read from np.empty
+    (lambda obj, X0, rngs: grid_lockstep(
+        obj, [("decsps", StepperConfig(), 1), ("sps_max", StepperConfig(), 1)], X0, 3, 2,
+        iter(rngs)), "4 streams, groups of 2 rows"),
+], ids=["one_stream", "short_groups"])
+def test_a_layout_that_contradicts_itself_is_refused_before_any_draw(start, got):
+    obj = make_fig1_problem(stream(0), 3, 10)
+    rngs = [stream(i) for i in range(4)]
+    with pytest.raises(ValueError, match=f"^grid_lockstep: need one stream per row and groups "
+                                         f"covering every row, got {got} and 4 rows$"):
+        next(start(obj, np.zeros((4, 3)), rngs))
+    assert [rng.random() for rng in rngs] == [stream(i).random() for i in range(4)]
 
 
 @pytest.mark.parametrize("n,B,steps", [

@@ -108,8 +108,13 @@ class TestLogistic:
 
     def test_stores_only_the_margin_rows(self):
         obj = small_logistic()
-        assert not hasattr(obj, "features") and not hasattr(obj, "signed_labels")
+        assert not any(hasattr(obj, name) for name in ("features", "labels", "signed_labels"))
         assert obj.rows.flags.c_contiguous and obj.rows.shape == (obj.n, obj.d)
+
+    def test_labels_from_a_list(self):
+        X, y = np.arange(6.0).reshape(3, 2), [1, -1, 1]
+        got, want = LogisticObjective(X, y), LogisticObjective(X, np.array(y, dtype=float))
+        assert got.rows.tobytes() == want.rows.tobytes() and got != want
 
 
 def signed_zero_data():

@@ -71,7 +71,8 @@ class TestBuildProblem:
         p = tmp_path / "d.libsvm"
         p.write_text("+1 1:1 2:5\n-1 1:2 2:6\n+1 1:3 2:9\n")
         obj = build_problem(ProblemSpec(name="dataset", dataset_path=str(p)))
-        features = -obj.labels[:, None] * obj.rows  # rows_i = -y_i a_i under "standard"
+        labels = np.array([1.0, -1.0, 1.0])
+        features = -labels[:, None] * obj.rows  # rows_i = -y_i a_i under "standard"
         np.testing.assert_allclose(features.mean(axis=0), 0.0, atol=1e-12)
 
     def test_unknown_dataset_format(self, tmp_path):
