@@ -49,36 +49,30 @@ TRACE_FORMATS = {"csv": "csv", "json-lines": "jsonl"}  # format -> file extensio
 
 @dataclass(frozen=True)
 class Trace:
-    """The records of one run in columns, one row per seed (a grid pass keeps
-    one row per (config, seed) and hands each config its ``slice``).
+    """The records of one run, one row per seed (a grid pass keeps one row
+    per (config, seed) and hands each config its ``slice``).
 
-    Row r belongs to ``seeds[r]`` and holds its records at ``ks``; a trace
-    file lists the rows seed by seed, each over all of ``ks``.
-    """
+    ``values[i, r, j]`` is metric ``METRICS[i]`` of row r (seed ``seeds[r]``)
+    at k = ks[j], and each metric's name gives its (R, n_records) view. A
+    trace file lists the rows seed by seed, each over all of ``ks``."""
 
     seeds: tuple[int, ...]
     ks: np.ndarray  # (n_records,) the record schedule
-    f_sub: np.ndarray  # (R, n_records), and likewise the other metrics
-    f_sub_avg_iterate: np.ndarray
-    dist_sq: np.ndarray
-    gamma: np.ndarray
+    values: np.ndarray  # (len(METRICS), R, n_records)
+
+    f_sub = property(lambda self: self.values[0])
+    f_sub_avg_iterate = property(lambda self: self.values[1])
+    dist_sq = property(lambda self: self.values[2])
+    gamma = property(lambda self: self.values[3])
 
     @classmethod
     def empty(cls, seeds, ks) -> "Trace":
-        shape = (len(seeds), len(ks))
-        return cls(tuple(seeds), np.asarray(ks), *(np.full(shape, np.nan) for _ in METRICS))
-
-    def record(self, j: int | slice, *values: np.ndarray) -> None:
-        """Store record ``j`` (at k = ks[j]) of every row, one (R,) array per
-        metric, or the records of a slice ``j``, one (R, len(ks[j])) array each;
-        fewer values store the first metrics only."""
-        for name, v in zip(METRICS, values):
-            getattr(self, name)[:, j] = v
+        shape = (len(METRICS), len(seeds), len(ks))
+        return cls(tuple(seeds), np.asarray(ks), np.full(shape, np.nan))
 
     def slice(self, start: int, stop: int) -> "Trace":
-        """Rows start:stop, as views of these columns."""
-        return Trace(self.seeds[start:stop], self.ks,
-                     *(getattr(self, name)[start:stop] for name in METRICS))
+        """Rows start:stop, as a view of ``values``."""
+        return Trace(self.seeds[start:stop], self.ks, self.values[:, start:stop])
 
     def __len__(self) -> int:
         """The number of records, one per (seed, k): the rows of a trace file."""
@@ -507,9 +501,11 @@ def write_csv(fh, header, keys, floats, eol: str = "\n") -> None:
     F, n = len(floats), len(floats[0])
     width = sum(t.shape[1] for t in tables) + F * _WORDS + 1
     step = max(1, _BLOCK_VALUES // F)
+    # one buffer for all blocks: a fresh one per block shrinks and regrows the heap
+    buffer = np.empty((min(n, step), width), np.uint64)
     for start in range(0, n, step):
         stop = min(n, start + step)
-        block = np.empty((stop - start, width), np.uint64)
+        block = buffer[:stop - start]
         col = 0
         for table, (_, index) in zip(tables, keys):
             block[:, col:col + table.shape[1]] = table[index[start:stop]]
@@ -537,12 +533,12 @@ def write_trace(trace: Trace, path: str, fmt: str = "csv") -> None:
                 write_csv(fh, TRACE_HEADER,
                           [(["%d" % s for s in trace.seeds], rows // max(n, 1)),
                            (["%d" % k for k in trace.ks.tolist()], rows % max(n, 1))],
-                          [getattr(trace, name).ravel() for name in METRICS],
+                          trace.values.reshape(len(METRICS), -1),
                           eol="\r\n")  # the csv module's line ending
         else:
             columns = [np.repeat(np.array(trace.seeds, dtype=np.int64), n).tolist(),
                        np.tile(trace.ks, len(trace.seeds)).tolist(),
-                       *(getattr(trace, name).ravel().tolist() for name in METRICS)]
+                       *trace.values.reshape(len(METRICS), -1).tolist()]
             with open(path, "w", newline="") as fh:
                 fh.writelines(json.dumps(dict(zip(TRACE_HEADER, row))) + "\n"
                               for row in zip(*columns))
@@ -599,4 +595,4 @@ def read_trace(path: str, fmt: str = "csv") -> Trace:
             or (seed.reshape(shape) != seeds[:, None]).any()
             or (k.reshape(shape) != k[:n]).any()):
         raise LoadError(f"{path}: the rows are not one block per seed over one k schedule")
-    return Trace(tuple(seeds.tolist()), k[:n], *(v.reshape(shape) for v in values))
+    return Trace(tuple(seeds.tolist()), k[:n], np.array(values).reshape(len(METRICS), *shape))

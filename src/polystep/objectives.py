@@ -170,7 +170,7 @@ class LogisticObjective:
         return CurvatureInfo(float(L.max()), float(self.lam))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticObjective:
     """n quadratics f_i(x) = (1/2)(x - o_i)^T H_i (x - o_i) + floor_i."""
 
@@ -233,7 +233,7 @@ class QuadraticObjective:
         return CurvatureInfo(float(eigs[:, -1].max()), float(eigs[:, 0].min()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftedAbsoluteObjective:
     """1-d non-smooth sum f_i(x) = |x - s_i|; used with subgradient steppers."""
 

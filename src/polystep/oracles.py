@@ -145,9 +145,11 @@ def estimate_sigma2(
 
     ``exact_enumeration`` walks all C(n, B) batches (must fit under
     ``enum_cap``); ``monte_carlo`` samples ``n_samples`` batches and reports
-    the max as a lower estimate.
+    the max as a lower estimate. B must lie in [1, n] (else ``ValueError``).
     """
     n = obj.n
+    if not 1 <= B <= n:
+        raise ValueError(f"estimate_sigma2: need 1 <= B <= n, got B={B}, n={n}")
     if mode == "exact_enumeration":
         total = math.comb(n, B)
         if total > enum_cap:

@@ -335,7 +335,7 @@ def _run_pass(obj, reference, cfgs: list[RunConfig],
                 block = np.stack(pending, axis=2)  # (2, R, records, d)
                 E = block[0] - reference.x_star
                 # every metric but gamma, which each record stored as it was taken
-                records.record(slice(j - len(pending), j), *f_sub(block), np.vecdot(E, E))
+                records.values[:3, :, j - len(pending):j] = (*f_sub(block), np.vecdot(E, E))
                 pending = []
     results = []
     for c, stop in zip(cfgs, np.cumsum([len(c.seeds) for c in cfgs])):
@@ -352,7 +352,7 @@ def _diagnostics(records: Trace, first_negative: np.ndarray) -> list[dict]:
     """Per seed, one entry for the first recorded k where its records hold an
     inf or a nan, and one for the first k where it took a negative stepsize
     (``first_negative``, -1 for none)."""
-    bad = ~np.isfinite(np.stack([getattr(records, m) for m in METRICS]))  # (metric, row, j)
+    bad = ~np.isfinite(records.values)  # (metric, row, j)
     nonfinite = bad.any(axis=(0, 2))
     out = []
     for r in np.flatnonzero(nonfinite | (first_negative >= 0)):
@@ -390,11 +390,11 @@ def _write_run(cfg: RunConfig, obj, reference, records: Trace,
 
 def check_record_table(n_seeds: int, K: int, record_every: int) -> int:
     """The records per seed of a K-step run: every record_every-th step and
-    the last. Raises ConfigurationError if an n_seeds-row table of them is
-    a float column whose bytes numpy cannot count in an intp, so a seed
-    count can be checked before its seeds are listed."""
+    the last. Raises ConfigurationError if an n_seeds-row table of them, one
+    float per (metric, seed, record), has more bytes than numpy counts in an
+    intp, so a seed count can be checked before its seeds are listed."""
     n_records = len(range(0, K - 1, record_every)) + 1
-    if n_seeds * n_records > np.iinfo(np.intp).max // 8:
+    if len(METRICS) * n_seeds * n_records > np.iinfo(np.intp).max // 8:
         raise ConfigurationError(f"cannot allocate the {n_seeds}x{n_records} record table")
     return n_records
 
@@ -459,10 +459,10 @@ def run_experiment(cfg: RunConfig, obj=None, reference=None) -> RunOutput:
 
 
 def aggregate_records(records: Trace, label: str) -> Aggregate:
-    """Per-k mean and std across seeds."""
+    """Per-k mean and std across seeds, one metric at a time."""
     return Aggregate(label, records.ks,
-                     {m: getattr(records, m).mean(axis=0) for m in METRICS},
-                     {m: getattr(records, m).std(axis=0) for m in METRICS})
+                     {m: v.mean(axis=0) for m, v in zip(METRICS, records.values)},
+                     {m: v.std(axis=0) for m, v in zip(METRICS, records.values)})
 
 
 def write_aggregate(agg: Aggregate, path: str) -> None:

@@ -93,14 +93,14 @@ class TestRun:
         rc = run_cli("run", "--problem", "counterexample", "--iters", "5",
                      "--seeds", "3,7", "--out", str(tmp_path))
         assert rc == 0
-        manifest = json.load(open(tmp_path / "counterexample_decsps_manifest.json"))
+        manifest = json.loads((tmp_path / "counterexample_decsps_manifest.json").read_text())
         assert manifest["seeds"] == [3, 7]
 
     def test_defaults_are_the_library_defaults(self, tmp_path):
         # a flag left out takes its config field's default
         rc = run_cli("run", "--problem", "counterexample", "--out", str(tmp_path))
         assert rc == 0
-        manifest = json.load(open(tmp_path / "counterexample_decsps_manifest.json"))
+        manifest = json.loads((tmp_path / "counterexample_decsps_manifest.json").read_text())
         assert manifest["problem"] == asdict(ProblemSpec("counterexample"))
         assert manifest["stepper"] == asdict(StepperConfig())
         defaults = RunConfig(ProblemSpec("counterexample"), "decsps")

@@ -467,7 +467,7 @@ class TestSynthetic:
 def assert_same_trace(got, want):
     """Equal seeds, and every column equal bit for bit, so -0.0 and nan count."""
     assert got.seeds == want.seeds
-    for name in ("ks", *METRICS):
+    for name in ("ks", "values"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -476,9 +476,7 @@ def make_trace(seeds, ks, values) -> Trace:
     """A Trace over ``seeds`` x ``ks`` filled, metric by metric and row by
     row, from the flat sequence ``values``."""
     trace = Trace.empty(seeds, ks)
-    columns = np.array(values, dtype=np.float64).reshape(len(METRICS), len(seeds), len(ks))
-    for name, column in zip(METRICS, columns):
-        getattr(trace, name)[:] = column
+    trace.values[:] = np.reshape(values, trace.values.shape)
     return trace
 
 
@@ -515,6 +513,31 @@ class TestTraces:
         back = read_trace(str(path), fmt)
         assert isinstance(back, Trace) and len(back) == 15
         assert_same_trace(back, trace)  # bit-exact floats after serialization
+
+    def test_metrics_and_slices_are_views_of_values(self):
+        table = make_trace((0, 1, 2), [0, 4], np.arange(24.0))
+        assert table.values.shape == (len(METRICS), 3, 2)
+        for i, name in enumerate(METRICS):
+            column = getattr(table, name)
+            assert column.shape == (3, 2) and np.shares_memory(column, table.values)
+            column[0, 0] = -i
+            assert table.values[i, 0, 0] == -i
+        rows = table.slice(1, 3)
+        assert rows.seeds == (1, 2) and rows.values.shape == (len(METRICS), 2, 2)
+        rows.gamma[1, 1] = 0.5  # row 2 of the table
+        assert table.gamma[2, 1] == 0.5
+        table.values[:, 1] = np.nan
+        assert np.isnan(rows.values[:, 0]).all() and len(rows) == 4
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("seeds,ks", [((), []), ((7,), [0, 3, 9])], ids=["empty", "one_seed"])
+    def test_round_trip_keeps_the_shape_of_values(self, tmp_path, fmt, seeds, ks):
+        trace = make_trace(seeds, ks, np.arange(len(METRICS) * len(ks), dtype=float))
+        path = tmp_path / EXT[fmt]
+        write_trace(trace, str(path), fmt)
+        back = read_trace(str(path), fmt)
+        assert back.values.shape == trace.values.shape == (len(METRICS), len(seeds), len(ks))
+        assert back.values.tobytes() == trace.values.tobytes()
 
     def test_csv_header(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -742,9 +765,8 @@ def test_every_file_loads_clean_values_or_fails_with_one_load_error(tmp_path_fac
         return
     if isinstance(got, Trace):
         assert all(type(s) is int for s in got.seeds) and got.ks.dtype == np.int64
-        for name in METRICS:
-            column = getattr(got, name)
-            assert column.dtype == np.float64 and column.shape == (len(got.seeds), len(got.ks))
+        assert got.values.dtype == np.float64
+        assert got.values.shape == (len(METRICS), len(got.seeds), len(got.ks))
     else:
         assert got.features.dtype == np.float64 and np.isfinite(got.features).all()
         assert got.features.shape == (got.n, got.d) and min(got.n, got.d) >= 1

@@ -87,12 +87,12 @@ def _by_seed(trace_path):
 def _assert_seeds_match_solo_runs(cfg, tmp_path, obj=None):
     group = run_experiment(cfg, obj=obj)
     grouped = _by_seed(group.trace_path)
-    diagnostics = json.load(open(group.manifest_path))["diagnostics"]
+    diagnostics = json.loads(Path(group.manifest_path).read_text())["diagnostics"]
     for seed in cfg.seeds:
         solo_cfg = replace(cfg, seeds=(seed,), out_dir=str(tmp_path / f"s{seed}"))
         solo = run_experiment(solo_cfg, obj=obj)
         assert grouped.get(str(seed), []) == _by_seed(solo.trace_path).get(str(seed), [])
-        solo_diag = json.load(open(solo.manifest_path))["diagnostics"]
+        solo_diag = json.loads(Path(solo.manifest_path).read_text())["diagnostics"]
         assert [d for d in diagnostics if d["seed"] == seed] == solo_diag
     return group, diagnostics
 
@@ -381,7 +381,7 @@ def test_yielded_arrays_are_fresh_at_every_step(method):
 def _rows(trace):
     """(seed, k, *metrics) per record, seed by seed, read off the columns one
     element at a time."""
-    return [(seed, k, *(float(getattr(trace, m)[r, j]) for m in METRICS))
+    return [(seed, k, *trace.values[:, r, j].tolist())
             for r, seed in enumerate(trace.seeds) for j, k in enumerate(trace.ks.tolist())]
 
 
@@ -402,7 +402,7 @@ def test_columnar_writer_matches_per_record_serialisation(tmp_path):
     for j in range(4):
         values = [rng.standard_normal(3) * 10.0 ** rng.integers(-20, 20, 3) for _ in METRICS]
         values[j % 4][j % 3] = specials[j]
-        trace.record(j, *values)
+        trace.values[:, :, j] = values
     rows = _rows(trace)
     assert len(rows) == len(trace) == 12
     write_trace(trace, str(tmp_path / "t.csv"), "csv")

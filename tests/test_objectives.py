@@ -503,3 +503,15 @@ class TestGenerators:
         b = make_fig1_problem(stream(22), 3, 4)
         np.testing.assert_array_equal(a.curvatures, b.curvatures)
         np.testing.assert_array_equal(a.offsets, b.offsets)
+
+
+@pytest.mark.parametrize("make", [
+    small_logistic,
+    lambda seed: make_fig1_problem(stream(seed), 3, 10),
+    lambda seed: ShiftedAbsoluteObjective(stream(seed).standard_normal(5)),
+], ids=["logistic", "quadratic", "absolute"])
+def test_objectives_compare_by_identity(make):
+    # a field-wise == would compare arrays: ambiguous, and unhashable
+    a, b = make(0), make(1)
+    assert a == a and a != b
+    assert len({a, b}) == 2

@@ -172,6 +172,15 @@ class TestSigma2:
         assert stats.sigma2_B is None
         assert stats.sigma2_hat_B >= 0.0
 
+    @pytest.mark.parametrize("mode", ["exact_enumeration", "monte_carlo"])
+    @pytest.mark.parametrize("B", [0, 3])
+    def test_batch_size_outside_1_to_n_rejected(self, mode, B):
+        # refused before any batch is built: B=3 would divide by C(2, 3) = 0
+        # batches, and B=0 would index with an empty batch
+        want = rf"^estimate_sigma2: need 1 <= B <= n, got B={B}, n=2$"
+        with pytest.raises(ValueError, match=want):
+            estimate_sigma2(make_counterexample_1d(), np.zeros(1), B, mode=mode, rng=stream(0))
+
     def test_enumeration_cap(self):
         obj = make_random_strongly_convex(stream(7), 2, 30)
         with pytest.raises(ValueError):

@@ -128,7 +128,7 @@ class TestRunExperiment:
         recs = read_trace(out.trace_path)
         assert recs.seeds == (0, 1)
         assert recs.ks.tolist() == list(range(50))
-        manifest = json.loads(open(out.manifest_path).read())
+        manifest = json.loads(Path(out.manifest_path).read_text())
         assert manifest["f_star"] == pytest.approx(2.0 / 3.0)
         assert manifest["diagnostics"] == []
         # the whole config, record_every, trace_format, x0_scale and label included
@@ -165,7 +165,7 @@ class TestRunExperiment:
         assert [d["seed"] for d in out.diagnostics] == [0, 1]
         for d in out.diagnostics:
             r = out.records.seeds.index(d["seed"])
-            finite = np.isfinite([getattr(out.records, m)[r] for m in METRICS]).all(axis=0)
+            finite = np.isfinite(out.records.values[:, r]).all(axis=0)
             bad = out.records.ks[~finite]
             assert d["k"] == bad[0] and d["reason"].startswith("non-finite ")
         assert run_experiment(counterexample_cfg(tmp_path)).diagnostics == []
@@ -290,7 +290,7 @@ class TestRunExperiment:
         assert out.trace_path.endswith(".jsonl")
         recs = read_trace(out.trace_path, "json-lines")
         assert recs.seeds == out.records.seeds
-        for name in ("ks", *METRICS):
+        for name in ("ks", "values"):
             assert getattr(recs, name).tobytes() == getattr(out.records, name).tobytes()
 
 
@@ -298,8 +298,7 @@ def columnar(seeds, ks, rows):
     """A Trace holding, for row r, the records (f_sub, f_sub_avg, dist_sq,
     gamma) listed in rows[r] at ks[0], ks[1], ..."""
     trace = Trace.empty(seeds, ks)
-    for j in range(len(ks)):
-        trace.record(j, *np.array([recs[j] for recs in rows]).T)
+    trace.values[:] = np.array(rows, dtype=np.float64).transpose(2, 0, 1)  # (metric, row, j)
     return trace
 
 
@@ -426,6 +425,16 @@ class TestCompareGrid:
         with pytest.raises(ConfigurationError):
             compare_grid([a, b])
 
+    def test_grid_records_are_row_slices_of_one_table(self, tmp_path):
+        cfgs = [counterexample_cfg(tmp_path, optimizer=opt, K=5) for opt in ("decsps", "sps_max")]
+        a, b = (out.records for out in _run_grid(cfgs, make_counterexample_1d()))
+        table = a.values.base
+        assert table is b.values.base and table.shape == (len(METRICS), 4, 5)
+        assert a.values.tobytes() == table[:, :2].tobytes()
+        assert b.values.tobytes() == table[:, 2:].tobytes()
+        table[:, 2] = np.nan  # a write to the table shows in b
+        assert np.isnan(b.values[:, 0]).all() and np.isfinite(a.values).all()
+
     @pytest.mark.parametrize("run", [
         compare_grid, lambda cfgs: _run_grid(cfgs, make_counterexample_1d()),
     ], ids=["compare_grid", "_run_grid"])
@@ -512,7 +521,6 @@ def test_a_config_fails_cleanly_or_runs_with_every_failure_diagnosed(cfg):
             return
         finally:
             STEPPERS[cfg.optimizer] = rule
-    values = np.stack([getattr(out.records, m) for m in METRICS])  # (metric, row, j)
-    failed = ~np.isfinite(values).all(axis=(0, 2)) | took_negative
+    failed = ~np.isfinite(out.records.values).all(axis=(0, 2)) | took_negative
     assert {seed for seed, bad in zip(cfg.seeds, failed) if bad} == \
         {d["seed"] for d in out.diagnostics}
